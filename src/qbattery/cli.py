@@ -29,6 +29,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -79,7 +80,9 @@ DEFAULTS = {
 
 def parse_number_list(text: str, integer: bool = False) -> list:
     """Comma-separated numbers; an item 'lo:hi' or 'lo:hi:step' expands to an
-    inclusive range (default step 1)."""
+    inclusive range (default step 1).  Ranges are stepped in decimal, so each
+    item is the float of its decimal value (0:1:0.1 gives 0.3, not
+    0.30000000000000004)."""
     out: list = []
     for item in (t.strip() for t in str(text).split(",")):
         if not item:
@@ -89,15 +92,15 @@ def parse_number_list(text: str, integer: bool = False) -> list:
                 parts = item.split(":")
                 if len(parts) not in (2, 3):
                     raise ValueError(item)
-                lo, hi = float(parts[0]), float(parts[1])
-                step = float(parts[2]) if len(parts) == 3 else 1.0
+                lo, hi = Decimal(parts[0]), Decimal(parts[1])
+                step = Decimal(parts[2]) if len(parts) == 3 else Decimal(1)
                 if step <= 0 or hi < lo:
                     raise ValueError(item)
-                count = int(np.floor((hi - lo) / step + 1e-9))
-                out.extend(lo + i * step for i in range(count + 1))
+                count = int((hi - lo) // step)
+                out.extend(float(lo + i * step) for i in range(count + 1))
             else:
                 out.append(float(item))
-        except ValueError:
+        except (ValueError, ArithmeticError):
             raise UsageError(f"cannot parse list item {item!r}")
     if integer:
         ints = [int(round(v)) for v in out]
@@ -119,7 +122,10 @@ def _read_ini(path: str) -> configparser.ConfigParser:
 
 
 def resolve_config(args) -> dict:
-    """Merge defaults, INI file and command line flags (flags win)."""
+    """Merge defaults, INI file and command line flags (flags win).
+
+    A flag's argparse dest is its "section.key"; an absent flag is None.
+    """
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if getattr(args, "config", None):
         ini = _read_ini(args.config)
@@ -140,29 +146,10 @@ def resolve_config(args) -> dict:
         if ini.has_option("optimizer", "seed"):
             cfg["optimizer"]["seed"] = ini.getint("optimizer", "seed")
 
-    overrides = {
-        ("sweep", "quantity"): getattr(args, "quantity", None),
-        ("sweep", "entanglements"): getattr(args, "entanglements", None),
-        ("sweep", "collisions"): getattr(args, "collisions", None),
-        ("sweep", "couplings"): getattr(args, "couplings", None),
-        ("trajectory", "quantity"): getattr(args, "quantity", None),
-        ("trajectory", "entanglement"): getattr(args, "entanglement", None),
-        ("trajectory", "delta_ts"): getattr(args, "delta_ts", None),
-        ("trajectory", "collisions"): getattr(args, "n_collisions", None),
-        ("trajectory", "substeps"): getattr(args, "substeps", None),
-        ("blp", "delta_ts"): getattr(args, "delta_ts", None),
-        ("blp", "grid_points"): getattr(args, "grid_points", None),
-        ("blp", "k"): getattr(args, "k", None),
-        ("blp", "collisions"): getattr(args, "n_collisions", None),
-        ("optimizer", "starts"): getattr(args, "starts", None),
-        ("optimizer", "max_evals"): getattr(args, "max_evals", None),
-        ("optimizer", "seed"): getattr(args, "seed", None),
-    }
-    for (section, key), value in overrides.items():
-        if value is not None:
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
             cfg[section][key] = value
-    if getattr(args, "phase_sweep", False):
-        cfg["sweep"]["phase_sweep"] = True
 
     try:
         cfg["params"] = ModelParams(**cfg["model"])
@@ -204,27 +191,30 @@ def write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([_csv_cell(v) for v in row])
 
 
-def write_manifest(output: str, command: str, cfg: dict, threads: int, started: float, outputs: list[str]) -> str:
+def write_manifest(output: str, command: str, started: float, outputs: list[str], **fields) -> str:
+    """Write <output>.manifest.json: command, version, outputs and wall time,
+    plus the command's own fields."""
     manifest = {
         "command": command,
         "version": __version__,
-        "seed": cfg["optimizer"].get("seed"),
-        "threads": threads,
-        "config": {
-            "model": cfg["model"],
-            "optimizer": cfg["optimizer"],
-            "sweep": cfg["sweep"],
-            "trajectory": cfg["trajectory"],
-            "blp": cfg["blp"],
-        },
         "outputs": outputs,
         "wall_time_s": time.time() - started,
+        **fields,
     }
     path = output + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _run_fields(cfg: dict, threads: int) -> dict:
+    """Manifest fields of a simulation command: seed, threads and the resolved configuration."""
+    return {
+        "seed": cfg["optimizer"].get("seed"),
+        "threads": threads,
+        "config": {section: cfg[section] for section in DEFAULTS},
+    }
 
 
 def _parallel_map(func, items, threads: int) -> list:
@@ -290,7 +280,7 @@ def cmd_sweep(args) -> int:
     rows = _parallel_map(run_point, grid, args.threads)
     header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "best_start", "converged"]
     write_csv(args.output, header, rows)
-    write_manifest(args.output, "sweep", cfg, args.threads, started, [args.output])
+    write_manifest(args.output, "sweep", started, [args.output], **_run_fields(cfg, args.threads))
     return 0
 
 
@@ -339,7 +329,7 @@ def cmd_trajectory(args) -> int:
     blocks = _parallel_map(run_dt, dt_list, args.threads)
     rows = [row for block in blocks for row in block]
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], rows)
-    write_manifest(args.output, "trajectory", cfg, args.threads, started, [args.output])
+    write_manifest(args.output, "trajectory", started, [args.output], **_run_fields(cfg, args.threads))
     return 0
 
 
@@ -384,7 +374,7 @@ def cmd_blp(args) -> int:
             path = f"{stem}_dt_{r.delta_t:g}{ext or '.csv'}"
             write_csv(path, ["t", "D"], [(t, d) for t, d in r.lambda_trace])
             outputs.append(path)
-    write_manifest(args.output, "blp", cfg, args.threads, started, outputs)
+    write_manifest(args.output, "blp", started, outputs, **_run_fields(cfg, args.threads))
     return 0
 
 
@@ -430,18 +420,10 @@ def cmd_fit(args) -> int:
     with open(args.output, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    manifest = {
-        "command": "fit",
-        "version": __version__,
-        "model": args.model,
-        "input": args.input,
-        "filters": {"n": args.n, "quantity": args.quantity},
-        "outputs": [args.output],
-        "wall_time_s": time.time() - started,
-    }
-    with open(args.output + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(
+        args.output, "fit", started, [args.output],
+        model=args.model, input=args.input, filters={"n": args.n, "quantity": args.quantity},
+    )
     return 0
 
 
@@ -458,38 +440,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_optimizer=True):
         p.add_argument("--config", help="INI configuration file")
-        p.add_argument("--seed", type=int, help="base RNG seed (required)")
+        p.add_argument("--seed", dest="optimizer.seed", type=int, help="base RNG seed (required)")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--output", required=True, help="output CSV path")
         if with_optimizer:
-            p.add_argument("--starts", type=int, help="multi-start count")
-            p.add_argument("--max-evals", dest="max_evals", type=int)
+            p.add_argument("--starts", dest="optimizer.starts", type=int, help="multi-start count")
+            p.add_argument("--max-evals", dest="optimizer.max_evals", type=int)
 
     p_sweep = sub.add_parser("sweep", help="work records over an (E, n, k) grid")
     add_common(p_sweep)
-    p_sweep.add_argument("--quantity", choices=QUANTITIES)
-    p_sweep.add_argument("--entanglements", help="E list, e.g. '0:1:0.1'")
-    p_sweep.add_argument("--collisions", help="n list, e.g. '0:30' or '0,2,4,7,30'")
-    p_sweep.add_argument("--couplings", help="k list; empty uses the model k")
-    p_sweep.add_argument("--phase-sweep", dest="phase_sweep", action="store_true")
+    p_sweep.add_argument("--quantity", dest="sweep.quantity", choices=QUANTITIES)
+    p_sweep.add_argument("--entanglements", dest="sweep.entanglements", help="E list, e.g. '0:1:0.1'")
+    p_sweep.add_argument("--collisions", dest="sweep.collisions", help="n list, e.g. '0:30' or '0,2,4,7,30'")
+    p_sweep.add_argument("--couplings", dest="sweep.couplings", help="k list; empty uses the model k")
+    p_sweep.add_argument("--phase-sweep", dest="sweep.phase_sweep", action="store_true", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_traj = sub.add_parser("trajectory", help="fine-grained work trajectory per delta_t")
     add_common(p_traj, with_optimizer=False)
-    p_traj.add_argument("--quantity", choices=QUANTITIES)
-    p_traj.add_argument("--entanglement", type=float)
-    p_traj.add_argument("--delta-ts", dest="delta_ts", help="delta_t list")
-    p_traj.add_argument("--collisions", dest="n_collisions", type=int)
-    p_traj.add_argument("--substeps", type=int)
+    p_traj.add_argument("--quantity", dest="trajectory.quantity", choices=QUANTITIES)
+    p_traj.add_argument("--entanglement", dest="trajectory.entanglement", type=float)
+    p_traj.add_argument("--delta-ts", dest="trajectory.delta_ts", help="delta_t list")
+    p_traj.add_argument("--collisions", dest="trajectory.collisions", type=int)
+    p_traj.add_argument("--substeps", dest="trajectory.substeps", type=int)
     p_traj.set_defaults(func=cmd_trajectory)
 
     p_blp = sub.add_parser("blp", help="non-Markovianity per delta_t")
     add_common(p_blp)
-    p_blp.add_argument("--delta-ts", dest="delta_ts", help="delta_t list")
-    p_blp.add_argument("--grid-points", dest="grid_points", type=int)
-    p_blp.add_argument("--k", type=float, help="coupling (default 1)")
+    p_blp.add_argument("--delta-ts", dest="blp.delta_ts", help="delta_t list")
+    p_blp.add_argument("--grid-points", dest="blp.grid_points", type=int)
+    p_blp.add_argument("--k", dest="blp.k", type=float, help="coupling (default 1)")
     p_blp.add_argument(
-        "--collisions", dest="n_collisions", type=int,
+        "--collisions", dest="blp.collisions", type=int,
         help="extension: scan backflow across this many collisions (default 1)",
     )
     p_blp.add_argument("--trace-output", dest="trace_output", help="per-pair (t, D) dump stem")
@@ -510,9 +492,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_run(args) -> None:
+    """Reject a thread count below 1 and an output in a missing or unwritable
+    directory before any work, so that a rejected run writes nothing."""
+    threads = getattr(args, "threads", 1)
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
+    for path in filter(None, (args.output, getattr(args, "trace_output", None))):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise UsageError(f"cannot write {path}: directory {folder} is missing or not writable")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_run(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,10 +2,13 @@
 
 Each collision couples qubit 2 to one fresh thermal spin for a duration
 delta_t through the joint propagator exp(-j*tau*H_total), then traces the
-spin out.  Fresh spins carry no memory, so every full collision applies the
-same channel; *within* a collision the reduced dynamics is sampled by
-re-exponentiating from the collision's initial boundary state, which keeps
-the intra-collision spin-battery correlations exact.
+spin out.  On the battery alone this is a linear map, one 16x16 transfer
+matrix per tau acting on the row-major vec(rho); `run_collisions` applies
+stacks of them and is the package's only loop over collisions.  Fresh spins
+carry no memory, so every full collision applies the same map; *within* a
+collision the reduced dynamics is sampled from the collision's initial
+boundary state, which keeps the intra-collision spin-battery correlations
+exact.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ContractViolation, is_density_matrix, partial_trace, unitary_from_hamiltonian
-from .model import ModelParams, thermal_spin_state, total_collision_hamiltonian
+from .linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
+from .model import ModelParams, total_collision_hamiltonian
 
 _TAU_SLACK = 1e-12
 
@@ -35,6 +38,38 @@ def collision_propagator(p: ModelParams, tau: float | None = None) -> np.ndarray
     return u
 
 
+@lru_cache(maxsize=64)
+def transfer_stack(p: ModelParams, taus: tuple[float, ...]) -> np.ndarray:
+    """(len(taus), 16, 16) stack of partial-collision maps on row-major vec(rho).
+
+    Slice i maps rho.reshape(16) to Tr_spin[U (rho (x) rho_spin) U^dag].reshape(16)
+    with U = collision_propagator(p, taus[i]) and rho_spin = diag(p0, p1).
+    Results are cached; treat the returned array as read-only.
+    """
+    u = np.stack([collision_propagator(p, tau) for tau in taus]).reshape(-1, 4, 2, 4, 2)
+    pops = np.array([p.p0, p.p1])
+    stack = np.einsum("b,tisjb,tksmb->tikjm", pops, u, u.conj()).reshape(-1, 16, 16)
+    stack.flags.writeable = False
+    return stack
+
+
+def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
+    """rho0, then the battery state at every tau of collisions 1..n.
+
+    Each collision starts from the state at the last tau of the one before,
+    with a fresh thermal spin.  Unchecked: the map is linear, so rho0 may be
+    any 4x4 operator, such as the traceless difference of two states.
+    Returns an (n*len(taus) + 1, 4, 4) array.
+    """
+    stack = transfer_stack(p, tuple(taus))
+    m = len(stack)
+    out = np.empty((n * m + 1, 16), dtype=complex)
+    out[0] = np.reshape(rho0, 16)
+    for c in range(n):
+        out[c * m + 1 : (c + 1) * m + 1] = stack @ out[c * m]
+    return out.reshape(-1, 4, 4)
+
+
 def _require_state(rho, what: str = "input") -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
@@ -44,15 +79,9 @@ def _require_state(rho, what: str = "input") -> np.ndarray:
     return m
 
 
-def _apply(u: np.ndarray, rho: np.ndarray, bath: np.ndarray) -> np.ndarray:
-    joint = u @ np.kron(rho, bath) @ u.conj().T
-    return partial_trace(joint, (4, 2), "A")
-
-
 def collide_once(rho, p: ModelParams) -> np.ndarray:
     """One full collision with a fresh thermal spin."""
-    m = _require_state(rho)
-    return _apply(collision_propagator(p), m, thermal_spin_state(p))
+    return run_collisions(_require_state(rho), 1, (p.delta_t,), p)[-1]
 
 
 def evolve_within_collision(rho, tau: float, p: ModelParams) -> np.ndarray:
@@ -61,7 +90,7 @@ def evolve_within_collision(rho, tau: float, p: ModelParams) -> np.ndarray:
     m = _require_state(rho)
     if not (0.0 < tau <= p.delta_t * (1.0 + _TAU_SLACK)):
         raise ValueError(f"tau must lie in (0, {p.delta_t}], got {tau}")
-    return _apply(collision_propagator(p, float(tau)), m, thermal_spin_state(p))
+    return run_collisions(m, 1, (float(tau),), p)[-1]
 
 
 @dataclass(frozen=True)
@@ -110,22 +139,7 @@ class Trajectory:
 
 def evolve(rho0, n: int, p: ModelParams) -> Trajectory:
     """n full collisions, sampled at the boundaries {0, delta_t, ..., n*delta_t}."""
-    m = _require_state(rho0, "rho0")
-    if n < 0:
-        raise ValueError(f"collision count must be >= 0, got {n}")
-    u = collision_propagator(p)
-    bath = thermal_spin_state(p)
-    states = np.empty((n + 1, 4, 4), dtype=complex)
-    states[0] = m
-    for step in range(1, n + 1):
-        states[step] = _apply(u, states[step - 1], bath)
-    times = np.arange(n + 1) * p.delta_t
-    return Trajectory(
-        times=times,
-        states=states,
-        collision_index=np.arange(n + 1),
-        params=p,
-    )
+    return fine_trajectory(rho0, n, 1, p)
 
 
 def fine_trajectory(rho0, n: int, substeps: int, p: ModelParams) -> Trajectory:
@@ -140,21 +154,11 @@ def fine_trajectory(rho0, n: int, substeps: int, p: ModelParams) -> Trajectory:
         raise ValueError(f"collision count must be >= 0, got {n}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    bath = thermal_spin_state(p)
     taus = [(s * p.delta_t) / substeps for s in range(1, substeps + 1)]
-    unitaries = [collision_propagator(p, tau) for tau in taus]
-    total = n * substeps + 1
-    states = np.empty((total, 4, 4), dtype=complex)
-    times = np.empty(total, dtype=float)
-    index = np.empty(total, dtype=int)
-    states[0], times[0], index[0] = m, 0.0, 0
-    pos = 1
-    boundary = m
-    for coll in range(1, n + 1):
-        for s in range(substeps):
-            states[pos] = _apply(unitaries[s], boundary, bath)
-            times[pos] = ((coll - 1) * substeps + (s + 1)) * p.delta_t / substeps
-            index[pos] = coll
-            pos += 1
-        boundary = states[pos - 1]
-    return Trajectory(times=times, states=states, collision_index=index, params=p)
+    steps = np.arange(n * substeps + 1)
+    return Trajectory(
+        times=steps * p.delta_t / substeps,
+        states=run_collisions(m, n, taus, p),
+        collision_index=(steps + substeps - 1) // substeps,
+        params=p,
+    )

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .collision import collision_propagator, _apply, _require_state
-from .linalg import ContractViolation, is_density_matrix, is_hermitian, partial_trace
-from .model import SIGMA_Z, ModelParams, battery_hamiltonian, thermal_spin_state
+from .collision import _require_state, run_collisions
+from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
+from .linalg import ContractViolation, is_density_matrix, is_hermitian
+from .model import SIGMA_Z, ModelParams, battery_hamiltonian
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 from .states import fixed_entanglement_state, locally_passive_state, projector, single_qubit_unitary
 
@@ -34,6 +35,27 @@ def _check_pair(rho, h):
     if not is_hermitian(hm):
         raise ContractViolation("h is not Hermitian within tolerance")
     return r, hm
+
+
+def _work(r: np.ndarray, h: np.ndarray) -> float:
+    """Unchecked global ergotropy of state r against Hamiltonian h."""
+    rho_desc = np.linalg.eigvalsh(r)[::-1]
+    return float(np.trace(r @ h).real - rho_desc @ np.linalg.eigvalsh(h))
+
+
+def _local_work(r: np.ndarray, p: ModelParams) -> float:
+    """Unchecked local ergotropy: the sum of the two marginal ergotropies."""
+    blocks = r.reshape(2, 2, 2, 2)
+    return _work(np.einsum("isjs->ij", blocks), p.e1 * SIGMA_Z) + _work(
+        np.einsum("sisj->ij", blocks), p.e2 * SIGMA_Z
+    )
+
+
+def _work_after(rho0: np.ndarray, n: int, p: ModelParams, mode: str, h12: np.ndarray) -> float:
+    """Unchecked global or local work yield after n collisions; h12 is
+    battery_hamiltonian(p), built once by the caller."""
+    state = run_collisions(rho0, n, (p.delta_t,), p)[-1]
+    return _work(state, h12) if mode == "global" else _local_work(state, p)
 
 
 def passive_state(rho, h) -> np.ndarray:
@@ -53,10 +75,7 @@ def global_ergotropy(rho, h) -> float:
     Computed from the sorted spectra directly, which makes the value
     independent of eigenvector tie-breaking under degenerate energies.
     """
-    r, hm = _check_pair(rho, h)
-    rho_desc = np.linalg.eigvalsh(r)[::-1]
-    energies = np.linalg.eigvalsh(hm)
-    return float(np.trace(r @ hm).real - rho_desc @ energies)
+    return _work(*_check_pair(rho, h))
 
 
 def local_ergotropy(rho12, p: ModelParams) -> float:
@@ -65,14 +84,7 @@ def local_ergotropy(rho12, p: ModelParams) -> float:
     The battery Hamiltonian has no interaction term, so the maximization
     separates into the marginal ergotropies against e1*sz and e2*sz.
     """
-    r = np.asarray(rho12, dtype=complex)
-    if r.shape != (4, 4):
-        raise ContractViolation(f"expected a 4x4 state, got {r.shape}")
-    if not is_density_matrix(r):
-        raise ContractViolation("rho12 is not a density matrix within tolerance")
-    rho1 = partial_trace(r, (2, 2), "A")
-    rho2 = partial_trace(r, (2, 2), "B")
-    return global_ergotropy(rho1, p.e1 * SIGMA_Z) + global_ergotropy(rho2, p.e2 * SIGMA_Z)
+    return _local_work(_require_state(rho12, "rho12"), p)
 
 
 def local_ergotropy_numeric(
@@ -87,7 +99,8 @@ def local_ergotropy_numeric(
     e_in = float(np.trace(r @ h12).real)
 
     def extracted(angles):
-        u = np.kron(single_qubit_unitary(*angles[:3]), single_qubit_unitary(*angles[3:]))
+        u1, u2 = single_qubit_unitary(*angles[:3]), single_qubit_unitary(*angles[3:])
+        u = np.einsum("ij,kl->ikjl", u1, u2).reshape(4, 4)  # u1 (x) u2
         return e_in - float(np.trace(u @ r @ u.conj().T @ h12).real)
 
     _, best, _ = multistart_maximize(extracted, 6, settings)
@@ -103,13 +116,7 @@ def ergotropy_after_collisions(
     state = _require_state(rho0, "rho0")
     if n < 0:
         raise ValueError(f"collision count must be >= 0, got {n}")
-    u = collision_propagator(p)
-    bath = thermal_spin_state(p)
-    for _ in range(n):
-        state = _apply(u, state, bath)
-    if mode == "global":
-        return global_ergotropy(state, battery_hamiltonian(p))
-    return local_ergotropy(state, p)
+    return _work_after(state, n, p, mode, battery_hamiltonian(p))
 
 
 @dataclass(frozen=True)
@@ -128,10 +135,11 @@ class WorkRecord:
 def _phase_swept_gp(entanglement: float, n: int, p: ModelParams) -> tuple[float, OptimizerReport]:
     """Maximize the direct work yield over the free relative phase of the
     locally passive state: 64-point grid plus bounded refinement."""
+    h12 = battery_hamiltonian(p)
 
     def value_at(theta: float) -> float:
         rho0 = projector(locally_passive_state(entanglement, phase=theta))
-        return ergotropy_after_collisions(rho0, n, p, "global")
+        return _work_after(rho0, n, p, "global", h12)
 
     grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     vals = np.array([value_at(t) for t in grid])
@@ -185,10 +193,11 @@ def max_work_fixed_entanglement(
             value = ergotropy_after_collisions(rho0, n, p, "global")
     else:
         mode = "global" if quantity == "G" else "local"
+        h12 = battery_hamiltonian(p)
 
         def objective(angles):
             rho0 = projector(fixed_entanglement_state(entanglement, angles))
-            return ergotropy_after_collisions(rho0, n, p, mode)
+            return _work_after(rho0, n, p, mode, h12)
 
         _, value, report = multistart_maximize(objective, 6, settings)
     return WorkRecord(

@@ -16,11 +16,11 @@ frame, so the objective stays continuous in all 10 angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams, thermal_spin_state, total_collision_hamiltonian
+from .collision import run_collisions
+from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 from .states import _as_state_vector
 
@@ -62,50 +62,17 @@ def pair_from_angles(angles10) -> tuple[np.ndarray, np.ndarray]:
     return s1, s2
 
 
-@lru_cache(maxsize=64)
-def _propagator_grid(p: ModelParams, delta_t: float, grid_points: int) -> np.ndarray:
-    """Stack of joint propagators at tau_i = i*delta_t/grid_points, i=0..grid_points."""
-    h = total_collision_hamiltonian(p)
-    w, v = np.linalg.eigh(h)
-    taus = np.arange(grid_points + 1) * (delta_t / grid_points)
-    phases = np.exp(-1j * np.outer(taus, w))
-    stack = np.einsum("ab,tb,cb->tac", v, phases, v.conj())
-    stack.flags.writeable = False
-    return stack
-
-
 def _distance_samples(
-    s1: np.ndarray,
-    s2: np.ndarray,
-    p: ModelParams,
-    delta_t: float,
-    grid_points: int,
-    collisions: int = 1,
+    s1: np.ndarray, s2: np.ndarray, p: ModelParams, taus, collisions: int = 1
 ) -> np.ndarray:
-    """Trace distance D(tau_i) of the evolving pair over the sample grid.
+    """Trace distance D of the evolving pair at tau = 0 and at every tau of
+    each collision: collisions*len(taus) + 1 samples.
 
     Every map here is linear in the input, so only the difference of the two
-    battery states is propagated; each collision re-tensors it with a fresh
-    thermal spin.  Returns collisions*grid_points + 1 samples.
+    battery states is propagated.
     """
-    u = _propagator_grid(p, float(delta_t), int(grid_points))
-    bath = thermal_spin_state(p)
     diff = np.outer(s1, s1.conj()) - np.outer(s2, s2.conj())
-    out = np.empty(collisions * grid_points + 1)
-    pos = 0
-    for coll in range(collisions):
-        joint = np.kron(diff, bath)
-        evolved = u @ joint @ u.conj().transpose(0, 2, 1)
-        reduced = np.einsum("tisjs->tij", evolved.reshape(-1, 4, 2, 4, 2))
-        dist = 0.5 * np.abs(np.linalg.eigvalsh(reduced)).sum(axis=1)
-        if coll == 0:
-            out[: grid_points + 1] = dist
-            pos = grid_points + 1
-        else:
-            out[pos : pos + grid_points] = dist[1:]
-            pos += grid_points
-        diff = reduced[-1]
-    return out
+    return 0.5 * np.abs(np.linalg.eigvalsh(run_collisions(diff, collisions, taus, p))).sum(axis=1)
 
 
 def distinguishability_trace(
@@ -118,8 +85,8 @@ def distinguishability_trace(
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if not delta_t > 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t}")
-    d = _distance_samples(v1, v2, p, delta_t, grid_points)
     times = np.arange(grid_points + 1) * (delta_t / grid_points)
+    d = _distance_samples(v1, v2, p, times[1:].tolist())
     return list(zip(times.tolist(), d.tolist()))
 
 
@@ -164,15 +131,17 @@ def blp_measure(
     if collisions < 1:
         raise ValueError(f"collisions must be >= 1, got {collisions}")
 
+    times = np.arange(collisions * grid_points + 1) * (delta_t / grid_points)
+    taus = tuple(times[1 : grid_points + 1].tolist())
+
     def objective(angles):
         s1, s2 = pair_from_angles(angles)
-        d = _distance_samples(s1, s2, p, delta_t, grid_points, collisions)
+        d = _distance_samples(s1, s2, p, taus, collisions)
         return float(np.maximum(np.diff(d), 0.0).sum())
 
     best_angles, q_n, report = multistart_maximize(objective, 10, settings)
     s1, s2 = pair_from_angles(best_angles)
-    d = _distance_samples(s1, s2, p, delta_t, grid_points, collisions)
-    times = np.arange(collisions * grid_points + 1) * (delta_t / grid_points)
+    d = _distance_samples(s1, s2, p, taus, collisions)
     return BLPResult(
         delta_t=float(delta_t),
         q_n=float(q_n),

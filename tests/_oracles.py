@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to anchor regression constants.
 
-These deliberately avoid the package's optimizer and orthogonal-pair
-parametrization: pairs are two *independent* pure states from a plain
-spherical chart, sampled with a scrambled Halton sequence, and the backflow
-of every pair is accumulated by direct batched evolution.  Slow by design;
-the values frozen in the test modules were produced by these functions.
+These deliberately avoid the package's optimizer, orthogonal-pair
+parametrization and transfer-matrix core: pairs are two *independent* pure
+states from a plain spherical chart, sampled with a scrambled Halton
+sequence, and the backflow of every pair is accumulated by direct batched
+evolution on the joint battery-spin space.  Slow by design; the values
+frozen in the test modules were produced by these functions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,24 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import qmc
 
+from qbattery.linalg import partial_trace, unitary_from_hamiltonian
 from qbattery.model import ModelParams, thermal_spin_state, total_collision_hamiltonian
+
+
+def dense_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
+    """Reference for qbattery.collision.run_collisions: every sample is
+    Tr_spin[U(tau) (rho_b (x) rho_spin) U(tau)^dag] on the 8x8 joint space,
+    rho_b being the state at the last tau of the collision before."""
+    bath = thermal_spin_state(p)
+    h = total_collision_hamiltonian(p)
+    unitaries = [unitary_from_hamiltonian(h, tau) for tau in taus]
+    states = [np.asarray(rho0, dtype=complex)]
+    for _ in range(n):
+        boundary = states[-1]
+        for u in unitaries:
+            joint = u @ np.kron(boundary, bath) @ u.conj().T
+            states.append(partial_trace(joint, (4, 2), "A"))
+    return np.array(states)
 
 
 def spherical_states(unit_cube: np.ndarray) -> np.ndarray:

@@ -334,3 +334,80 @@ class TestDeterminism:
         assert run(*argv_base, "--output", out1, "--threads", 2) == 0
         assert run(*argv_base, "--output", out2, "--threads", 3) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestRangeItems:
+    def test_range_items_are_their_decimal_values(self):
+        assert parse_number_list("0:1:0.1") == [
+            0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
+        ]
+
+
+class TestManifests:
+    def test_fit_writes_shared_manifest(self, tmp_path):
+        data = tmp_path / "in.csv"
+        data.write_text("E,value,n\n0.0,1.0,7\n0.5,0.8,7\n1.0,0.2,7\n0.2,9.0,3\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", "--model", "M1", "--input", data, "--output", out, "--n", 7) == 0
+        manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
+        assert manifest["command"] == "fit"
+        assert manifest["outputs"] == [str(out)]
+        assert manifest["filters"] == {"n": 7, "quantity": None}
+        assert manifest["model"] == "M1" and manifest["input"] == str(data)
+        assert "version" in manifest and "wall_time_s" in manifest
+
+    def test_blp_flags_leave_other_sections_at_defaults(self, tmp_path):
+        from qbattery.cli import DEFAULTS
+
+        out = tmp_path / "b.csv"
+        code = run(
+            "blp", "--seed", 1, "--output", out, "--delta-ts", "0.3",
+            "--collisions", 2, "--starts", 1, "--max-evals", 20, "--grid-points", 10,
+        )
+        assert code == 0
+        config = json.loads((tmp_path / "b.csv.manifest.json").read_text())["config"]
+        assert config["trajectory"] == DEFAULTS["trajectory"]
+        assert config["sweep"] == DEFAULTS["sweep"]
+        assert config["blp"]["delta_ts"] == "0.3"
+        assert config["blp"]["collisions"] == 2
+
+    def test_absent_store_true_flag_keeps_ini_value(self, tmp_path):
+        from qbattery.cli import DEFAULTS
+
+        cfg = tmp_path / "ps.ini"
+        cfg.write_text("[sweep]\nphase_sweep = true\nquantity = L\n")
+        out = tmp_path / "ps.csv"
+        code = run(
+            "sweep", "--config", cfg, "--seed", 1, "--output", out,
+            "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0",
+        )
+        assert code == 0
+        config = json.loads((tmp_path / "ps.csv.manifest.json").read_text())["config"]
+        assert config["sweep"]["phase_sweep"] is True
+        assert config["sweep"]["quantity"] == "G_p"
+        assert config["trajectory"] == DEFAULTS["trajectory"]
+
+
+class TestRejectedRuns:
+    def assert_rejected(self, tmp_path, capsys, code):
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_threads(self, tmp_path, capsys):
+        code = run("sweep", "--seed", 1, "--output", tmp_path / "x.csv",
+                   "--collisions", "0", "--entanglements", "0.5", "--threads", 0)
+        self.assert_rejected(tmp_path, capsys, code)
+
+    def test_negative_threads(self, tmp_path, capsys):
+        code = run("trajectory", "--seed", 1, "--output", tmp_path / "x.csv",
+                   "--collisions", 1, "--substeps", 2, "--threads", -3)
+        self.assert_rejected(tmp_path, capsys, code)
+
+    def test_trace_output_in_missing_directory(self, tmp_path, capsys):
+        code = run(
+            "blp", "--seed", 1, "--output", tmp_path / "b.csv", "--delta-ts", "0.4",
+            "--starts", 1, "--max-evals", 20, "--grid-points", 10,
+            "--trace-output", tmp_path / "missing" / "t.csv",
+        )
+        self.assert_rejected(tmp_path, capsys, code)

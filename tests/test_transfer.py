@@ -1,0 +1,104 @@
+"""The transfer-matrix core against the dense joint-space oracle, and its
+physical invariants as properties over random model parameters."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qbattery.collision import run_collisions, transfer_stack
+from qbattery.ergotropy import global_ergotropy, local_ergotropy
+from qbattery.model import ModelParams, battery_hamiltonian
+from qbhelpers import random_density_matrix, random_pure_state, rng
+
+from _oracles import dense_collisions
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def random_params(gen: np.random.Generator) -> ModelParams:
+    e2 = gen.uniform(0.1, 2.0)
+    return ModelParams(
+        e1=e2 + gen.uniform(0.05, 2.0),
+        e2=e2,
+        h=gen.uniform(0.0, 3.0),
+        k=gen.uniform(0.0, 3.0),
+        beta=gen.uniform(0.0, 20.0),
+        delta_t=gen.uniform(0.05, 3.0),
+    )
+
+
+params_st = st.builds(
+    lambda e2, gap, h, k, beta, dt: ModelParams(e1=e2 + gap, e2=e2, h=h, k=k, beta=beta, delta_t=dt),
+    st.floats(0.1, 2.0),
+    st.floats(0.05, 2.0),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 20.0),
+    st.floats(0.05, 3.0),
+)
+substeps_st = st.integers(1, 6)
+seed_st = st.integers(0, 2**32 - 1)
+
+
+def grid(p: ModelParams, substeps: int) -> list[float]:
+    return [(s * p.delta_t) / substeps for s in range(1, substeps + 1)]
+
+
+class TestDenseOracle:
+    def test_states_match(self):
+        gen = rng(701)
+        for case in range(24):
+            p = random_params(gen)
+            taus = grid(p, (1, 3, 7)[case % 3])
+            n = int(gen.integers(0, 31))
+            rho = random_density_matrix(gen, 4)
+            got = run_collisions(rho, n, taus, p)
+            assert got.shape == (n * len(taus) + 1, 4, 4)
+            assert np.abs(got - dense_collisions(rho, n, taus, p)).max() <= 1e-12
+
+    def test_traceless_difference_matches(self):
+        gen = rng(703)
+        for _ in range(12):
+            p = random_params(gen)
+            s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
+            diff = np.outer(s1, s1.conj()) - np.outer(s2, s2.conj())
+            taus = sorted(gen.uniform(0.0, p.delta_t, size=5))
+            got = run_collisions(diff, 30, taus, p)
+            assert np.abs(got - dense_collisions(diff, 30, taus, p)).max() <= 1e-12
+
+    def test_first_sample_is_input(self):
+        rho = random_density_matrix(rng(705), 4)
+        assert np.array_equal(run_collisions(rho, 3, [0.1, 0.2], ModelParams())[0], rho)
+
+
+class TestTransferProperties:
+    @PROPERTY
+    @given(params_st, substeps_st)
+    def test_choi_is_psd_with_unit_partial_trace(self, p, substeps):
+        stack = transfer_stack(p, tuple(grid(p, substeps)))
+        assert not stack.flags.writeable
+        # Choi[(j, i), (m, k)] = T[(i, k), (j, m)] = <i| Phi(|j><m|) |k>
+        choi = stack.reshape(-1, 4, 4, 4, 4).transpose(0, 3, 1, 4, 2).reshape(-1, 16, 16)
+        assert np.abs(choi - choi.conj().transpose(0, 2, 1)).max() <= 1e-12
+        assert np.linalg.eigvalsh(choi).min() >= -1e-12
+        partial = np.einsum("tjimi->tjm", choi.reshape(-1, 4, 4, 4, 4))
+        assert np.abs(partial - np.eye(4)).max() <= 1e-12
+
+    @PROPERTY
+    @given(params_st, substeps_st, st.integers(0, 6), seed_st)
+    def test_trace_distance_contracts(self, p, substeps, n, seed):
+        gen = rng(seed)
+        rho, sigma = random_density_matrix(gen, 4), random_density_matrix(gen, 4)
+        samples = run_collisions(rho - sigma, n, grid(p, substeps), p)
+        dist = 0.5 * np.abs(np.linalg.eigvalsh(samples)).sum(axis=1)
+        assert np.all(dist <= dist[0] + 1e-12)
+
+    @PROPERTY
+    @given(params_st, st.integers(0, 30), seed_st)
+    def test_work_bounds(self, p, n, seed):
+        rho = run_collisions(random_density_matrix(rng(seed), 4), n, (p.delta_t,), p)[-1]
+        h = battery_hamiltonian(p)
+        local, total = local_ergotropy(rho, p), global_ergotropy(rho, h)
+        ceiling = np.trace(rho @ h).real - np.linalg.eigvalsh(h).min()
+        assert -1e-12 <= local <= total + 1e-12
+        assert total <= ceiling + 1e-12
