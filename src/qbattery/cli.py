@@ -53,6 +53,12 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 2 with one stderr line, like every other usage error."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -65,7 +71,6 @@ DEFAULTS = {
         "collisions": "0:30",
         "couplings": "",
         "quantity": "G_p",
-        "phase_sweep": False,
     },
     "trajectory": {
         "entanglement": 0.6,
@@ -135,9 +140,7 @@ def resolve_config(args) -> dict:
                     if key not in cfg[section] and not (section == "optimizer" and key == "seed"):
                         raise UsageError(f"unknown config option [{section}] {key}")
                     base = cfg[section].get(key)
-                    if isinstance(base, bool):
-                        cfg[section][key] = raw.strip().lower() in ("1", "true", "yes", "on")
-                    elif isinstance(base, int):
+                    if isinstance(base, int):
                         cfg[section][key] = int(raw)
                     elif isinstance(base, float):
                         cfg[section][key] = float(raw)
@@ -245,7 +248,6 @@ def cmd_sweep(args) -> int:
     if not n_list:
         raise UsageError("empty collision list")
     base_settings = optimizer_settings(cfg)
-    phase_sweep = bool(cfg["sweep"]["phase_sweep"])
 
     grid = [
         (idx, e, n, k)
@@ -262,7 +264,6 @@ def cmd_sweep(args) -> int:
             replace(params, k=k),
             quantity,
             settings=base_settings.for_grid_index(idx),
-            phase_sweep=phase_sweep,
         )
         rep = record.report
         return (
@@ -384,14 +385,18 @@ def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, fl
     data = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = {"E", "value"} - set(reader.fieldnames or ())
+        columns = set(reader.fieldnames or ())
+        missing = {"E", "value"} - columns
         if missing:
             raise UsageError(f"input CSV lacks required columns: {sorted(missing)}")
+        for column, value in (("n", n_filter), ("quantity", quantity_filter)):
+            if value is not None and column not in columns:
+                raise UsageError(f"input CSV has no {column!r} column for --{column} to filter on")
         for row in reader:
             try:
-                if n_filter is not None and int(float(row.get("n", "nan"))) != n_filter:
+                if n_filter is not None and int(float(row["n"])) != n_filter:
                     continue
-                if quantity_filter is not None and row.get("quantity") != quantity_filter:
+                if quantity_filter is not None and row["quantity"] != quantity_filter:
                     continue
                 data.append((float(row["E"]), float(row["value"])))
             except (TypeError, ValueError):
@@ -423,6 +428,7 @@ def cmd_fit(args) -> int:
     write_manifest(
         args.output, "fit", started, [args.output],
         model=args.model, input=args.input, filters={"n": args.n, "quantity": args.quantity},
+        bootstrap=args.bootstrap,
     )
     return 0
 
@@ -432,7 +438,7 @@ def cmd_fit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbattery",
         description="Deterministic two-qubit battery simulator with collision noise.",
     )
@@ -453,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--entanglements", dest="sweep.entanglements", help="E list, e.g. '0:1:0.1'")
     p_sweep.add_argument("--collisions", dest="sweep.collisions", help="n list, e.g. '0:30' or '0,2,4,7,30'")
     p_sweep.add_argument("--couplings", dest="sweep.couplings", help="k list; empty uses the model k")
-    p_sweep.add_argument("--phase-sweep", dest="sweep.phase_sweep", action="store_true", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_traj = sub.add_parser("trajectory", help="fine-grained work trajectory per delta_t")

@@ -13,7 +13,6 @@ exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,32 +108,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def to_csv(self, path, work_values=None, work_label: str = "work") -> None:
-        """Write `t, collision_index, rho_re_00..rho_im_33` rows, full double
-        precision, plus one derived work column when values are supplied."""
-        header = ["t", "collision_index"]
-        for i in range(4):
-            for j in range(4):
-                header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
-        if work_values is not None:
-            work_values = np.asarray(work_values, dtype=float)
-            if work_values.shape != self.times.shape:
-                raise ValueError("work_values length must match the sample count")
-            header.append(work_label)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for idx, (t, rho, ci) in enumerate(
-                zip(self.times, self.states, self.collision_index)
-            ):
-                row = ["%.17g" % t, int(ci)]
-                for i in range(4):
-                    for j in range(4):
-                        row += ["%.17g" % rho[i, j].real, "%.17g" % rho[i, j].imag]
-                if work_values is not None:
-                    row.append("%.17g" % work_values[idx])
-                writer.writerow(row)
 
 
 def evolve(rho0, n: int, p: ModelParams) -> Trajectory:

@@ -6,6 +6,12 @@ anti-ordered against the spectrum of H.  Because the battery Hamiltonian is
 a sum of single-qubit terms, the locally extractable work splits exactly
 into the marginal ergotropies; the 6-angle numerical maximization is kept
 only as an independent cross-check.
+
+The locally passive states have a free relative phase, a z rotation R of
+qubit 1.  R commutes with the battery Hamiltonian and with the collision
+Hamiltonian (its only qubit-1 term is qubit 1's energy), so n collisions
+give R rho_n R^dagger, whose spectrum and energy are rho_n's: G_p does not
+depend on the phase, and none is searched.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .collision import _require_state, run_collisions
 from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
@@ -132,65 +137,26 @@ class WorkRecord:
     report: OptimizerReport | None = None
 
 
-def _phase_swept_gp(entanglement: float, n: int, p: ModelParams) -> tuple[float, OptimizerReport]:
-    """Maximize the direct work yield over the free relative phase of the
-    locally passive state: 64-point grid plus bounded refinement."""
-    h12 = battery_hamiltonian(p)
-
-    def value_at(theta: float) -> float:
-        rho0 = projector(locally_passive_state(entanglement, phase=theta))
-        return _work_after(rho0, n, p, "global", h12)
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    vals = np.array([value_at(t) for t in grid])
-    best = int(np.argmax(vals))
-    step = grid[1] - grid[0]
-    res = minimize_scalar(
-        lambda t: -value_at(t),
-        bounds=(grid[best] - step, grid[best] + step),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    refined = -float(res.fun)
-    theta = float(res.x)
-    if vals[best] >= refined:
-        refined, theta = float(vals[best]), float(grid[best])
-    report = OptimizerReport(
-        n_starts=len(grid),
-        best_start=best,
-        best_value=refined,
-        best_x=np.array([theta]),
-        spread=float(vals.max() - vals.min()),
-        converged=True,
-        evaluations=len(grid) + int(res.nfev),
-    )
-    return refined, report
-
-
 def max_work_fixed_entanglement(
     entanglement: float,
     n: int,
     p: ModelParams,
     quantity: str,
     settings: OptimizerSettings | None = None,
-    phase_sweep: bool = False,
 ) -> WorkRecord:
     """Extremal work after n collisions at fixed initial entanglement.
 
     quantity "G_p": direct yield of the locally passive initial state (no
-    optimization; optional phase sweep).  "G"/"L": global or local yield
-    maximized over the 6-angle fixed-entanglement family by seeded
-    multi-start search.
+    optimization; its free phase cannot change the yield, see the module
+    docstring).  "G"/"L": global or local yield maximized over the 6-angle
+    fixed-entanglement family by seeded multi-start search.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
     report: OptimizerReport | None = None
     if quantity == "G_p":
-        if phase_sweep:
-            value, report = _phase_swept_gp(entanglement, n, p)
-        else:
-            rho0 = projector(locally_passive_state(entanglement))
-            value = ergotropy_after_collisions(rho0, n, p, "global")
+        rho0 = projector(locally_passive_state(entanglement))
+        value = ergotropy_after_collisions(rho0, n, p, "global")
     else:
         mode = "global" if quantity == "G" else "local"
         h12 = battery_hamiltonian(p)

@@ -11,17 +11,18 @@ g(E) = sqrt(2**(E+1) - 2**(2E)):
 Every family is separable (variable projection: Golub & Pereyra, SIAM J.
 Numer. Anal. 10, 413 (1973); O'Leary & Rust, Comput. Optim. Appl. 54, 579
 (2013)), and the default start uses that.  M1 is linear in (3*c*a, -3*c)
-and is solved in closed form.  In M2 and M4 every parameter but a, in M3
-every one but r, enters linearly: for a fixed rate k (a or r) the other two
-come from a linear least-squares solve, which leaves a one-dimensional
-profile SSE(k).  The profile is scanned on RATE_GRID, k in [-8, 8] in steps
-of 0.01 (1601 points), and the best grid point is refined by a bracketed
-root search (Brent) of the profile's analytic slope dSSE/dk between the
-point's two neighbours.  The slope, unlike differences of SSE, is not lost
-in rounding near the minimum, so the start is the stationary point to
-about 1e-12.  It is the global least-squares minimum over the bracket and
-needs no initial guess; a rate outside [-8, 8] is reached only by the
-polish below.
+and is solved in closed form.  M2, M3 and M4 are one form,
+scale*u*shape(E) + v*exp(k*phi(E)), built by ``_separable``: the rate k is
+a in M2 and M4 (phi(E) = E) and r in M3 (phi(E) = E**3), and u and v enter
+linearly.  For a fixed k, u and v come from a linear least-squares solve,
+which leaves a one-dimensional profile SSE(k).  The profile is scanned on
+RATE_GRID, k in [-8, 8] in steps of 0.01 (1601 points), and the best grid
+point is refined by a bracketed root search (Brent) of the profile's
+analytic slope dSSE/dk between the point's two neighbours.  The slope,
+unlike differences of SSE, is not lost in rounding near the minimum, so
+the start is the stationary point to about 1e-12.  It is the global
+least-squares minimum over the bracket and needs no initial guess; a rate
+outside [-8, 8] is reached only by the polish below.
 
 From that start (or from an explicit ``init``) damped Gauss-Newton
 (Levenberg-Marquardt) iterations with each family's analytic Jacobian
@@ -42,6 +43,8 @@ from .states import schmidt_gap
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 RATE_GRID = np.linspace(-8.0, 8.0, 1601)  # profile scan of a (M2, M4) or r (M3)
+MAX_NFEV = 500  # Levenberg-Marquardt evaluation budget per fit or refit
+STEP_TOL = 1e-10  # relative step size that ends the iterations
 
 
 @dataclass(frozen=True)
@@ -113,56 +116,38 @@ def _m1_start(e, y):
     return np.array([-beta / 3.0, a if np.isfinite(a) else 0.0])
 
 
-def _m2(e, p):
-    a, b, c = p
-    return 3.0 * c * (1.0 + schmidt_gap(e)) + b * np.exp(a * e)
+def _separable(name, names, scale, shape, phi, order) -> FitModel:
+    """Family scale*u*shape(E) + v*exp(k*phi(E)), linear in u and v.
+
+    ``order`` gives, for each parameter in ``names``, its index in (k, v, u).
+    """
+    where = np.argsort(order)  # parameter-vector positions of k, v and u
+
+    def predict(e, p):
+        k, v, u = p[where]
+        return scale * u * shape(e) + v * np.exp(k * phi(e))
+
+    def jacobian(e, p):
+        k, v, _ = p[where]
+        t = phi(e)
+        x = np.exp(k * t)
+        return np.column_stack([v * t * x, x, scale * shape(e)])[:, order]
+
+    def start(e, y):
+        return np.array(_profile_start(scale * shape(e), phi(e), y))[order]
+
+    return FitModel(name, names, predict, jacobian, start)
 
 
-def _m2_jacobian(e, p):
-    a, b, _ = p
-    x = np.exp(a * e)
-    return np.column_stack([b * e * x, x, 3.0 * (1.0 + schmidt_gap(e))])
-
-
-def _m2_start(e, y):
-    return np.array(_profile_start(3.0 * (1.0 + schmidt_gap(e)), e, y))
-
-
-def _m3(e, p):
-    pp, q, r = p
-    return 3.0 * pp * (1.0 + schmidt_gap(e)) + q * np.exp(r * e**3)
-
-
-def _m3_jacobian(e, p):
-    _, q, r = p
-    x = np.exp(r * e**3)
-    return np.column_stack([3.0 * (1.0 + schmidt_gap(e)), x, q * e**3 * x])
-
-
-def _m3_start(e, y):
-    return np.array(_profile_start(3.0 * (1.0 + schmidt_gap(e)), e**3, y)[::-1])
-
-
-def _m4(e, p):
-    a, b, c = p
-    return 6.0 * c * schmidt_gap(e) + b * np.exp(a * e)
-
-
-def _m4_jacobian(e, p):
-    a, b, _ = p
-    x = np.exp(a * e)
-    return np.column_stack([b * e * x, x, 6.0 * schmidt_gap(e)])
-
-
-def _m4_start(e, y):
-    return np.array(_profile_start(6.0 * schmidt_gap(e), e, y))
+def _one_plus_gap(e):
+    return 1.0 + schmidt_gap(e)
 
 
 MODELS: dict[str, FitModel] = {
     "M1": FitModel("M1", ("c", "a"), _m1, _m1_jacobian, _m1_start),
-    "M2": FitModel("M2", ("a", "b", "c"), _m2, _m2_jacobian, _m2_start),
-    "M3": FitModel("M3", ("p", "q", "r"), _m3, _m3_jacobian, _m3_start),
-    "M4": FitModel("M4", ("a", "b", "c"), _m4, _m4_jacobian, _m4_start),
+    "M2": _separable("M2", ("a", "b", "c"), 3.0, _one_plus_gap, lambda e: e, [0, 1, 2]),
+    "M3": _separable("M3", ("p", "q", "r"), 3.0, _one_plus_gap, lambda e: e**3, [2, 1, 0]),
+    "M4": _separable("M4", ("a", "b", "c"), 6.0, schmidt_gap, lambda e: e, [0, 1, 2]),
 }
 
 
@@ -183,8 +168,6 @@ class FitResult:
 
 
 def _resolve_model(model) -> FitModel:
-    if isinstance(model, FitModel):
-        return model
     try:
         return MODELS[model]
     except KeyError:
@@ -227,8 +210,6 @@ def _bootstrap_half_widths(
     fitted: np.ndarray,
     samples: int,
     seed: int,
-    max_nfev: int,
-    step_tol: float,
 ) -> np.ndarray:
     """95% half-widths from seeded residual-resampling refits."""
     gen = np.random.default_rng(seed)
@@ -242,8 +223,8 @@ def _bootstrap_half_widths(
             fitted,
             jac=lambda p: mdl.jacobian(e, p),
             method="lm",
-            xtol=step_tol,
-            max_nfev=max_nfev,
+            xtol=STEP_TOL,
+            max_nfev=MAX_NFEV,
         )
         draws[b] = res.x
     lo, hi = np.percentile(draws, [2.5, 97.5], axis=0)
@@ -254,8 +235,6 @@ def fit_curve(
     model,
     data,
     init=None,
-    max_nfev: int = 500,
-    step_tol: float = 1e-10,
     bootstrap: int = 0,
     bootstrap_seed: int = 0,
 ) -> FitResult:
@@ -267,9 +246,12 @@ def fit_curve(
     singular linearization or an exhausted iteration budget is reported
     through ``converged`` and ``message``.  With ``bootstrap > 0`` the
     confidence half-widths come from that many seeded residual-resampling
-    refits (percentile based) instead of the linearized covariance.
+    refits (percentile based) instead of the linearized covariance; a
+    negative ``bootstrap`` raises ValueError.
     """
     mdl = _resolve_model(model)
+    if bootstrap < 0:
+        raise ValueError(f"bootstrap must be >= 0 refits, got {bootstrap}")
     e, y = _split_data(data)
     n_par = len(mdl.param_names)
     if len(e) < n_par + 1:
@@ -283,10 +265,10 @@ def fit_curve(
         x0,
         jac=lambda p: mdl.jacobian(e, p),
         method="lm",
-        xtol=step_tol,
+        xtol=STEP_TOL,
         ftol=np.finfo(float).eps,
         gtol=np.finfo(float).eps,
-        max_nfev=max_nfev,
+        max_nfev=MAX_NFEV,
     )
     sse = float(2.0 * res.cost)
     dof = len(e) - n_par
@@ -304,9 +286,7 @@ def fit_curve(
         message = (message + "; " if message else "") + "singular normal equations"
 
     if bootstrap > 0:
-        half = _bootstrap_half_widths(
-            mdl, e, y, res.x, bootstrap, bootstrap_seed, max_nfev, step_tol
-        )
+        half = _bootstrap_half_widths(mdl, e, y, res.x, bootstrap, bootstrap_seed)
 
     return FitResult(
         model=mdl.name,

@@ -25,9 +25,9 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(a, tol: float = STRUCT_TOL) -> bool:
+def is_hermitian(a) -> bool:
     m = _as_square(a)
-    return bool(np.abs(m - m.conj().T).max() <= tol)
+    return bool(np.abs(m - m.conj().T).max() <= STRUCT_TOL)
 
 
 def is_unitary(a, tol: float = STRUCT_TOL) -> bool:
@@ -78,29 +78,29 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermitian_eigendecompose(h, tol: float = STRUCT_TOL) -> HermitianEigen:
+def hermitian_eigendecompose(h) -> HermitianEigen:
     m = _as_square(h)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ContractViolation("input is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
-def unitary_from_hamiltonian(h, t: float, tol: float = STRUCT_TOL) -> np.ndarray:
+def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """exp(-j*t*h) for Hermitian h, computed exactly via eigendecomposition."""
     if not np.isfinite(t):
         raise ContractViolation("time must be finite")
-    w, v = hermitian_eigendecompose(h, tol)
+    w, v = hermitian_eigendecompose(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def trace_distance(r1, r2, tol: float = STATE_TOL) -> float:
+def trace_distance(r1, r2) -> float:
     """Half the trace norm of r1 - r2 for two density matrices."""
     a = _as_square(r1)
     b = _as_square(r2)
     if a.shape != b.shape:
         raise ContractViolation("states must have equal dimensions")
-    if not is_density_matrix(a, tol) or not is_density_matrix(b, tol):
+    if not is_density_matrix(a) or not is_density_matrix(b):
         raise ContractViolation("trace_distance requires density matrices")
     w = np.linalg.eigvalsh(a - b)
     return float(0.5 * np.abs(w).sum())

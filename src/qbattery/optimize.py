@@ -16,14 +16,16 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
+SPAN = 2.0 * np.pi  # starts lie on the angle torus [0, SPAN)^dim
+F_TOL = 1e-9  # Nelder-Mead stops when the simplex values agree to this
+AGREE_TOL = 1e-6  # a second start within this of the best marks convergence
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
     starts: int = 24
     seed: int = 0
     max_evals: int = 2000
-    f_tol: float = 1e-9
-    agree_tol: float = 1e-6
 
     def for_grid_index(self, index: int) -> "OptimizerSettings":
         """Derived settings whose seed is a pure function of (seed, index), so
@@ -42,15 +44,15 @@ class OptimizerReport:
     evaluations: int
 
 
-def start_points(dim: int, settings: OptimizerSettings, span: float = 2.0 * np.pi) -> np.ndarray:
-    """Zero vector plus scrambled Halton points on [0, span)^dim."""
+def start_points(dim: int, settings: OptimizerSettings) -> np.ndarray:
+    """Zero vector plus scrambled Halton points on [0, SPAN)^dim."""
     if settings.starts < 1:
         raise ValueError("need at least one start")
     pts = np.zeros((settings.starts, dim))
     if settings.starts > 1:
         rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
         sampler = qmc.Halton(d=dim, scramble=True, seed=rng)
-        pts[1:] = sampler.random(settings.starts - 1) * span
+        pts[1:] = sampler.random(settings.starts - 1) * SPAN
     return pts
 
 
@@ -58,26 +60,25 @@ def multistart_maximize(
     objective,
     dim: int,
     settings: OptimizerSettings | None = None,
-    span: float = 2.0 * np.pi,
 ) -> tuple[np.ndarray, float, OptimizerReport]:
     """Maximize objective(x) for x in R^dim from multiple seeded starts.
 
     Returns (best_x, best_value, report); the report flags non-convergence
-    (no second start agreeing with the best within agree_tol) instead of
+    (no second start agreeing with the best within AGREE_TOL) instead of
     raising.
     """
     settings = settings or OptimizerSettings()
     values = np.empty(settings.starts)
     solutions = np.empty((settings.starts, dim))
     evaluations = 0
-    for i, x0 in enumerate(start_points(dim, settings, span)):
+    for i, x0 in enumerate(start_points(dim, settings)):
         res = minimize(
             lambda x: -objective(x),
             x0,
             method="Nelder-Mead",
             options={
                 "maxfev": settings.max_evals,
-                "fatol": settings.f_tol,
+                "fatol": F_TOL,
                 "xatol": 1e-6,
             },
         )
@@ -85,7 +86,7 @@ def multistart_maximize(
         solutions[i] = res.x
         evaluations += res.nfev
     best = int(np.argmax(values))
-    agree = int(np.sum(values >= values[best] - settings.agree_tol))
+    agree = int(np.sum(values >= values[best] - AGREE_TOL))
     report = OptimizerReport(
         n_starts=settings.starts,
         best_start=best,

@@ -135,19 +135,3 @@ def schmidt_decompose(c) -> SchmidtForm:
     u, s, vh = np.linalg.svd(m)
     # Complete each 2x2 factor to a unitary whose columns are the local bases.
     return SchmidtForm(lambdas=s**2, basis_1=u, basis_2=vh.T)
-
-
-def state_to_reals(c) -> np.ndarray:
-    """Serialize a pure state as 8 reals (interleaved re/im), for CSV/JSON."""
-    v = _as_state_vector(c)
-    out = np.empty(8, dtype=float)
-    out[0::2] = v.real
-    out[1::2] = v.imag
-    return out
-
-
-def state_from_reals(vals) -> np.ndarray:
-    v = np.asarray(vals, dtype=float).reshape(-1)
-    if v.shape != (8,):
-        raise ValueError(f"expected 8 reals, got shape {v.shape}")
-    return _as_state_vector(v[0::2] + 1j * v[1::2])

@@ -354,6 +354,7 @@ class TestManifests:
         assert manifest["outputs"] == [str(out)]
         assert manifest["filters"] == {"n": 7, "quantity": None}
         assert manifest["model"] == "M1" and manifest["input"] == str(data)
+        assert manifest["bootstrap"] == 0
         assert "version" in manifest and "wall_time_s" in manifest
 
     def test_blp_flags_leave_other_sections_at_defaults(self, tmp_path):
@@ -375,7 +376,7 @@ class TestManifests:
         from qbattery.cli import DEFAULTS
 
         cfg = tmp_path / "ps.ini"
-        cfg.write_text("[sweep]\nphase_sweep = true\nquantity = L\n")
+        cfg.write_text("[sweep]\nquantity = L\n")
         out = tmp_path / "ps.csv"
         code = run(
             "sweep", "--config", cfg, "--seed", 1, "--output", out,
@@ -383,7 +384,6 @@ class TestManifests:
         )
         assert code == 0
         config = json.loads((tmp_path / "ps.csv.manifest.json").read_text())["config"]
-        assert config["sweep"]["phase_sweep"] is True
         assert config["sweep"]["quantity"] == "G_p"
         assert config["trajectory"] == DEFAULTS["trajectory"]
 
@@ -411,3 +411,36 @@ class TestRejectedRuns:
             "--trace-output", tmp_path / "missing" / "t.csv",
         )
         self.assert_rejected(tmp_path, capsys, code)
+
+    def test_phase_sweep_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--seed", 1, "--output", tmp_path / "x.csv",
+                "--collisions", "0", "--entanglements", "0.5", "--phase-sweep")
+        self.assert_rejected(tmp_path, capsys, exc.value.code)
+
+    def test_phase_sweep_config_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "ps.ini"
+        cfg.write_text("[sweep]\nphase_sweep = true\n")
+        code = run("sweep", "--config", cfg, "--seed", 1, "--output", tmp_path / "x.csv",
+                   "--collisions", "0", "--entanglements", "0.5")
+        cfg.unlink()
+        self.assert_rejected(tmp_path, capsys, code)
+
+    def test_negative_bootstrap(self, tmp_path, capsys):
+        data = tmp_path / "in.csv"
+        data.write_text("E,value\n0.0,1.0\n0.5,0.8\n1.0,0.2\n")
+        code = run("fit", "--model", "M1", "--input", data,
+                   "--output", tmp_path / "f.json", "--bootstrap", -5)
+        data.unlink()
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("flag, value, column", [("--n", 7, "'n'"), ("--quantity", "G", "'quantity'")])
+    def test_missing_filter_column(self, tmp_path, capsys, flag, value, column):
+        data = tmp_path / "in.csv"
+        data.write_text("E,value\n0.0,1.0\n0.5,0.8\n1.0,0.2\n")
+        code = run("fit", "--model", "M1", "--input", data,
+                   "--output", tmp_path / "f.json", flag, value)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert column in err and flag in err
+        assert not (tmp_path / "f.json").exists()

@@ -189,22 +189,6 @@ class TestFineTrajectory:
             fine_trajectory(RHO_LP, 2, 0, P)
 
 
-class TestTrajectoryCsv:
-    def test_round_trip(self, tmp_path):
-        traj = evolve(RHO_LP, 3, P)
-        path = tmp_path / "traj.csv"
-        work = np.linspace(1.0, 0.5, len(traj))
-        traj.to_csv(path, work_values=work, work_label="G_p")
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(traj)
-        header = lines[0].split(",")
-        assert header[:2] == ["t", "collision_index"]
-        assert header[-1] == "G_p"
-        first = lines[1].split(",")
-        # rho_re_00 of the initial locally passive state is lambda2(0.6)
-        assert np.isclose(float(first[2]), RHO_LP[0, 0].real, atol=1e-15)
-
-
 def test_propagator_cached_and_unitary():
     u1 = collision_propagator(P)
     u2 = collision_propagator(P)

@@ -11,8 +11,6 @@ from qbattery.states import (
     schmidt_gap,
     schmidt_lambdas_from_entanglement,
     single_qubit_unitary,
-    state_from_reals,
-    state_to_reals,
 )
 from qbhelpers import random_pure_state, rng
 
@@ -152,9 +150,3 @@ class TestHelpers:
         for _ in range(5):
             u = single_qubit_unitary(*gen.uniform(0, 2 * np.pi, size=3))
             assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
-    def test_real_serialization_round_trip(self):
-        gen = rng(61)
-        c = random_pure_state(gen, 4)
-        again = state_from_reals(state_to_reals(c))
-        assert np.allclose(again, c, atol=1e-15)
