@@ -8,25 +8,21 @@ non-Markovianity measure, and least-squares fitting of sweep results.
 
 __version__ = "0.1.0"
 
-from .collision import Trajectory, collide_once, evolve, evolve_within_collision, fine_trajectory
+from .collision import Trajectory, collide_once, evolve, fine_trajectory
 from .ergotropy import (
     WorkRecord,
     ergotropy_after_collisions,
     global_ergotropy,
     local_ergotropy,
     max_work_fixed_entanglement,
-    passive_state,
+    trajectory_work,
 )
 from .fitting import MODELS, FitResult, fit_curve
 from .linalg import (
     ContractViolation,
-    hermitian_eigendecompose,
     is_density_matrix,
     is_hermitian,
-    is_unitary,
     kron,
-    partial_trace,
-    trace_distance,
     unitary_from_hamiltonian,
 )
 from .model import (
@@ -34,17 +30,13 @@ from .model import (
     battery_hamiltonian,
     bath_spin_hamiltonian,
     interaction_hamiltonian,
-    thermal_spin_state,
     total_collision_hamiltonian,
 )
-from .nonmarkov import BLPResult, blp_functional, blp_measure, distinguishability_trace
+from .nonmarkov import BLPResult, blp_measure
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 from .states import (
-    SchmidtForm,
     fixed_entanglement_state,
     locally_passive_state,
-    log_negativity,
-    schmidt_decompose,
     schmidt_gap,
     schmidt_lambdas_from_entanglement,
 )

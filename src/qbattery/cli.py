@@ -35,15 +35,11 @@ import numpy as np
 
 from . import __version__
 from .collision import fine_trajectory
-from .ergotropy import (
-    QUANTITIES,
-    global_ergotropy,
-    local_ergotropy,
-    max_work_fixed_entanglement,
-)
+from .ergotropy import MODES, QUANTITIES, max_work_fixed_entanglement, trajectory_work
+from .ergotropy import global_ergotropy, local_ergotropy  # noqa: F401  unused; perfbench wraps them by this module's name
 from .fitting import MODELS, fit_curve
 from .linalg import ContractViolation
-from .model import ModelParams, battery_hamiltonian
+from .model import ModelParams
 from .nonmarkov import blp_measure
 from .optimize import OptimizerSettings
 from .states import fixed_entanglement_state, locally_passive_state, projector
@@ -315,13 +311,8 @@ def cmd_trajectory(args) -> int:
     rho0 = projector(_trajectory_initial_state(quantity, entanglement))
 
     def run_dt(dt):
-        p_dt = replace(params, delta_t=float(dt))
-        traj = fine_trajectory(rho0, n, substeps, p_dt)
-        if quantity == "L":
-            values = [local_ergotropy(s, p_dt) for s in traj.states]
-        else:
-            h12 = battery_hamiltonian(p_dt)
-            values = [global_ergotropy(s, h12) for s in traj.states]
+        traj = fine_trajectory(rho0, n, substeps, replace(params, delta_t=float(dt)))
+        values = trajectory_work(traj, MODES[quantity])
         return [
             (float(dt), t, int(ci), v)
             for t, ci, v in zip(traj.times, traj.collision_index, values)
@@ -348,6 +339,15 @@ def cmd_blp(args) -> int:
     collisions = int(bcfg["collisions"])
     if collisions < 1:
         raise UsageError(f"collisions must be >= 1, got {collisions}")
+    trace_paths = []
+    if args.trace_output:
+        stem, ext = os.path.splitext(args.trace_output)
+        trace_paths = [f"{stem}_dt_{float(dt):g}{ext or '.csv'}" for dt in dt_list]
+        for i, path in enumerate(trace_paths):
+            if path in trace_paths[:i]:
+                raise UsageError(f"two delta_t values share the trace file {path}")
+            if os.path.isdir(path):
+                raise UsageError(f"cannot write {path}: it is a directory")
     run_params = replace(params, k=float(bcfg["k"]))
     base_settings = optimizer_settings(cfg)
 
@@ -368,13 +368,9 @@ def cmd_blp(args) -> int:
         for r in results
     ]
     write_csv(args.output, ["delta_t", "Q_N", "grid_points", "starts", "converged"], rows)
-    outputs = [args.output]
-    if args.trace_output:
-        stem, ext = os.path.splitext(args.trace_output)
-        for r in results:
-            path = f"{stem}_dt_{r.delta_t:g}{ext or '.csv'}"
-            write_csv(path, ["t", "D"], [(t, d) for t, d in r.lambda_trace])
-            outputs.append(path)
+    for r, path in zip(results, trace_paths):
+        write_csv(path, ["t", "D"], [(t, d) for t, d in r.lambda_trace])
+    outputs = [args.output, *trace_paths]
     write_manifest(args.output, "blp", started, outputs, **_run_fields(cfg, args.threads))
     return 0
 
@@ -382,6 +378,8 @@ def cmd_blp(args) -> int:
 def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, float]]:
     if not os.path.exists(path):
         raise UsageError(f"input file not found: {path}")
+    if os.path.isdir(path):
+        raise UsageError(f"input is a directory: {path}")
     data = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -498,11 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_run(args) -> None:
-    """Reject a thread count below 1 and an output in a missing or unwritable
-    directory before any work, so that a rejected run writes nothing."""
+    """Reject a thread count below 1, an output that is a directory and an
+    output in a missing or unwritable directory before any work, so that a
+    rejected run writes nothing."""
     threads = getattr(args, "threads", 1)
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
+    for path in (args.output, args.output + ".manifest.json"):
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {path}: it is a directory")
     for path in filter(None, (args.output, getattr(args, "trace_output", None))):
         folder = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):

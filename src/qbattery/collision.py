@@ -21,8 +21,6 @@ import numpy as np
 from .linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
 from .model import ModelParams, total_collision_hamiltonian
 
-_TAU_SLACK = 1e-12
-
 
 @lru_cache(maxsize=512)
 def collision_propagator(p: ModelParams, tau: float | None = None) -> np.ndarray:
@@ -83,15 +81,6 @@ def collide_once(rho, p: ModelParams) -> np.ndarray:
     return run_collisions(_require_state(rho), 1, (p.delta_t,), p)[-1]
 
 
-def evolve_within_collision(rho, tau: float, p: ModelParams) -> np.ndarray:
-    """Partial collision of duration tau in (0, delta_t], from the state at the
-    collision's start; tau = delta_t reproduces collide_once exactly."""
-    m = _require_state(rho)
-    if not (0.0 < tau <= p.delta_t * (1.0 + _TAU_SLACK)):
-        raise ValueError(f"tau must lie in (0, {p.delta_t}], got {tau}")
-    return run_collisions(m, 1, (float(tau),), p)[-1]
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Battery states sampled along a collision sequence.
@@ -105,9 +94,6 @@ class Trajectory:
     states: np.ndarray
     collision_index: np.ndarray
     params: ModelParams
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def evolve(rho0, n: int, p: ModelParams) -> Trajectory:

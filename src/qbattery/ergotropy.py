@@ -1,11 +1,10 @@
-"""Passive states and unitary work extraction, global and local.
+"""Unitary work extraction, global and local.
 
 The maximum work a unitary can draw from (rho, H) is Tr(rho H) minus the
 energy of the passive state, whose populations are the spectrum of rho
 anti-ordered against the spectrum of H.  Because the battery Hamiltonian is
 a sum of single-qubit terms, the locally extractable work splits exactly
-into the marginal ergotropies; the 6-angle numerical maximization is kept
-only as an independent cross-check.
+into the marginal ergotropies.
 
 The locally passive states have a free relative phase, a z rotation R of
 qubit 1.  R commutes with the battery Hamiltonian and with the collision
@@ -20,14 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import _require_state, run_collisions
+from .collision import Trajectory, _require_state, run_collisions
 from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import SIGMA_Z, ModelParams, battery_hamiltonian
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
-from .states import fixed_entanglement_state, locally_passive_state, projector, single_qubit_unitary
+from .states import fixed_entanglement_state, locally_passive_state, projector
 
-QUANTITIES = ("G_p", "G", "L")
+# The work yield each quantity reports: G_p and G the global one, L the local one.
+MODES = {"G_p": "global", "G": "global", "L": "local"}
+QUANTITIES = tuple(MODES)
 
 
 def _check_pair(rho, h):
@@ -42,36 +43,31 @@ def _check_pair(rho, h):
     return r, hm
 
 
-def _work(r: np.ndarray, h: np.ndarray) -> float:
-    """Unchecked global ergotropy of state r against Hamiltonian h."""
-    rho_desc = np.linalg.eigvalsh(r)[::-1]
-    return float(np.trace(r @ h).real - rho_desc @ np.linalg.eigvalsh(h))
+def _check_mode(mode: str) -> None:
+    if mode not in ("global", "local"):
+        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
 
 
-def _local_work(r: np.ndarray, p: ModelParams) -> float:
-    """Unchecked local ergotropy: the sum of the two marginal ergotropies."""
-    blocks = r.reshape(2, 2, 2, 2)
-    return _work(np.einsum("isjs->ij", blocks), p.e1 * SIGMA_Z) + _work(
-        np.einsum("sisj->ij", blocks), p.e2 * SIGMA_Z
+def _work(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Unchecked global ergotropy of each state of the (..., d, d) stack r
+    against Hamiltonian h."""
+    rho_desc = np.linalg.eigvalsh(r)[..., ::-1]
+    return np.trace(r @ h, axis1=-2, axis2=-1).real - rho_desc @ np.linalg.eigvalsh(h)
+
+
+def _local_work(r: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Unchecked local ergotropy of each state of the (..., 4, 4) stack r:
+    the sum of the two marginal ergotropies."""
+    blocks = r.reshape(r.shape[:-2] + (2, 2, 2, 2))
+    return _work(np.einsum("...isjs->...ij", blocks), p.e1 * SIGMA_Z) + _work(
+        np.einsum("...sisj->...ij", blocks), p.e2 * SIGMA_Z
     )
 
 
-def _work_after(rho0: np.ndarray, n: int, p: ModelParams, mode: str, h12: np.ndarray) -> float:
-    """Unchecked global or local work yield after n collisions; h12 is
+def _yield(states: np.ndarray, p: ModelParams, mode: str, h12: np.ndarray) -> np.ndarray:
+    """Unchecked global or local work yield of a state stack; h12 is
     battery_hamiltonian(p), built once by the caller."""
-    state = run_collisions(rho0, n, (p.delta_t,), p)[-1]
-    return _work(state, h12) if mode == "global" else _local_work(state, p)
-
-
-def passive_state(rho, h) -> np.ndarray:
-    """State with rho's spectrum anti-ordered against h's energies.
-
-    Commutes with h and carries no unitarily extractable work.
-    """
-    r, hm = _check_pair(rho, h)
-    rho_desc = np.linalg.eigvalsh(r)[::-1]
-    _, vecs = np.linalg.eigh(hm)
-    return (vecs * rho_desc) @ vecs.conj().T
+    return _work(states, h12) if mode == "global" else _local_work(states, p)
 
 
 def global_ergotropy(rho, h) -> float:
@@ -80,7 +76,7 @@ def global_ergotropy(rho, h) -> float:
     Computed from the sorted spectra directly, which makes the value
     independent of eigenvector tie-breaking under degenerate energies.
     """
-    return _work(*_check_pair(rho, h))
+    return float(_work(*_check_pair(rho, h)))
 
 
 def local_ergotropy(rho12, p: ModelParams) -> float:
@@ -89,39 +85,30 @@ def local_ergotropy(rho12, p: ModelParams) -> float:
     The battery Hamiltonian has no interaction term, so the maximization
     separates into the marginal ergotropies against e1*sz and e2*sz.
     """
-    return _local_work(_require_state(rho12, "rho12"), p)
-
-
-def local_ergotropy_numeric(
-    rho12, p: ModelParams, settings: OptimizerSettings | None = None
-) -> float:
-    """Direct maximization over the 6-angle product-unitary family.
-
-    Slow; exists to cross-check the analytic marginal split.
-    """
-    r = np.asarray(rho12, dtype=complex)
-    h12 = battery_hamiltonian(p)
-    e_in = float(np.trace(r @ h12).real)
-
-    def extracted(angles):
-        u1, u2 = single_qubit_unitary(*angles[:3]), single_qubit_unitary(*angles[3:])
-        u = np.einsum("ij,kl->ikjl", u1, u2).reshape(4, 4)  # u1 (x) u2
-        return e_in - float(np.trace(u @ r @ u.conj().T @ h12).real)
-
-    _, best, _ = multistart_maximize(extracted, 6, settings)
-    return best
+    return float(_local_work(_require_state(rho12, "rho12"), p))
 
 
 def ergotropy_after_collisions(
     rho0, n: int, p: ModelParams, mode: str = "global"
 ) -> float:
     """Evolve n full collisions, then take the global or local work yield."""
-    if mode not in ("global", "local"):
-        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
+    _check_mode(mode)
     state = _require_state(rho0, "rho0")
     if n < 0:
         raise ValueError(f"collision count must be >= 0, got {n}")
-    return _work_after(state, n, p, mode, battery_hamiltonian(p))
+    final = run_collisions(state, n, (p.delta_t,), p)[-1]
+    return float(_yield(final, p, mode, battery_hamiltonian(p)))
+
+
+def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
+    """Global or local work yield at every sample of a trajectory.
+
+    The states of a Trajectory were evolved from a checked initial state,
+    so they are not checked again.
+    """
+    _check_mode(mode)
+    p = traj.params
+    return _yield(traj.states, p, mode, battery_hamiltonian(p))
 
 
 @dataclass(frozen=True)
@@ -153,17 +140,17 @@ def max_work_fixed_entanglement(
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
+    mode = MODES[quantity]
     report: OptimizerReport | None = None
     if quantity == "G_p":
         rho0 = projector(locally_passive_state(entanglement))
-        value = ergotropy_after_collisions(rho0, n, p, "global")
+        value = ergotropy_after_collisions(rho0, n, p, mode)
     else:
-        mode = "global" if quantity == "G" else "local"
         h12 = battery_hamiltonian(p)
 
         def objective(angles):
             rho0 = projector(fixed_entanglement_state(entanglement, angles))
-            return _work_after(rho0, n, p, mode, h12)
+            return _yield(run_collisions(rho0, n, (p.delta_t,), p)[-1], p, mode, h12)
 
         _, value, report = multistart_maximize(objective, 6, settings)
     return WorkRecord(

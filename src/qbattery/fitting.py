@@ -161,11 +161,6 @@ class FitResult:
     converged: bool
     message: str = ""
 
-    def predict(self, e) -> np.ndarray:
-        model = MODELS[self.model]
-        vec = np.array([self.params[name] for name in model.param_names])
-        return model.predict(np.asarray(e, dtype=float), vec)
-
 
 def _resolve_model(model) -> FitModel:
     try:
@@ -189,18 +184,6 @@ def _split_data(data) -> tuple[np.ndarray, np.ndarray]:
     if np.any(e < -1e-12) or np.any(e > 1.0 + 1e-12):
         raise ValueError("abscissa values must lie in [0, 1]")
     return e, y
-
-
-def default_init(model, data) -> np.ndarray:
-    """Global least-squares start, independent of any initial guess.
-
-    M1 in closed form; M2, M3 and M4 from the profile scan of the rate
-    parameter over RATE_GRID ([-8, 8], step 0.01), refined by a root search
-    of the profile's slope between the best grid point's neighbours (see
-    the module docstring).
-    """
-    mdl = _resolve_model(model)
-    return mdl.start(*_split_data(data))
 
 
 def _bootstrap_half_widths(
@@ -240,8 +223,8 @@ def fit_curve(
 ) -> FitResult:
     """Least-squares fit of a model family to (E, value) pairs.
 
-    Without ``init`` the iterations start from ``default_init``, the global
-    minimum over the rate bracket; with it they start from ``init`` and
+    Without ``init`` the iterations start from the family's ``start``, the
+    global minimum over the rate bracket; with it they start from ``init`` and
     find the nearest local minimum.  Never raises on numerical trouble: a
     singular linearization or an exhausted iteration budget is reported
     through ``converged`` and ``message``.  With ``bootstrap > 0`` the

@@ -1,4 +1,4 @@
-"""Battery and bath model: Hamiltonians, physical parameters, thermal spins.
+"""Battery and bath model: Hamiltonians and physical parameters.
 
 Conventions, fixed across the whole package:
 
@@ -92,7 +92,3 @@ def total_collision_hamiltonian(p: ModelParams) -> np.ndarray:
         + kron(ID4, bath_spin_hamiltonian(p))
     )
 
-
-def thermal_spin_state(p: ModelParams) -> np.ndarray:
-    """Gibbs state diag(p0, p1) of a fresh bath spin at inverse temperature beta."""
-    return np.diag([p.p0, p.p1]).astype(complex)

@@ -22,7 +22,6 @@ import numpy as np
 from .collision import run_collisions
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
-from .states import _as_state_vector
 
 
 def _givens(dim: int, i: int, j: int, theta: float, phi: float) -> np.ndarray:
@@ -75,39 +74,11 @@ def _distance_samples(
     return 0.5 * np.abs(np.linalg.eigvalsh(run_collisions(diff, collisions, taus, p))).sum(axis=1)
 
 
-def distinguishability_trace(
-    s1, s2, delta_t: float, grid_points: int, p: ModelParams
-) -> list[tuple[float, float]]:
-    """Sampled (t, D) pairs for two pure initial states over one collision."""
-    v1 = _as_state_vector(s1)
-    v2 = _as_state_vector(s2)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    if not delta_t > 0.0:
-        raise ValueError(f"delta_t must be positive, got {delta_t}")
-    times = np.arange(grid_points + 1) * (delta_t / grid_points)
-    d = _distance_samples(v1, v2, p, times[1:].tolist())
-    return list(zip(times.tolist(), d.tolist()))
-
-
-def blp_functional(trace) -> float:
-    """Sum of positive increments of D over an ascending time grid."""
-    arr = np.asarray(trace, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-        raise ValueError("need at least two (t, D) samples")
-    t = arr[:, 0]
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("time stamps must be strictly ascending")
-    return float(np.maximum(np.diff(arr[:, 1]), 0.0).sum())
-
-
 @dataclass(frozen=True)
 class BLPResult:
     delta_t: float
     q_n: float
-    optimal_pair: tuple[np.ndarray, np.ndarray]
     lambda_trace: np.ndarray
-    grid_step: float
     report: OptimizerReport
 
 
@@ -145,8 +116,6 @@ def blp_measure(
     return BLPResult(
         delta_t=float(delta_t),
         q_n=float(q_n),
-        optimal_pair=(s1, s2),
         lambda_trace=np.column_stack([times, d]),
-        grid_step=float(delta_t / grid_points),
         report=report,
     )

@@ -37,8 +37,6 @@ class OptimizerSettings:
 class OptimizerReport:
     n_starts: int
     best_start: int
-    best_value: float
-    best_x: np.ndarray
     spread: float
     converged: bool
     evaluations: int
@@ -48,6 +46,8 @@ def start_points(dim: int, settings: OptimizerSettings) -> np.ndarray:
     """Zero vector plus scrambled Halton points on [0, SPAN)^dim."""
     if settings.starts < 1:
         raise ValueError("need at least one start")
+    if settings.max_evals < 1:
+        raise ValueError(f"max_evals must be >= 1, got {settings.max_evals}")
     pts = np.zeros((settings.starts, dim))
     if settings.starts > 1:
         rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
@@ -90,8 +90,6 @@ def multistart_maximize(
     report = OptimizerReport(
         n_starts=settings.starts,
         best_start=best,
-        best_value=float(values[best]),
-        best_x=solutions[best],
         spread=float(values.max() - values.min()),
         converged=settings.starts == 1 or agree >= 2,
         evaluations=evaluations,

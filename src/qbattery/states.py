@@ -1,4 +1,4 @@
-"""Two-qubit pure states: entanglement, Schmidt form, constrained families.
+"""Two-qubit pure states: entanglement, Schmidt weights, constrained families.
 
 A pure state is a length-4 complex vector over the basis {|00>, |01>, |10>,
 |11>} of the sigma_z eigenbases.  Entanglement is measured by logarithmic
@@ -6,8 +6,6 @@ negativity, which runs from 0 to 1 ebit for two qubits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +31,6 @@ def projector(c) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def log_negativity(c) -> float:
-    """log2(2*|c0*c3 - c1*c2| + 1) for a normalized two-qubit pure state."""
-    v = _as_state_vector(c)
-    return float(np.log2(2.0 * abs(v[0] * v[3] - v[1] * v[2]) + 1.0))
-
-
 def schmidt_gap(entanglement):
     """sqrt(2**(E+1) - 2**(2E)): the gap lambda1 - lambda2 at log-negativity E.
 
@@ -46,7 +38,7 @@ def schmidt_gap(entanglement):
     E=1.
     """
     e = np.asarray(entanglement, dtype=float)
-    if np.any(e < -1e-12) or np.any(e > 1.0 + 1e-12):
+    if not np.all((e >= -1e-12) & (e <= 1.0 + 1e-12)):  # NaN fails both
         raise ValueError("entanglement must lie in [0, 1]")
     val = 2.0 ** (e + 1.0) - 2.0 ** (2.0 * e)
     out = np.sqrt(np.clip(val, 0.0, None))
@@ -104,34 +96,3 @@ def fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
     u1 = single_qubit_unitary(*a[:3])
     u2 = single_qubit_unitary(*a[3:])
     return np.kron(u1, u2) @ base
-
-
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Schmidt data of a two-qubit pure state.
-
-    ``lambdas`` are the two marginal eigenvalues sorted descending; the
-    columns of ``basis_1`` and ``basis_2`` are the matching local vectors,
-    so sum_i sqrt(lambdas[i]) basis_1[:, i] (x) basis_2[:, i] rebuilds the
-    state exactly.
-    """
-
-    lambdas: np.ndarray
-    basis_1: np.ndarray
-    basis_2: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        coeff = np.sqrt(self.lambdas)
-        return sum(
-            coeff[i] * np.kron(self.basis_1[:, i], self.basis_2[:, i])
-            for i in range(2)
-        )
-
-
-def schmidt_decompose(c) -> SchmidtForm:
-    """Schmidt decomposition via SVD of the 2x2 coefficient matrix."""
-    v = _as_state_vector(c)
-    m = v.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
-    # Complete each 2x2 factor to a unitary whose columns are the local bases.
-    return SchmidtForm(lambdas=s**2, basis_1=u, basis_2=vh.T)

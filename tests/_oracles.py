@@ -1,11 +1,14 @@
-"""Independent brute-force oracles used to anchor regression constants.
+"""Independent references that tests compare package code against.
 
-These deliberately avoid the package's optimizer, orthogonal-pair
-parametrization and transfer-matrix core: pairs are two *independent* pure
-states from a plain spherical chart, sampled with a scrambled Halton
-sequence, and the backflow of every pair is accumulated by direct batched
-evolution on the joint battery-spin space.  Slow by design; the values
-frozen in the test modules were produced by these functions.
+The small kernels here (partial trace, trace distance, unitarity, the
+thermal spin, log-negativity, the BLP functional and a direct maximization
+of the local work) are written out on their own; no command runs them.
+The backflow oracles deliberately avoid the package's optimizer,
+orthogonal-pair parametrization and transfer-matrix core: pairs are two
+*independent* pure states from a plain spherical chart, sampled with a
+scrambled Halton sequence, and the backflow of every pair is accumulated by
+direct batched evolution on the joint battery-spin space.  Slow by design;
+the values frozen in the test modules were produced by these functions.
 """
 
 from __future__ import annotations
@@ -13,8 +16,78 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import qmc
 
-from qbattery.linalg import partial_trace, unitary_from_hamiltonian
-from qbattery.model import ModelParams, thermal_spin_state, total_collision_hamiltonian
+from qbattery.linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
+from qbattery.model import ModelParams, battery_hamiltonian, total_collision_hamiltonian
+from qbattery.optimize import OptimizerSettings, multistart_maximize
+from qbattery.states import single_qubit_unitary
+
+
+def partial_trace(x, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """Trace out one factor of a bipartite operator; ``dims = (dA, dB)`` and
+    ``keep`` ("A" or "B") names the surviving subsystem."""
+    m = np.asarray(x, dtype=complex)
+    da, db = int(dims[0]), int(dims[1])
+    if m.shape != (da * db, da * db):
+        raise ContractViolation(f"dimension mismatch: {da}*{db} against shape {m.shape}")
+    r = m.reshape(da, db, da, db)
+    if keep == "A":
+        return np.einsum("isjs->ij", r)
+    if keep == "B":
+        return np.einsum("sisj->ij", r)
+    raise ContractViolation(f"keep must be 'A' or 'B', got {keep!r}")
+
+
+def trace_distance(r1, r2) -> float:
+    """Half the trace norm of r1 - r2 for two density matrices."""
+    a, b = np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)
+    if a.shape != b.shape or not (is_density_matrix(a) and is_density_matrix(b)):
+        raise ContractViolation("trace_distance requires two density matrices of one size")
+    return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def is_unitary(a, tol: float = 1e-10) -> bool:
+    m = np.asarray(a, dtype=complex)
+    return bool(np.abs(m.conj().T @ m - np.eye(len(m))).max() <= tol)
+
+
+def thermal_spin_state(p: ModelParams) -> np.ndarray:
+    """Gibbs state diag(p0, p1) of a fresh bath spin at inverse temperature beta."""
+    return np.diag([p.p0, p.p1]).astype(complex)
+
+
+def log_negativity(c) -> float:
+    """log2(2*|c0*c3 - c1*c2| + 1) for a normalized two-qubit pure state."""
+    v = np.asarray(c, dtype=complex).reshape(-1)
+    if v.shape != (4,) or abs(v.conj() @ v - 1.0) > 1e-12:
+        raise ContractViolation("expected a normalized 4-component state vector")
+    return float(np.log2(2.0 * abs(v[0] * v[3] - v[1] * v[2]) + 1.0))
+
+
+def blp_functional(trace) -> float:
+    """Sum of positive increments of D over an ascending (t, D) grid."""
+    arr = np.asarray(trace, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
+        raise ValueError("need at least two (t, D) samples")
+    if np.any(np.diff(arr[:, 0]) <= 0):
+        raise ValueError("time stamps must be strictly ascending")
+    return float(np.maximum(np.diff(arr[:, 1]), 0.0).sum())
+
+
+def local_ergotropy_numeric(
+    rho12, p: ModelParams, settings: OptimizerSettings | None = None
+) -> float:
+    """Local work by direct maximization over the 6-angle product-unitary
+    family, against the package's marginal split."""
+    r = np.asarray(rho12, dtype=complex)
+    h12 = battery_hamiltonian(p)
+    e_in = float(np.trace(r @ h12).real)
+
+    def extracted(angles):
+        u1, u2 = single_qubit_unitary(*angles[:3]), single_qubit_unitary(*angles[3:])
+        u = np.einsum("ij,kl->ikjl", u1, u2).reshape(4, 4)  # u1 (x) u2
+        return e_in - float(np.trace(u @ r @ u.conj().T @ h12).real)
+
+    return multistart_maximize(extracted, 6, settings)[1]
 
 
 def dense_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:

@@ -4,9 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from qbattery.model import ModelParams
+
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def random_params(gen: np.random.Generator) -> ModelParams:
+    e2 = gen.uniform(0.1, 2.0)
+    return ModelParams(
+        e1=e2 + gen.uniform(0.05, 2.0),
+        e2=e2,
+        h=gen.uniform(0.0, 3.0),
+        k=gen.uniform(0.0, 3.0),
+        beta=gen.uniform(0.0, 20.0),
+        delta_t=gen.uniform(0.05, 3.0),
+    )
 
 
 def random_density_matrix(gen: np.random.Generator, dim: int = 4) -> np.ndarray:

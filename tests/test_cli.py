@@ -444,3 +444,50 @@ class TestRejectedRuns:
         assert code == 2 and err.count("\n") == 1
         assert column in err and flag in err
         assert not (tmp_path / "f.json").exists()
+
+    def test_zero_max_evals(self, tmp_path, capsys):
+        code = run("sweep", "--seed", 1, "--output", tmp_path / "x.csv", "--quantity", "G",
+                   "--collisions", "0", "--entanglements", "0.5", "--starts", 2, "--max-evals", 0)
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--entanglements", "nan", "--collisions", "0"),
+        ("trajectory", "--entanglement", "nan", "--collisions", 1, "--substeps", 2),
+    ])
+    def test_nan_entanglement(self, tmp_path, capsys, argv):
+        code = run(*argv, "--seed", 1, "--output", tmp_path / "x.csv")
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("output, folder", [("out", "out"), ("x.csv", "x.csv.manifest.json")])
+    def test_output_is_directory(self, tmp_path, capsys, output, folder):
+        folder = tmp_path / folder
+        folder.mkdir()
+        code = run("sweep", "--seed", 1, "--output", tmp_path / output,
+                   "--collisions", "0", "--entanglements", "0.5")
+        assert list(folder.iterdir()) == []
+        folder.rmdir()
+        self.assert_rejected(tmp_path, capsys, code)
+
+    def test_input_is_directory(self, tmp_path, capsys):
+        folder = tmp_path / "in"
+        folder.mkdir()
+        code = run("fit", "--model", "M1", "--input", folder, "--output", tmp_path / "f.json")
+        folder.rmdir()
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("delta_ts, folder", [
+        ("0.2,0.2", None),  # two delta_t share one trace file
+        ("1.0000001,1.0000002", None),  # the same under %g
+        ("0.4", "t_dt_0.4.csv"),  # the trace file is a directory
+    ])
+    def test_trace_file_clash(self, tmp_path, capsys, delta_ts, folder):
+        if folder:
+            (tmp_path / folder).mkdir()
+        code = run(
+            "blp", "--seed", 1, "--output", tmp_path / "b.csv", "--delta-ts", delta_ts,
+            "--starts", 1, "--max-evals", 20, "--grid-points", 10,
+            "--trace-output", tmp_path / "t.csv",
+        )
+        if folder:
+            (tmp_path / folder).rmdir()
+        self.assert_rejected(tmp_path, capsys, code)

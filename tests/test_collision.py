@@ -5,25 +5,15 @@ from qbattery.collision import (
     collide_once,
     collision_propagator,
     evolve,
-    evolve_within_collision,
     fine_trajectory,
+    run_collisions,
 )
-from qbattery.linalg import (
-    ContractViolation,
-    is_density_matrix,
-    partial_trace,
-    trace_distance,
-    unitary_from_hamiltonian,
-)
-from qbattery.model import (
-    ID2,
-    SIGMA_Z,
-    ModelParams,
-    thermal_spin_state,
-    total_collision_hamiltonian,
-)
+from qbattery.linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
+from qbattery.model import ID2, SIGMA_Z, ModelParams, total_collision_hamiltonian
 from qbattery.states import locally_passive_state, projector
 from qbhelpers import random_density_matrix, rng
+
+from _oracles import partial_trace, thermal_spin_state, trace_distance
 
 P = ModelParams()
 RHO_LP = projector(locally_passive_state(0.6))
@@ -87,28 +77,24 @@ class TestCollideOnce:
 
 
 class TestEvolveWithinCollision:
+    """Partial collisions: run_collisions samples at taus inside one window."""
+
     def test_full_duration_matches_collide_once(self):
-        out = evolve_within_collision(RHO_LP, P.delta_t, P)
+        out = run_collisions(RHO_LP, 1, (P.delta_t / 2, P.delta_t), P)[-1]
         assert np.abs(out - collide_once(RHO_LP, P)).max() <= 1e-12
 
     def test_half_steps_do_not_compose(self):
         # the spin keeps memory inside one collision, so composing two
         # half-steps of the reduced map differs from the full collision
-        half = evolve_within_collision(RHO_LP, P.delta_t / 2, P)
-        twice = evolve_within_collision(half, P.delta_t / 2, P)
+        half = run_collisions(RHO_LP, 1, (P.delta_t / 2,), P)[-1]
+        twice = run_collisions(half, 1, (P.delta_t / 2,), P)[-1]
         assert np.abs(twice - collide_once(RHO_LP, P)).max() > 1e-4
 
     def test_zero_coupling_diagonal_fixed_points(self):
         p = ModelParams(k=0.0)
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        for tau in (0.05, 0.1, 0.2):
-            assert np.abs(evolve_within_collision(rho, tau, p) - rho).max() <= 1e-12
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            evolve_within_collision(RHO_LP, 0.0, P)
-        with pytest.raises(ValueError):
-            evolve_within_collision(RHO_LP, P.delta_t * 1.5, P)
+        samples = run_collisions(rho, 1, (0.05, 0.1, 0.2), p)
+        assert np.abs(samples - rho).max() <= 1e-12
 
     def test_excitation_conserved_during_collision(self):
         # with h = e2 the qubit2+spin pair exchanges excitations coherently;
@@ -127,7 +113,7 @@ class TestEvolveWithinCollision:
 class TestEvolve:
     def test_zero_collisions(self):
         traj = evolve(RHO_LP, 0, P)
-        assert len(traj) == 1
+        assert len(traj.times) == 1
         assert np.allclose(traj.states[0], RHO_LP)
 
     def test_two_collisions_compose(self):
@@ -173,13 +159,13 @@ class TestFineTrajectory:
         fine = fine_trajectory(RHO_LP, 3, 200, P)
         jumps = [
             trace_distance(fine.states[i], fine.states[i + 1])
-            for i in range(len(fine) - 1)
+            for i in range(len(fine.times) - 1)
         ]
         assert max(jumps) <= 0.1
 
     def test_counts_and_index(self):
         fine = fine_trajectory(RHO_LP, 3, 7, P)
-        assert len(fine) == 3 * 7 + 1
+        assert len(fine.times) == 3 * 7 + 1
         assert fine.collision_index[0] == 0
         assert np.all(np.diff(fine.times) > 0)
         assert list(fine.collision_index[1:8]) == [1] * 7

@@ -1,50 +1,58 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from qbattery.collision import fine_trajectory
 from qbattery.ergotropy import (
     ergotropy_after_collisions,
     global_ergotropy,
     local_ergotropy,
-    local_ergotropy_numeric,
     max_work_fixed_entanglement,
-    passive_state,
+    trajectory_work,
 )
 from qbattery.linalg import ContractViolation
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.optimize import OptimizerSettings
 from qbattery.states import locally_passive_state, projector, schmidt_gap
-from qbhelpers import haar_unitaries, random_density_matrix, rng
+from qbhelpers import haar_unitaries, random_density_matrix, random_params, rng
+
+from _oracles import local_ergotropy_numeric
 
 P = ModelParams()
 H12 = battery_hamiltonian(P)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
+def passive_energy(rho, h) -> float:
+    """Energy of rho's passive state, the floor Tr(rho h) - G that
+    global_ergotropy implies."""
+    return np.trace(rho @ h).real - global_ergotropy(rho, h)
+
+
 class TestPassiveState:
     def test_swaps_inverted_populations(self):
         rho = np.diag([0.7, 0.3]).astype(complex)
-        sigma = passive_state(rho, SZ)
-        assert np.allclose(sigma, np.diag([0.3, 0.7]), atol=1e-12)
+        assert np.isclose(passive_energy(rho, SZ), 0.3 - 0.7)
 
     def test_passive_input_keeps_energy(self):
         rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-        sigma = passive_state(rho, H12)
-        assert np.isclose(np.trace(sigma @ H12).real, np.trace(rho @ H12).real)
+        assert np.isclose(passive_energy(rho, H12), np.trace(rho @ H12).real)
 
     def test_commutes_and_preserves_spectrum(self):
+        # the states that commute with the nondegenerate H12 and keep rho's
+        # spectrum are its permuted diagonals; the passive one is the lowest
         gen = rng(211)
         rho = random_density_matrix(gen, 4)
-        sigma = passive_state(rho, H12)
-        assert np.abs(sigma @ H12 - H12 @ sigma).max() <= 1e-10
-        assert np.allclose(
-            np.linalg.eigvalsh(sigma), np.linalg.eigvalsh(rho), atol=1e-12
-        )
+        lam, energies = np.linalg.eigvalsh(rho), np.diag(H12).real
+        lowest = min(lam[list(perm)] @ energies for perm in itertools.permutations(range(4)))
+        assert abs(passive_energy(rho, H12) - lowest) <= 1e-12
 
     def test_random_unitary_minimality(self):
         # no unitary orbit point sits below the passive energy
         gen = rng(223)
         rho = random_density_matrix(gen, 4)
-        floor = np.trace(passive_state(rho, H12) @ H12).real
+        floor = passive_energy(rho, H12)
         us = haar_unitaries(gen, 10_000, 4)
         energies = np.einsum("nij,njk,ki->n", us, rho[None] @ us.conj().transpose(0, 2, 1), H12).real
         assert energies.min() >= floor - 1e-10
@@ -55,7 +63,7 @@ class TestPassiveState:
         h_deg = np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
         gen = rng(227)
         rho = random_density_matrix(gen, 4)
-        base = np.trace(passive_state(rho, h_deg) @ h_deg).real
+        base = passive_energy(rho, h_deg)
         r_desc = np.linalg.eigvalsh(rho)[::-1]
         for seed in range(5):
             mix = rng(300 + seed)
@@ -146,6 +154,25 @@ class TestErgotropyAfterCollisions:
             ergotropy_after_collisions(projector([0, 0, 0, 1]), 1, P, "both")
 
 
+class TestTrajectoryWork:
+    def test_equals_checked_yield_at_every_sample(self):
+        gen = rng(241)
+        for _ in range(16):
+            p = random_params(gen)
+            traj = fine_trajectory(
+                random_density_matrix(gen, 4), int(gen.integers(0, 6)), int(gen.integers(1, 9)), p
+            )
+            h12 = battery_hamiltonian(p)
+            want_global = [global_ergotropy(s, h12) for s in traj.states]
+            want_local = [local_ergotropy(s, p) for s in traj.states]
+            assert trajectory_work(traj).tolist() == want_global
+            assert trajectory_work(traj, "local").tolist() == want_local
+
+    def test_rejects_bad_mode(self):
+        with pytest.raises(ValueError):
+            trajectory_work(fine_trajectory(projector([0, 0, 0, 1]), 1, 2, P), "both")
+
+
 class TestMaxWorkFixedEntanglement:
     SETTINGS = OptimizerSettings(starts=6, seed=5, max_evals=600)
 
@@ -176,12 +203,7 @@ class TestMaxWorkFixedEntanglement:
         # battery and collision Hamiltonians, so G_p cannot depend on it.
         gen = rng(83)
         for _ in range(20):
-            e2 = gen.uniform(0.1, 2.0)
-            p = ModelParams(
-                e1=e2 + gen.uniform(0.05, 2.0), e2=e2, h=gen.uniform(0.0, 3.0),
-                k=gen.uniform(0.0, 3.0), beta=gen.uniform(0.0, 20.0),
-                delta_t=gen.uniform(0.05, 3.0),
-            )
+            p = random_params(gen)
             e, n, theta = gen.uniform(0.0, 1.0), int(gen.integers(0, 31)), gen.uniform(0, 2 * np.pi)
             plain = ergotropy_after_collisions(projector(locally_passive_state(e)), n, p)
             turned = ergotropy_after_collisions(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbattery.fitting import MODELS, default_init, fit_curve
+from qbattery.fitting import MODELS, fit_curve
 from qbattery.states import schmidt_gap
 
 E_GRID = np.linspace(0.0, 1.0, 21)
@@ -56,7 +56,7 @@ class TestSyntheticRecovery:
 class TestFitProperties:
     def test_descent_from_default_init(self):
         data = synth("M1", [0.6, 0.97], noise=5e-3, seed=7)
-        init = default_init("M1", data)
+        init = MODELS["M1"].start(data[:, 0], data[:, 1])
         res = fit_curve("M1", data, init=init)
         model = MODELS["M1"]
         sse_init = float(np.sum((model.predict(data[:, 0], init) - data[:, 1]) ** 2))
@@ -82,7 +82,8 @@ class TestFitProperties:
     def test_result_predict_round_trip(self):
         data = synth("M1", [0.54, 1.0])
         res = fit_curve("M1", data)
-        assert np.allclose(res.predict(E_GRID), data[:, 1], atol=1e-6)
+        vec = np.array([res.params[name] for name in MODELS["M1"].param_names])
+        assert np.allclose(MODELS["M1"].predict(E_GRID, vec), data[:, 1], atol=1e-6)
 
     def test_confidence_nonnegative_residual_nonnegative(self):
         data = synth("M2", [0.029, -1.2, 0.89], noise=3e-3, seed=23)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbattery.fitting import MODELS, RATE_GRID, default_init, fit_curve
+from qbattery.fitting import MODELS, RATE_GRID, fit_curve
 from qbattery.states import schmidt_gap
 
 E_GRID = np.linspace(0.0, 1.0, 21)
@@ -66,7 +66,7 @@ def test_m2_start_is_the_global_minimum():
     # near a = 2.37; the profile has further local minima near a = -1.89.
     truth = np.array(TRUTHS["M2"])
     data = np.column_stack([E_GRID, MODELS["M2"].predict(E_GRID, truth)])
-    assert np.allclose(default_init("M2", data), truth, atol=1e-8)
+    assert np.allclose(MODELS["M2"].start(*data.T), truth, atol=1e-8)
     wrong = fit_curve("M2", data, init=np.array([2.37, -0.09, 0.70]))
     assert wrong.residual > 1e-3
     assert fit_curve("M2", data).residual <= 1e-20
@@ -76,7 +76,7 @@ def test_m2_start_is_the_global_minimum():
 def test_start_beats_every_grid_point(model):
     _, data = jittered(model, seed=1)
     mdl = MODELS[model]
-    x0 = default_init(model, data)
+    x0 = mdl.start(*data.T)
     sse0 = np.sum((mdl.predict(E_GRID, x0) - data[:, 1]) ** 2)
     rate = {"M2": 0, "M3": 2, "M4": 0}[model]
     for k in RATE_GRID[::40]:
@@ -132,4 +132,4 @@ def test_non_finite_row_is_named():
     data[4, 1] = 1.0
     data[6, 0] = np.inf
     with pytest.raises(ValueError, match="row 7 of 21"):
-        default_init("M1", data)
+        fit_curve("M1", data)

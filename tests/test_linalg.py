@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qbattery.linalg import (
     ContractViolation,
-    hermitian_eigendecompose,
     is_density_matrix,
     is_hermitian,
-    is_unitary,
     kron,
-    partial_trace,
-    trace_distance,
     unitary_from_hamiltonian,
 )
 from qbhelpers import random_density_matrix, random_hermitian, rng
+
+from _oracles import is_unitary, partial_trace, trace_distance
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -95,32 +94,31 @@ class TestPartialTrace:
 
 
 class TestEigendecompose:
+    """The eigendecomposition inside unitary_from_hamiltonian."""
+
     def test_sigma_z(self):
-        eig = hermitian_eigendecompose(SZ)
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-        # ascending order puts |1> first, |0> second (up to phase)
-        assert np.isclose(abs(eig.eigenvectors[1, 0]), 1.0)
-        assert np.isclose(abs(eig.eigenvectors[0, 1]), 1.0)
+        # sz (x) sz is degenerate, so the eigenvector basis is not unique;
+        # the propagator must not depend on that choice
+        t = 0.61
+        u = unitary_from_hamiltonian(np.kron(SZ, SZ), t)
+        want = np.diag(np.exp(-1j * t * np.array([1.0, -1.0, -1.0, 1.0])))
+        assert np.abs(u - want).max() <= 1e-14
 
     def test_sigma_x(self):
-        eig = hermitian_eigendecompose(SX)
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-        for col, val in zip(eig.eigenvectors.T, eig.eigenvalues):
-            assert np.allclose(SX @ col, val * col, atol=1e-12)
+        t = 0.83
+        u = unitary_from_hamiltonian(SX, t)
+        assert np.abs(u - (np.cos(t) * I2 - 1j * np.sin(t) * SX)).max() <= 1e-14
 
     def test_random_reconstruction(self):
         gen = rng(13)
         for _ in range(5):
             h = random_hermitian(gen, 8)
-            eig = hermitian_eigendecompose(h)
-            v, w = eig.eigenvectors, eig.eigenvalues
-            assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-10
-            assert np.abs(v.conj().T @ v - np.eye(8)).max() <= 1e-10
-            assert np.all(np.diff(w) >= 0)
+            t = gen.uniform(-3.0, 3.0)
+            assert np.abs(unitary_from_hamiltonian(h, t) - expm(-1j * t * h)).max() <= 1e-10
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(ContractViolation):
-            hermitian_eigendecompose(np.array([[0, 1], [0, 0]], dtype=complex))
+            unitary_from_hamiltonian(np.array([[0, 1], [0, 0]], dtype=complex), 0.3)
 
 
 class TestUnitaryFromHamiltonian:

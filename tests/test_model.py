@@ -8,9 +8,10 @@ from qbattery.model import (
     bath_spin_hamiltonian,
     battery_hamiltonian,
     interaction_hamiltonian,
-    thermal_spin_state,
     total_collision_hamiltonian,
 )
+
+from _oracles import thermal_spin_state
 
 P = ModelParams()
 

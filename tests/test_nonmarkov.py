@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from qbattery.model import ModelParams
-from qbattery.nonmarkov import (
-    blp_functional,
-    blp_measure,
-    distinguishability_trace,
-    pair_from_angles,
-)
+from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
 from qbattery.optimize import OptimizerSettings
 from qbhelpers import random_pure_state, rng
 
-from _oracles import dense_backflow_lower_bound
+from _oracles import blp_functional, dense_backflow_lower_bound
 
 P = ModelParams()
+
+
+def window(delta_t: float, grid_points: int) -> list[float]:
+    """The grid_points taus in (0, delta_t] at which blp_measure samples D."""
+    return (np.arange(1, grid_points + 1) * (delta_t / grid_points)).tolist()
 
 
 class TestPairParametrization:
@@ -36,43 +36,33 @@ class TestPairParametrization:
 
 
 class TestDistinguishabilityTrace:
+    """The trace distance D of an evolving pair over one collision window."""
+
     def test_identical_states_stay_at_zero(self):
         gen = rng(307)
         s = random_pure_state(gen, 4)
-        trace = distinguishability_trace(s, s, 0.4, 50, P)
-        assert max(d for _, d in trace) <= 1e-12
+        assert _distance_samples(s, s, P, window(0.4, 50)).max() <= 1e-12
 
     def test_zero_coupling_keeps_distance_constant(self):
         p = ModelParams(k=0.0)
         gen = rng(311)
         s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
-        trace = distinguishability_trace(s1, s2, 0.9, 60, p)
-        d = np.array([v for _, v in trace])
-        assert np.ptp(d) <= 1e-12
+        assert np.ptp(_distance_samples(s1, s2, p, window(0.9, 60))) <= 1e-12
 
     def test_default_window_is_contractive(self):
         # below the exchange half-swap time every pair loses distinguishability
         gen = rng(313)
         for _ in range(5):
             s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
-            trace = distinguishability_trace(s1, s2, P.delta_t, 80, P)
-            d = np.array([v for _, v in trace])
+            d = _distance_samples(s1, s2, P, window(P.delta_t, 80))
             assert np.all(np.diff(d) <= 1e-12)
 
     def test_grid_layout(self):
-        s1, s2 = pair_from_angles(np.zeros(10))
-        trace = distinguishability_trace(s1, s2, 0.5, 10, P)
-        times = np.array([t for t, _ in trace])
+        settings = OptimizerSettings(starts=1, seed=0, max_evals=20)
+        trace = blp_measure(0.5, P, settings, grid_points=10).lambda_trace
         assert len(trace) == 11
-        assert np.allclose(times, np.linspace(0, 0.5, 11))
-        assert np.isclose(trace[0][1], 1.0)  # orthogonal pair starts at D=1
-
-    def test_domain_errors(self):
-        s1, s2 = pair_from_angles(np.zeros(10))
-        with pytest.raises(ValueError):
-            distinguishability_trace(s1, s2, 0.4, 1, P)
-        with pytest.raises(ValueError):
-            distinguishability_trace(s1, s2, -0.1, 10, P)
+        assert np.allclose(trace[:, 0], np.linspace(0, 0.5, 11))
+        assert np.isclose(trace[0, 1], 1.0)  # orthogonal pair starts at D=1
 
 
 class TestBlpFunctional:
@@ -112,9 +102,8 @@ class TestBlpMeasure:
         settings = OptimizerSettings(starts=3, seed=9, max_evals=300)
         res = blp_measure(1.2, P, settings)
         assert abs(res.q_n - blp_functional(res.lambda_trace)) <= 1e-12
-        assert np.isclose(res.grid_step, 1.2 / 200)
-        s1, s2 = res.optimal_pair
-        assert abs(s1.conj() @ s2) <= 1e-10
+        assert np.allclose(np.diff(res.lambda_trace[:, 0]), 1.2 / 200)
+        assert abs(res.lambda_trace[0, 1] - 1.0) <= 1e-10  # the optimal pair is orthogonal
 
     def test_zero_coupling_zero_measure(self):
         p = ModelParams(k=0.0)

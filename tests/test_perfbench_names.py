@@ -1,10 +1,12 @@
-"""Every package attribute the traced benchmark wraps by name still exists.
+"""Every package name the benchmark wraps or imports still exists.
 
 perfbench/tracing.py replaces module attributes of qbattery by name before
-it runs the CLI, so deleting or renaming one of them crashes the traced
-run.  This checks the names in a second, without running the benchmark.
+it runs the CLI, and the other perfbench files import package names, so
+deleting or renaming one of them crashes the benchmark.  This checks the
+names in a second, without running the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -12,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -31,6 +33,28 @@ def _wrapped_names():
     return names
 
 
+def _imported_names():
+    """(module, name) of every `from qbattery... import name` in perfbench/*.py."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qbattery"):
+                names.update((node.module, alias.name) for alias in node.names)
+    return sorted(names)
+
+
 @pytest.mark.parametrize("module, attr", _wrapped_names())
 def test_wrapped_attribute_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+@pytest.mark.parametrize("module, name", _imported_names())
+def test_imported_name_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)
+
+
+def test_named_cache_reports_statistics():
+    # perfbench/child.py NAMED_CACHES reads this cache's statistics
+    from qbattery.collision import collision_propagator
+
+    assert callable(getattr(collision_propagator, "cache_info", None))

