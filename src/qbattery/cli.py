@@ -113,10 +113,11 @@ def parse_number_list(text: str, integer: bool = False) -> list:
 
 def _read_ini(path: str) -> configparser.ConfigParser:
     ini = configparser.ConfigParser()
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+    if not os.path.isfile(path):
+        raise UsageError(f"config file not found or not a regular file: {path}")
     try:
-        ini.read(path)
+        if ini.read(path) != [path]:
+            raise UsageError(f"cannot read config file {path}")
     except configparser.Error as exc:
         raise UsageError(f"cannot parse config file {path}: {exc}")
     return ini
@@ -243,21 +244,18 @@ def cmd_sweep(args) -> int:
         raise UsageError("empty entanglement list")
     if not n_list:
         raise UsageError("empty collision list")
+    if min(n_list) < 0:
+        raise UsageError(f"collisions must be >= 0, got {min(n_list)}")
     base_settings = optimizer_settings(cfg)
-
-    grid = [
-        (idx, e, n, k)
-        for idx, (e, n, k) in enumerate(
-            (e, n, k) for e in e_list for n in n_list for k in k_list
-        )
-    ]
+    couplings = [replace(params, k=k) for k in k_list]
+    grid = list(enumerate((e, n, p) for e in e_list for n in n_list for p in couplings))
 
     def run_point(point):
-        idx, e, n, k = point
+        idx, (e, n, p) = point
         record = max_work_fixed_entanglement(
             e,
             n,
-            replace(params, k=k),
+            p,
             quantity,
             settings=base_settings.for_grid_index(idx),
         )
@@ -309,16 +307,17 @@ def cmd_trajectory(args) -> int:
     if n < 0:
         raise UsageError(f"collisions must be >= 0, got {n}")
     rho0 = projector(_trajectory_initial_state(quantity, entanglement))
+    points = [replace(params, delta_t=dt) for dt in dt_list]
 
-    def run_dt(dt):
-        traj = fine_trajectory(rho0, n, substeps, replace(params, delta_t=float(dt)))
+    def run_dt(p):
+        traj = fine_trajectory(rho0, n, substeps, p)
         values = trajectory_work(traj, MODES[quantity])
         return [
-            (float(dt), t, int(ci), v)
+            (p.delta_t, t, int(ci), v)
             for t, ci, v in zip(traj.times, traj.collision_index, values)
         ]
 
-    blocks = _parallel_map(run_dt, dt_list, args.threads)
+    blocks = _parallel_map(run_dt, points, args.threads)
     rows = [row for block in blocks for row in block]
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], rows)
     write_manifest(args.output, "trajectory", started, [args.output], **_run_fields(cfg, args.threads))
@@ -349,20 +348,21 @@ def cmd_blp(args) -> int:
             if os.path.isdir(path):
                 raise UsageError(f"cannot write {path}: it is a directory")
     run_params = replace(params, k=float(bcfg["k"]))
+    points = [replace(run_params, delta_t=dt) for dt in dt_list]
     base_settings = optimizer_settings(cfg)
 
     def run_dt(point):
-        idx, dt = point
+        idx, p = point
         result = blp_measure(
-            float(dt),
-            run_params,
+            p.delta_t,
+            p,
             settings=base_settings.for_grid_index(idx),
             grid_points=grid_points,
             collisions=collisions,
         )
         return result
 
-    results = _parallel_map(run_dt, list(enumerate(dt_list)), args.threads)
+    results = _parallel_map(run_dt, list(enumerate(points)), args.threads)
     rows = [
         (r.delta_t, r.q_n, grid_points, r.report.n_starts, r.report.converged)
         for r in results

@@ -40,10 +40,10 @@ def transfer_stack(p: ModelParams, taus: tuple[float, ...]) -> np.ndarray:
     """(len(taus), 16, 16) stack of partial-collision maps on row-major vec(rho).
 
     Slice i maps rho.reshape(16) to Tr_spin[U (rho (x) rho_spin) U^dag].reshape(16)
-    with U = collision_propagator(p, taus[i]) and rho_spin = diag(p0, p1).
+    with U = exp(-j*taus[i]*H_total) and rho_spin = diag(p0, p1).
     Results are cached; treat the returned array as read-only.
     """
-    u = np.stack([collision_propagator(p, tau) for tau in taus]).reshape(-1, 4, 2, 4, 2)
+    u = unitary_from_hamiltonian(total_collision_hamiltonian(p), taus).reshape(-1, 4, 2, 4, 2)
     pops = np.array([p.p0, p.p1])
     stack = np.einsum("b,tisjb,tksmb->tikjm", pops, u, u.conj()).reshape(-1, 16, 16)
     stack.flags.writeable = False

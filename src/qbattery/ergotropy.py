@@ -43,31 +43,33 @@ def _check_pair(rho, h):
     return r, hm
 
 
-def _check_mode(mode: str) -> None:
+def _work(r: np.ndarray, h: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Unchecked global ergotropy of each state of the (..., d, d) stack r
+    against Hamiltonian h, whose ascending spectrum the caller passes as levels."""
+    rho_desc = np.linalg.eigvalsh(r)[..., ::-1]
+    return np.trace(r @ h, axis1=-2, axis2=-1).real - rho_desc @ levels
+
+
+def _yield_of(p: ModelParams, mode: str):
+    """The unchecked global or local work yield of a (..., 4, 4) state stack, as
+    a function of the stack; the Hamiltonians' spectra are taken once, here.
+    The local yield is the sum of the two marginal ergotropies."""
     if mode not in ("global", "local"):
         raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
+    if mode == "global":
+        h12 = battery_hamiltonian(p)
+        levels = np.linalg.eigvalsh(h12)
+        return lambda r: _work(r, h12, levels)
+    h1, h2 = p.e1 * SIGMA_Z, p.e2 * SIGMA_Z
+    l1, l2 = np.linalg.eigvalsh(h1), np.linalg.eigvalsh(h2)
 
+    def local(r):
+        blocks = r.reshape(r.shape[:-2] + (2, 2, 2, 2))
+        return _work(np.einsum("...isjs->...ij", blocks), h1, l1) + _work(
+            np.einsum("...sisj->...ij", blocks), h2, l2
+        )
 
-def _work(r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Unchecked global ergotropy of each state of the (..., d, d) stack r
-    against Hamiltonian h."""
-    rho_desc = np.linalg.eigvalsh(r)[..., ::-1]
-    return np.trace(r @ h, axis1=-2, axis2=-1).real - rho_desc @ np.linalg.eigvalsh(h)
-
-
-def _local_work(r: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Unchecked local ergotropy of each state of the (..., 4, 4) stack r:
-    the sum of the two marginal ergotropies."""
-    blocks = r.reshape(r.shape[:-2] + (2, 2, 2, 2))
-    return _work(np.einsum("...isjs->...ij", blocks), p.e1 * SIGMA_Z) + _work(
-        np.einsum("...sisj->...ij", blocks), p.e2 * SIGMA_Z
-    )
-
-
-def _yield(states: np.ndarray, p: ModelParams, mode: str, h12: np.ndarray) -> np.ndarray:
-    """Unchecked global or local work yield of a state stack; h12 is
-    battery_hamiltonian(p), built once by the caller."""
-    return _work(states, h12) if mode == "global" else _local_work(states, p)
+    return local
 
 
 def global_ergotropy(rho, h) -> float:
@@ -76,7 +78,8 @@ def global_ergotropy(rho, h) -> float:
     Computed from the sorted spectra directly, which makes the value
     independent of eigenvector tie-breaking under degenerate energies.
     """
-    return float(_work(*_check_pair(rho, h)))
+    r, hm = _check_pair(rho, h)
+    return float(_work(r, hm, np.linalg.eigvalsh(hm)))
 
 
 def local_ergotropy(rho12, p: ModelParams) -> float:
@@ -85,19 +88,18 @@ def local_ergotropy(rho12, p: ModelParams) -> float:
     The battery Hamiltonian has no interaction term, so the maximization
     separates into the marginal ergotropies against e1*sz and e2*sz.
     """
-    return float(_local_work(_require_state(rho12, "rho12"), p))
+    return float(_yield_of(p, "local")(_require_state(rho12, "rho12")))
 
 
 def ergotropy_after_collisions(
     rho0, n: int, p: ModelParams, mode: str = "global"
 ) -> float:
     """Evolve n full collisions, then take the global or local work yield."""
-    _check_mode(mode)
+    work = _yield_of(p, mode)
     state = _require_state(rho0, "rho0")
     if n < 0:
         raise ValueError(f"collision count must be >= 0, got {n}")
-    final = run_collisions(state, n, (p.delta_t,), p)[-1]
-    return float(_yield(final, p, mode, battery_hamiltonian(p)))
+    return float(work(run_collisions(state, n, (p.delta_t,), p)[-1]))
 
 
 def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
@@ -106,9 +108,7 @@ def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
     The states of a Trajectory were evolved from a checked initial state,
     so they are not checked again.
     """
-    _check_mode(mode)
-    p = traj.params
-    return _yield(traj.states, p, mode, battery_hamiltonian(p))
+    return _yield_of(traj.params, mode)(traj.states)
 
 
 @dataclass(frozen=True)
@@ -140,17 +140,19 @@ def max_work_fixed_entanglement(
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
+    if n < 0:
+        raise ValueError(f"collision count must be >= 0, got {n}")
     mode = MODES[quantity]
     report: OptimizerReport | None = None
     if quantity == "G_p":
         rho0 = projector(locally_passive_state(entanglement))
         value = ergotropy_after_collisions(rho0, n, p, mode)
     else:
-        h12 = battery_hamiltonian(p)
+        work = _yield_of(p, mode)
 
         def objective(angles):
             rho0 = projector(fixed_entanglement_state(entanglement, angles))
-            return _yield(run_collisions(rho0, n, (p.delta_t,), p)[-1], p, mode, h12)
+            return work(run_collisions(rho0, n, (p.delta_t,), p)[-1])
 
         _, value, report = multistart_maximize(objective, 6, settings)
     return WorkRecord(

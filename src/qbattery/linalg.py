@@ -43,12 +43,14 @@ def kron(a, b) -> np.ndarray:
     return np.kron(_as_square(a), _as_square(b))
 
 
-def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
-    """exp(-j*t*h) for Hermitian h, computed exactly via eigendecomposition."""
-    if not np.isfinite(t):
+def unitary_from_hamiltonian(h, t) -> np.ndarray:
+    """exp(-j*t*h) for Hermitian h, computed exactly via eigendecomposition;
+    a 1-D array t gives the (len(t), d, d) stack from one eigendecomposition."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise ContractViolation("time must be finite")
     m = _as_square(h)
     if not is_hermitian(m):
         raise ContractViolation("input is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    return (v * np.exp(-1j * t[..., None, None] * w)) @ v.conj().T

@@ -7,6 +7,8 @@ negativity, which runs from 0 to 1 ebit for two qubits.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .linalg import ContractViolation
@@ -48,7 +50,12 @@ def schmidt_gap(entanglement):
 def schmidt_lambdas_from_entanglement(entanglement: float) -> tuple[float, float]:
     """Schmidt eigenvalues (lambda1 >= lambda2) of a pure state with the given
     log-negativity; lambda_i = (1 +/- schmidt_gap(E)) / 2."""
-    gap = schmidt_gap(float(entanglement))
+    return _schmidt_lambdas(float(entanglement))
+
+
+@lru_cache(maxsize=256)
+def _schmidt_lambdas(entanglement: float) -> tuple[float, float]:
+    gap = schmidt_gap(entanglement)
     return 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
 
 
@@ -95,4 +102,5 @@ def fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
     base[3] = np.sqrt(lam2)
     u1 = single_qubit_unitary(*a[:3])
     u2 = single_qubit_unitary(*a[3:])
-    return np.kron(u1, u2) @ base
+    # kron(u1, u2) without np.kron's overhead: the same products u1[i, k] * u2[j, l].
+    return (u1[:, None, :, None] * u2[None, :, None, :]).reshape(4, 4) @ base

@@ -16,10 +16,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import qmc
 
+from qbattery.collision import collision_propagator
 from qbattery.linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
 from qbattery.model import ModelParams, battery_hamiltonian, total_collision_hamiltonian
 from qbattery.optimize import OptimizerSettings, multistart_maximize
-from qbattery.states import single_qubit_unitary
+from qbattery.states import schmidt_lambdas_from_entanglement, single_qubit_unitary
 
 
 def partial_trace(x, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -88,6 +89,23 @@ def local_ergotropy_numeric(
         return e_in - float(np.trace(u @ r @ u.conj().T @ h12).real)
 
     return multistart_maximize(extracted, 6, settings)[1]
+
+
+def kron_fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
+    """Reference for qbattery.states.fixed_entanglement_state: the local
+    unitaries applied to the Schmidt normal form through np.kron."""
+    lam1, lam2 = schmidt_lambdas_from_entanglement(entanglement)
+    base = np.array([np.sqrt(lam1), 0.0, 0.0, np.sqrt(lam2)], dtype=complex)
+    u1, u2 = single_qubit_unitary(*angles[:3]), single_qubit_unitary(*angles[3:])
+    return np.kron(u1, u2) @ base
+
+
+def propagator_stack(p: ModelParams, taus) -> np.ndarray:
+    """Reference for qbattery.collision.transfer_stack: the same contraction
+    over one collision_propagator per tau, each from its own eigendecomposition."""
+    u = np.stack([collision_propagator(p, tau) for tau in taus]).reshape(-1, 4, 2, 4, 2)
+    pops = np.array([p.p0, p.p1])
+    return np.einsum("b,tisjb,tksmb->tikjm", pops, u, u.conj()).reshape(-1, 16, 16)
 
 
 def dense_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:

@@ -1,0 +1,58 @@
+"""Counts of the calls that rebuild constants, as a deterministic guard.
+
+A transfer stack over a whole tau grid takes one eigendecomposition of one
+collision Hamiltonian, and an objective evaluation of the G/L search
+diagonalises only the evolved state (L: its two marginals); the battery
+spectra are taken once per search.  Counts, not timings, so the guard does
+not depend on the host's speed.
+"""
+
+import numpy as np
+import pytest
+
+from qbattery import collision, ergotropy
+from qbattery.model import ModelParams
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_transfer_stack_build_diagonalises_once(monkeypatch):
+    p = ModelParams(k=0.7, delta_t=0.9)
+    taus = tuple((s * p.delta_t) / 30 for s in range(1, 31))
+    collision.transfer_stack.cache_clear()
+    collision.collision_propagator.cache_clear()
+    eigh = counted(monkeypatch, np.linalg, "eigh")
+    hamiltonian = counted(monkeypatch, collision, "total_collision_hamiltonian")
+    assert collision.transfer_stack(p, taus).shape == (30, 16, 16)
+    assert (len(eigh), len(hamiltonian)) == (1, 1)
+
+
+@pytest.mark.parametrize("quantity, spectra", [("G", 1), ("L", 2)])
+@pytest.mark.parametrize("n", [0, 30])
+def test_objective_evaluation(monkeypatch, quantity, spectra, n):
+    objectives = []
+
+    def capture(objective, dim, settings=None):
+        objectives.append(objective)
+        return np.zeros(dim), 0.0, None
+
+    monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
+    ergotropy.max_work_fixed_entanglement(0.6, n, ModelParams(k=0.8), quantity)
+    (objective,) = objectives
+    angles = np.linspace(0.2, 1.7, 6)
+    first = objective(angles)  # builds the transfer stack the search shares
+    kron = counted(monkeypatch, np, "kron")
+    eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+    assert objective(angles) == first
+    assert (len(kron), len(eigvalsh)) == (0, spectra)

@@ -475,6 +475,38 @@ class TestRejectedRuns:
         folder.rmdir()
         self.assert_rejected(tmp_path, capsys, code)
 
+    @pytest.mark.parametrize("quantity, collisions", [("G", "-1"), ("L", "-3")])
+    def test_negative_collisions(self, tmp_path, capsys, quantity, collisions):
+        code = run("sweep", "--seed", 1, "--output", tmp_path / "x.csv", "--quantity", quantity,
+                   f"--collisions={collisions}", "--entanglements", "0.5", "--starts", 1, "--max-evals", 20)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert f"collisions must be >= 0, got {collisions}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, kernel", [
+        (("sweep", "--couplings", "0.5,-1", "--collisions", "0", "--entanglements", "0.5"),
+         "max_work_fixed_entanglement"),
+        (("trajectory", "--delta-ts", "0.2,0", "--collisions", 1, "--substeps", 2), "fine_trajectory"),
+        (("blp", "--delta-ts", "1.6,0", "--starts", 1, "--max-evals", 20, "--grid-points", 10),
+         "blp_measure"),
+    ])
+    def test_bad_grid_value_before_any_work(self, tmp_path, capsys, monkeypatch, argv, kernel):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{kernel} ran before every grid point was checked")
+
+        monkeypatch.setattr(f"qbattery.cli.{kernel}", no_work)
+        code = run(*argv, "--seed", 1, "--threads", 1, "--output", tmp_path / "x.csv")
+        self.assert_rejected(tmp_path, capsys, code)
+
+    def test_config_is_directory(self, tmp_path, capsys):
+        folder = tmp_path / "cfg"
+        folder.mkdir()
+        code = run("sweep", "--config", folder, "--seed", 1, "--output", tmp_path / "x.csv",
+                   "--collisions", "0", "--entanglements", "0.5")
+        folder.rmdir()
+        self.assert_rejected(tmp_path, capsys, code)
+
     @pytest.mark.parametrize("delta_ts, folder", [
         ("0.2,0.2", None),  # two delta_t share one trace file
         ("1.0000001,1.0000002", None),  # the same under %g

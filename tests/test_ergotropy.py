@@ -229,3 +229,9 @@ class TestMaxWorkFixedEntanglement:
     def test_rejects_unknown_quantity(self):
         with pytest.raises(ValueError):
             max_work_fixed_entanglement(0.5, 0, P, "W")
+
+    @pytest.mark.parametrize("quantity", ["G_p", "G", "L"])
+    def test_rejects_negative_collision_count(self, quantity):
+        with pytest.raises(ValueError, match="collision count must be >= 0"):
+            settings = OptimizerSettings(starts=1, seed=0, max_evals=20)
+            max_work_fixed_entanglement(0.5, -1, P, quantity, settings)

@@ -150,6 +150,21 @@ class TestUnitaryFromHamiltonian:
         with pytest.raises(ContractViolation):
             unitary_from_hamiltonian(SZ, np.inf)
 
+    def test_time_array_equals_per_time_calls(self):
+        gen = rng(29)
+        for dim in (2, 4, 8, 8, 8):
+            h = random_hermitian(gen, dim)
+            times = gen.uniform(-3.0, 3.0, size=int(gen.integers(1, 40)))
+            stack = unitary_from_hamiltonian(h, times)
+            assert stack.shape == (len(times), dim, dim)
+            for u, t in zip(stack, times.tolist()):
+                assert (u == unitary_from_hamiltonian(h, t)).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time_in_array(self, bad):
+        with pytest.raises(ContractViolation):
+            unitary_from_hamiltonian(SZ, [0.1, bad, 0.3])
+
 
 class TestTraceDistance:
     def test_equal_states(self):

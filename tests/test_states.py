@@ -12,7 +12,7 @@ from qbattery.states import (
 )
 from qbhelpers import random_pure_state, rng
 
-from _oracles import log_negativity, partial_trace
+from _oracles import kron_fixed_entanglement_state, log_negativity, partial_trace
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -64,6 +64,17 @@ class TestSchmidtLambdas:
         with pytest.raises(ValueError):
             schmidt_gap(-0.1)
 
+    def test_invalid_entanglement_raises_on_every_call(self):
+        for bad in (1.2, -0.1, np.nan, float("nan")):
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    schmidt_lambdas_from_entanglement(bad)
+
+    def test_float_like_inputs_agree(self):
+        want = schmidt_lambdas_from_entanglement(0.3)
+        assert schmidt_lambdas_from_entanglement(np.float64(0.3)) == want
+        assert schmidt_lambdas_from_entanglement(np.array(0.3)) == want
+
 
 class TestLocallyPassiveState:
     def test_zero_entanglement_is_ground_state(self):
@@ -114,6 +125,14 @@ class TestFixedEntanglementState:
             lams = schmidt_weights(fixed_entanglement_state(e, angles))
             want = schmidt_lambdas_from_entanglement(e)
             assert np.allclose(lams, want, atol=1e-10)
+
+    def test_equals_kron_oracle(self):
+        gen = rng(47)
+        for e in np.linspace(0.0, 1.0, 21):
+            for _ in range(10):
+                angles = gen.uniform(-2 * np.pi, 2 * np.pi, size=6)
+                got = fixed_entanglement_state(e, angles)
+                assert (got == kron_fixed_entanglement_state(e, angles)).all()
 
     def test_rejects_bad_angles(self):
         with pytest.raises(ValueError):

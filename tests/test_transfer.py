@@ -10,7 +10,7 @@ from qbattery.ergotropy import global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import dense_collisions
+from _oracles import dense_collisions, propagator_stack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -53,6 +53,14 @@ class TestDenseOracle:
             taus = sorted(gen.uniform(0.0, p.delta_t, size=5))
             got = run_collisions(diff, 30, taus, p)
             assert np.abs(got - dense_collisions(diff, 30, taus, p)).max() <= 1e-12
+
+    def test_stack_equals_per_tau_propagators(self):
+        gen = rng(707)
+        for case in range(24):
+            p = random_params(gen)
+            taus = grid(p, int(gen.integers(1, 31))) if case % 2 else gen.uniform(0.0, 3.0, size=9)
+            taus = tuple(float(t) for t in taus)
+            assert (transfer_stack(p, taus) == propagator_stack(p, taus)).all()
 
     def test_first_sample_is_input(self):
         rho = random_density_matrix(rng(705), 4)
