@@ -42,7 +42,7 @@ from .linalg import ContractViolation
 from .model import ModelParams
 from .nonmarkov import blp_measure
 from .optimize import OptimizerSettings
-from .states import fixed_entanglement_state, locally_passive_state, projector
+from .states import fixed_entanglement_state, locally_passive_state, projector, schmidt_gap
 
 
 class UsageError(Exception):
@@ -104,22 +104,21 @@ def parse_number_list(text: str, integer: bool = False) -> list:
         except (ValueError, ArithmeticError):
             raise UsageError(f"cannot parse list item {item!r}")
     if integer:
-        ints = [int(round(v)) for v in out]
-        if any(abs(v - i) > 1e-9 for v, i in zip(out, ints)):
+        if not all(np.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in out):
             raise UsageError(f"expected integers in list {text!r}")
-        return ints
+        return [int(round(v)) for v in out]
     return out
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)  # a '%' is a plain character
     if not os.path.isfile(path):
         raise UsageError(f"config file not found or not a regular file: {path}")
     try:
         if ini.read(path) != [path]:
             raise UsageError(f"cannot read config file {path}")
     except configparser.Error as exc:
-        raise UsageError(f"cannot parse config file {path}: {exc}")
+        raise UsageError(f"cannot parse config file {path}: {' '.join(str(exc).splitlines())}")
     return ini
 
 
@@ -131,20 +130,17 @@ def resolve_config(args) -> dict:
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if getattr(args, "config", None):
         ini = _read_ini(args.config)
-        for section in cfg:
-            if ini.has_section(section):
-                for key, raw in ini.items(section):
-                    if key not in cfg[section] and not (section == "optimizer" and key == "seed"):
-                        raise UsageError(f"unknown config option [{section}] {key}")
-                    base = cfg[section].get(key)
-                    if isinstance(base, int):
-                        cfg[section][key] = int(raw)
-                    elif isinstance(base, float):
-                        cfg[section][key] = float(raw)
-                    else:
-                        cfg[section][key] = raw
-        if ini.has_option("optimizer", "seed"):
-            cfg["optimizer"]["seed"] = ini.getint("optimizer", "seed")
+        for section in ini.sections():
+            if section not in cfg:
+                raise UsageError(f"unknown config section [{section}]")
+            for key, raw in ini.items(section):
+                if key not in cfg[section] and (section, key) != ("optimizer", "seed"):
+                    raise UsageError(f"unknown config option [{section}] {key}")
+                kind = type(cfg[section].get(key, 0))  # the seed is an int
+                try:
+                    cfg[section][key] = kind(raw)
+                except ValueError:
+                    raise UsageError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}")
 
     for dest, value in vars(args).items():
         section, dot, key = dest.partition(".")
@@ -158,15 +154,6 @@ def resolve_config(args) -> dict:
     if args.command in ("sweep", "trajectory", "blp") and "seed" not in cfg["optimizer"]:
         raise UsageError("a seed is required (flag --seed or [optimizer] seed)")
     return cfg
-
-
-def optimizer_settings(cfg: dict) -> OptimizerSettings:
-    opt = cfg["optimizer"]
-    return OptimizerSettings(
-        starts=int(opt["starts"]),
-        seed=int(opt["seed"]),
-        max_evals=int(opt["max_evals"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +233,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("empty collision list")
     if min(n_list) < 0:
         raise UsageError(f"collisions must be >= 0, got {min(n_list)}")
-    base_settings = optimizer_settings(cfg)
+    schmidt_gap(e_list)  # every E in [0, 1] before any search
+    base_settings = OptimizerSettings(**cfg["optimizer"])
     couplings = [replace(params, k=k) for k in k_list]
     grid = list(enumerate((e, n, p) for e in e_list for n in n_list for p in couplings))
 
@@ -260,17 +248,8 @@ def cmd_sweep(args) -> int:
             settings=base_settings.for_grid_index(idx),
         )
         rep = record.report
-        return (
-            record.quantity,
-            record.entanglement,
-            record.n,
-            record.coupling,
-            record.delta_t,
-            record.value,
-            rep.n_starts if rep else 0,
-            rep.best_start if rep else 0,
-            rep.converged if rep else True,
-        )
+        search = (base_settings.starts, rep.best_start, rep.converged) if rep else (0, 0, True)
+        return (quantity, e, n, p.k, p.delta_t, record.value, *search)
 
     rows = _parallel_map(run_point, grid, args.threads)
     header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "best_start", "converged"]
@@ -299,9 +278,9 @@ def cmd_trajectory(args) -> int:
     dt_list = parse_number_list(tcfg["delta_ts"])
     if not dt_list:
         raise UsageError("empty delta_t list")
-    n = int(tcfg["collisions"])
-    substeps = int(tcfg["substeps"])
-    entanglement = float(tcfg["entanglement"])
+    n = tcfg["collisions"]
+    substeps = tcfg["substeps"]
+    entanglement = tcfg["entanglement"]
     if substeps < 1:
         raise UsageError(f"substeps must be >= 1, got {substeps}")
     if n < 0:
@@ -332,24 +311,27 @@ def cmd_blp(args) -> int:
     dt_list = parse_number_list(bcfg["delta_ts"])
     if not dt_list:
         raise UsageError("empty delta_t list")
-    grid_points = int(bcfg["grid_points"])
+    grid_points = bcfg["grid_points"]
     if grid_points < 2:
         raise UsageError(f"grid_points must be >= 2, got {grid_points}")
-    collisions = int(bcfg["collisions"])
+    collisions = bcfg["collisions"]
     if collisions < 1:
         raise UsageError(f"collisions must be >= 1, got {collisions}")
     trace_paths = []
     if args.trace_output:
         stem, ext = os.path.splitext(args.trace_output)
         trace_paths = [f"{stem}_dt_{float(dt):g}{ext or '.csv'}" for dt in dt_list]
+        own = {os.path.abspath(args.output + suffix) for suffix in ("", ".manifest.json")}
         for i, path in enumerate(trace_paths):
             if path in trace_paths[:i]:
                 raise UsageError(f"two delta_t values share the trace file {path}")
+            if os.path.abspath(path) in own:
+                raise UsageError(f"the trace file {path} would overwrite the output or its manifest")
             if os.path.isdir(path):
                 raise UsageError(f"cannot write {path}: it is a directory")
-    run_params = replace(params, k=float(bcfg["k"]))
+    run_params = replace(params, k=bcfg["k"])
     points = [replace(run_params, delta_t=dt) for dt in dt_list]
-    base_settings = optimizer_settings(cfg)
+    base_settings = OptimizerSettings(**cfg["optimizer"])
 
     def run_dt(point):
         idx, p = point
@@ -364,8 +346,8 @@ def cmd_blp(args) -> int:
 
     results = _parallel_map(run_dt, list(enumerate(points)), args.threads)
     rows = [
-        (r.delta_t, r.q_n, grid_points, r.report.n_starts, r.report.converged)
-        for r in results
+        (p.delta_t, r.q_n, grid_points, base_settings.starts, r.report.converged)
+        for p, r in zip(points, results)
     ]
     write_csv(args.output, ["delta_t", "Q_N", "grid_points", "starts", "converged"], rows)
     for r, path in zip(results, trace_paths):

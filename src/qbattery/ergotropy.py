@@ -24,7 +24,7 @@ from .collision import collision_propagator  # noqa: F401  unused; perfbench wra
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import SIGMA_Z, ModelParams, battery_hamiltonian
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
-from .states import fixed_entanglement_state, locally_passive_state, projector
+from .states import _local_unitary, fixed_entanglement_state, locally_passive_state, projector
 
 # The work yield each quantity reports: G_p and G the global one, L the local one.
 MODES = {"G_p": "global", "G": "global", "L": "local"}
@@ -115,11 +115,6 @@ def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
 class WorkRecord:
     """One extremal work value on the fixed-entanglement family."""
 
-    quantity: str
-    entanglement: float
-    n: int
-    coupling: float
-    delta_t: float
     value: float
     report: OptimizerReport | None = None
 
@@ -143,24 +138,15 @@ def max_work_fixed_entanglement(
     if n < 0:
         raise ValueError(f"collision count must be >= 0, got {n}")
     mode = MODES[quantity]
-    report: OptimizerReport | None = None
     if quantity == "G_p":
         rho0 = projector(locally_passive_state(entanglement))
-        value = ergotropy_after_collisions(rho0, n, p, mode)
-    else:
-        work = _yield_of(p, mode)
+        return WorkRecord(ergotropy_after_collisions(rho0, n, p, mode))
+    work = _yield_of(p, mode)
+    base = fixed_entanglement_state(entanglement, np.zeros(6))  # the Schmidt normal form
 
-        def objective(angles):
-            rho0 = projector(fixed_entanglement_state(entanglement, angles))
-            return work(run_collisions(rho0, n, (p.delta_t,), p)[-1])
+    def objective(angles):
+        c = _local_unitary(angles) @ base
+        return work(run_collisions(np.outer(c, c.conj()), n, (p.delta_t,), p)[-1])
 
-        _, value, report = multistart_maximize(objective, 6, settings)
-    return WorkRecord(
-        quantity=quantity,
-        entanglement=float(entanglement),
-        n=int(n),
-        coupling=p.k,
-        delta_t=p.delta_t,
-        value=float(value),
-        report=report,
-    )
+    _, value, report = multistart_maximize(objective, 6, settings)
+    return WorkRecord(value, report)

@@ -76,7 +76,6 @@ def _distance_samples(
 
 @dataclass(frozen=True)
 class BLPResult:
-    delta_t: float
     q_n: float
     lambda_trace: np.ndarray
     report: OptimizerReport
@@ -114,7 +113,6 @@ def blp_measure(
     s1, s2 = pair_from_angles(best_angles)
     d = _distance_samples(s1, s2, p, taus, collisions)
     return BLPResult(
-        delta_t=float(delta_t),
         q_n=float(q_n),
         lambda_trace=np.column_stack([times, d]),
         report=report,

@@ -35,7 +35,6 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    n_starts: int
     best_start: int
     spread: float
     converged: bool
@@ -88,7 +87,6 @@ def multistart_maximize(
     best = int(np.argmax(values))
     agree = int(np.sum(values >= values[best] - AGREE_TOL))
     report = OptimizerReport(
-        n_starts=settings.starts,
         best_start=best,
         spread=float(values.max() - values.min()),
         converged=settings.starts == 1 or agree >= 2,

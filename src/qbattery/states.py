@@ -7,8 +7,6 @@ negativity, which runs from 0 to 1 ebit for two qubits.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .linalg import ContractViolation
@@ -50,12 +48,7 @@ def schmidt_gap(entanglement):
 def schmidt_lambdas_from_entanglement(entanglement: float) -> tuple[float, float]:
     """Schmidt eigenvalues (lambda1 >= lambda2) of a pure state with the given
     log-negativity; lambda_i = (1 +/- schmidt_gap(E)) / 2."""
-    return _schmidt_lambdas(float(entanglement))
-
-
-@lru_cache(maxsize=256)
-def _schmidt_lambdas(entanglement: float) -> tuple[float, float]:
-    gap = schmidt_gap(entanglement)
+    gap = schmidt_gap(float(entanglement))
     return 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
 
 
@@ -83,6 +76,14 @@ def single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz_a @ ry @ rz_g
 
 
+def _local_unitary(a) -> np.ndarray:
+    """Unchecked kron(U(a[:3]), U(a[3:])) of single_qubit_unitary, without
+    np.kron's overhead: the same products u1[i, k] * u2[j, l]."""
+    u1 = single_qubit_unitary(*a[:3])
+    u2 = single_qubit_unitary(*a[3:])
+    return (u1[:, None, :, None] * u2[None, :, None, :]).reshape(4, 4)
+
+
 def fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
     """A generic pure state with the given entanglement.
 
@@ -100,7 +101,4 @@ def fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
     base = np.zeros(4, dtype=complex)
     base[0] = np.sqrt(lam1)
     base[3] = np.sqrt(lam2)
-    u1 = single_qubit_unitary(*a[:3])
-    u2 = single_qubit_unitary(*a[3:])
-    # kron(u1, u2) without np.kron's overhead: the same products u1[i, k] * u2[j, l].
-    return (u1[:, None, :, None] * u2[None, :, None, :]).reshape(4, 4) @ base
+    return _local_unitary(a) @ base

@@ -56,3 +56,22 @@ def test_objective_evaluation(monkeypatch, quantity, spectra, n):
     eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
     assert objective(angles) == first
     assert (len(kron), len(eigvalsh)) == (0, spectra)
+
+
+@pytest.mark.parametrize("quantity", ["G", "L"])
+def test_objective_builds_no_state_through_the_checked_path(monkeypatch, quantity):
+    """The search builds the Schmidt normal form once; an evaluation only
+    rotates it, with no checked state builder or projector call."""
+    objectives = []
+
+    def capture(objective, dim, settings=None):
+        objectives.append(objective)
+        return np.zeros(dim), 0.0, None
+
+    monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
+    ergotropy.max_work_fixed_entanglement(0.6, 7, ModelParams(k=0.8), quantity)
+    (objective,) = objectives
+    states = counted(monkeypatch, ergotropy, "fixed_entanglement_state")
+    projectors = counted(monkeypatch, ergotropy, "projector")
+    objective(np.linspace(0.2, 1.7, 6))
+    assert (len(states), len(projectors)) == (0, 0)

@@ -490,6 +490,8 @@ class TestRejectedRuns:
         (("trajectory", "--delta-ts", "0.2,0", "--collisions", 1, "--substeps", 2), "fine_trajectory"),
         (("blp", "--delta-ts", "1.6,0", "--starts", 1, "--max-evals", 20, "--grid-points", 10),
          "blp_measure"),
+        (("sweep", "--quantity", "G", "--entanglements", "0.5,1.5", "--collisions", "0"),
+         "max_work_fixed_entanglement"),
     ])
     def test_bad_grid_value_before_any_work(self, tmp_path, capsys, monkeypatch, argv, kernel):
         def no_work(*args, **kwargs):
@@ -522,4 +524,49 @@ class TestRejectedRuns:
         )
         if folder:
             (tmp_path / folder).rmdir()
+        self.assert_rejected(tmp_path, capsys, code)
+
+    def run_with_config(self, tmp_path, ini, *argv):
+        """Run with the INI text as --config; the file is gone afterwards."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        code = run(*argv, "--config", cfg, "--seed", 1, "--output", tmp_path / "x.csv")
+        cfg.unlink()
+        return code
+
+    @pytest.mark.parametrize("flag, ini", [
+        (("--collisions", "inf"), ""),
+        (("--collisions", "0,-inf"), ""),
+        ((), "[sweep]\ncollisions = inf\n"),
+    ], ids=["flag", "flag-range", "ini"])
+    def test_non_finite_collision_count(self, tmp_path, capsys, flag, ini):
+        code = self.run_with_config(tmp_path, ini, "sweep", "--entanglements", "0.5", *flag)
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("ini", [
+        "[optimiser]\nstarts = 2\n",  # a misspelled section
+        "[modle]\ne1 = 3\n",
+        "starts = 2\n",  # no section header
+    ], ids=["optimiser", "modle", "no-header"])
+    def test_bad_config_layout(self, tmp_path, capsys, ini):
+        code = self.run_with_config(tmp_path, ini, "sweep", "--collisions", "0", "--entanglements", "0.5")
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("ini, name", [
+        ("[model]\ne1 = abc\n", "[model] e1"),
+        ("[optimizer]\nseed = x1\n", "[optimizer] seed"),
+        ("[trajectory]\ncollisions = 2.5\n", "[trajectory] collisions"),
+        ("[trajectory]\nentanglement = 50%\n", "[trajectory] entanglement"),
+    ], ids=["float", "seed", "int", "percent"])
+    def test_bad_config_value_is_named(self, tmp_path, capsys, ini, name):
+        code = self.run_with_config(tmp_path, ini, "trajectory")
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and name in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("output", ["t_dt_1.csv", "./t_dt_1.csv"])
+    def test_trace_file_is_the_output(self, tmp_path, capsys, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        code = run("blp", "--seed", 1, "--output", output, "--delta-ts", "1",
+                   "--starts", 1, "--max-evals", 20, "--grid-points", 10, "--trace-output", "t.csv")
         self.assert_rejected(tmp_path, capsys, code)
