@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from decimal import Decimal
 
 import numpy as np
@@ -37,7 +37,7 @@ from . import __version__
 from .collision import fine_trajectory
 from .ergotropy import MODES, QUANTITIES, max_work_fixed_entanglement, trajectory_work
 from .ergotropy import global_ergotropy, local_ergotropy  # noqa: F401  unused; perfbench wraps them by this module's name
-from .fitting import MODELS, fit_curve
+from .fitting import fit_curve
 from .linalg import ContractViolation
 from .model import ModelParams
 from .nonmarkov import blp_measure
@@ -45,8 +45,8 @@ from .optimize import OptimizerSettings
 from .states import fixed_entanglement_state, locally_passive_state, projector, schmidt_gap
 
 
-class UsageError(Exception):
-    """Bad flags or configuration; maps to exit code 2."""
+class UsageError(ValueError):
+    """Bad flags or configuration; maps to exit code 2 like any ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,8 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 DEFAULTS = {
-    "model": {"e1": 2.0, "e2": 1.0, "h": 1.0, "k": 1.0, "beta": 10.0, "delta_t": 0.2},
-    "optimizer": {"starts": 24, "max_evals": 2000},
+    "model": asdict(ModelParams()),
+    "optimizer": {key: value for key, value in asdict(OptimizerSettings()).items() if key != "seed"},
     "sweep": {
         "entanglements": "0.0,0.2,0.4,0.6,0.8",
         "collisions": "0:30",
@@ -128,7 +128,7 @@ def resolve_config(args) -> dict:
     A flag's argparse dest is its "section.key"; an absent flag is None.
     """
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
-    if getattr(args, "config", None):
+    if args.config is not None:
         ini = _read_ini(args.config)
         for section in ini.sections():
             if section not in cfg:
@@ -151,7 +151,7 @@ def resolve_config(args) -> dict:
         cfg["params"] = ModelParams(**cfg["model"])
     except ValueError as exc:
         raise UsageError(f"invalid model parameters: {exc}")
-    if args.command in ("sweep", "trajectory", "blp") and "seed" not in cfg["optimizer"]:
+    if "seed" not in cfg["optimizer"]:
         raise UsageError("a seed is required (flag --seed or [optimizer] seed)")
     return cfg
 
@@ -222,8 +222,6 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     params: ModelParams = cfg["params"]
     quantity = cfg["sweep"]["quantity"]
-    if quantity not in QUANTITIES:
-        raise UsageError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
     e_list = parse_number_list(cfg["sweep"]["entanglements"])
     n_list = parse_number_list(cfg["sweep"]["collisions"], integer=True)
     k_list = parse_number_list(cfg["sweep"]["couplings"]) or [params.k]
@@ -278,18 +276,11 @@ def cmd_trajectory(args) -> int:
     dt_list = parse_number_list(tcfg["delta_ts"])
     if not dt_list:
         raise UsageError("empty delta_t list")
-    n = tcfg["collisions"]
-    substeps = tcfg["substeps"]
-    entanglement = tcfg["entanglement"]
-    if substeps < 1:
-        raise UsageError(f"substeps must be >= 1, got {substeps}")
-    if n < 0:
-        raise UsageError(f"collisions must be >= 0, got {n}")
-    rho0 = projector(_trajectory_initial_state(quantity, entanglement))
+    rho0 = projector(_trajectory_initial_state(quantity, tcfg["entanglement"]))
     points = [replace(params, delta_t=dt) for dt in dt_list]
 
     def run_dt(p):
-        traj = fine_trajectory(rho0, n, substeps, p)
+        traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
         values = trajectory_work(traj, MODES[quantity])
         return [
             (p.delta_t, t, int(ci), v)
@@ -312,37 +303,31 @@ def cmd_blp(args) -> int:
     if not dt_list:
         raise UsageError("empty delta_t list")
     grid_points = bcfg["grid_points"]
-    if grid_points < 2:
-        raise UsageError(f"grid_points must be >= 2, got {grid_points}")
-    collisions = bcfg["collisions"]
-    if collisions < 1:
-        raise UsageError(f"collisions must be >= 1, got {collisions}")
     trace_paths = []
     if args.trace_output:
         stem, ext = os.path.splitext(args.trace_output)
         trace_paths = [f"{stem}_dt_{float(dt):g}{ext or '.csv'}" for dt in dt_list]
-        own = {os.path.abspath(args.output + suffix) for suffix in ("", ".manifest.json")}
+        taken = (args.output, args.output + ".manifest.json", args.config)
+        own = {os.path.abspath(path) for path in taken if path}
         for i, path in enumerate(trace_paths):
             if path in trace_paths[:i]:
                 raise UsageError(f"two delta_t values share the trace file {path}")
             if os.path.abspath(path) in own:
-                raise UsageError(f"the trace file {path} would overwrite the output or its manifest")
+                raise UsageError(f"the trace file {path} would overwrite the output, its manifest or the config")
             if os.path.isdir(path):
                 raise UsageError(f"cannot write {path}: it is a directory")
-    run_params = replace(params, k=bcfg["k"])
-    points = [replace(run_params, delta_t=dt) for dt in dt_list]
+    points = [replace(params, k=bcfg["k"], delta_t=dt) for dt in dt_list]
     base_settings = OptimizerSettings(**cfg["optimizer"])
 
     def run_dt(point):
         idx, p = point
-        result = blp_measure(
+        return blp_measure(
             p.delta_t,
             p,
             settings=base_settings.for_grid_index(idx),
             grid_points=grid_points,
-            collisions=collisions,
+            collisions=bcfg["collisions"],
         )
-        return result
 
     results = _parallel_map(run_dt, list(enumerate(points)), args.threads)
     rows = [
@@ -388,13 +373,8 @@ def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, fl
 
 def cmd_fit(args) -> int:
     started = time.time()
-    if args.model not in MODELS:
-        raise UsageError(f"unknown model {args.model!r}; choose from {sorted(MODELS)}")
     data = _load_fit_data(args.input, args.n, args.quantity)
-    try:
-        result = fit_curve(args.model, data, bootstrap=args.bootstrap)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    result = fit_curve(args.model, data, bootstrap=args.bootstrap)
     payload = {
         "model": result.model,
         "params": result.params,
@@ -408,7 +388,7 @@ def cmd_fit(args) -> int:
     write_manifest(
         args.output, "fit", started, [args.output],
         model=args.model, input=args.input, filters={"n": args.n, "quantity": args.quantity},
-        bootstrap=args.bootstrap,
+        bootstrap=args.bootstrap, message=result.message,
     )
     return 0
 
@@ -478,15 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_run(args) -> None:
-    """Reject a thread count below 1, an output that is a directory and an
-    output in a missing or unwritable directory before any work, so that a
-    rejected run writes nothing."""
+    """Reject a thread count below 1, an output that is a directory or the
+    run's input or config, and an output in a missing or unwritable directory
+    before any work, so that a rejected run writes nothing."""
     threads = getattr(args, "threads", 1)
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
+    given = (getattr(args, "input", None), getattr(args, "config", None))
+    sources = {os.path.abspath(path) for path in given if path}
     for path in (args.output, args.output + ".manifest.json"):
         if os.path.isdir(path):
             raise UsageError(f"cannot write {path}: it is a directory")
+        if os.path.abspath(path) in sources:
+            raise UsageError(f"cannot write {path}: it is the run's input or config file")
     for path in filter(None, (args.output, getattr(args, "trace_output", None))):
         folder = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
@@ -498,9 +482,6 @@ def main(argv=None) -> int:
     try:
         _check_run(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ContractViolation as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return 3

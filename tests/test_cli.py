@@ -357,6 +357,19 @@ class TestManifests:
         assert manifest["bootstrap"] == 0
         assert "version" in manifest and "wall_time_s" in manifest
 
+    @pytest.mark.parametrize("rows, converged", [
+        ("0.5,1.0\n0.5,0.8\n0.5,0.9\n0.5,0.7\n", False),  # one abscissa: singular normal equations
+        ("0.0,1.0\n0.5,0.8\n1.0,0.2\n0.7,0.4\n", True),
+    ], ids=["singular", "converged"])
+    def test_fit_manifest_records_message(self, tmp_path, rows, converged):
+        data = tmp_path / "in.csv"
+        data.write_text("E,value\n" + rows)
+        out = tmp_path / "fit.json"
+        assert run("fit", "--model", "M2", "--input", data, "--output", out) == 0
+        assert json.loads(out.read_text())["converged"] is converged
+        manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
+        assert bool(manifest["message"]) is not converged
+
     def test_blp_flags_leave_other_sections_at_defaults(self, tmp_path):
         from qbattery.cli import DEFAULTS
 
@@ -570,3 +583,50 @@ class TestRejectedRuns:
         code = run("blp", "--seed", 1, "--output", output, "--delta-ts", "1",
                    "--starts", 1, "--max-evals", 20, "--grid-points", 10, "--trace-output", "t.csv")
         self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ini, argv", [
+        ("", ("trajectory", "--substeps", 0, "--collisions", 1)),
+        ("", ("trajectory", "--collisions", -1, "--substeps", 2)),
+        ("", ("blp", "--grid-points", 1, "--delta-ts", "0.4,0.8", "--starts", 1, "--max-evals", 20)),
+        ("", ("blp", "--collisions", 0, "--delta-ts", "0.4,0.8", "--starts", 1, "--max-evals", 20)),
+        ("[sweep]\nquantity = Z\n", ("sweep", "--entanglements", "0.3,0.5", "--collisions", "0")),
+        ("[trajectory]\nquantity = Z\n", ("trajectory", "--collisions", 1, "--substeps", 2)),
+    ], ids=["substeps", "trajectory-collisions", "grid-points", "blp-collisions", "sweep-quantity",
+            "trajectory-quantity"])
+    def test_library_check_rejects(self, tmp_path, capsys, ini, argv, threads):
+        code = self.run_with_config(tmp_path, ini, *argv, "--threads", threads)
+        self.assert_rejected(tmp_path, capsys, code)
+
+    def test_unknown_fit_model(self, tmp_path, capsys):
+        data = tmp_path / "in.csv"
+        data.write_text("E,value\n0.0,1.0\n0.5,0.8\n1.0,0.2\n0.7,0.4\n")
+        code = run("fit", "--model", "M7", "--input", data, "--output", tmp_path / "f.json")
+        data.unlink()
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("argv, source", [
+        (("fit", "--model", "M1", "--input", "s.csv", "--output", "s.csv"), "s.csv"),
+        (("sweep", "--config", "c.ini", "--seed", 1, "--output", "c.ini"), "c.ini"),
+        (("sweep", "--config", "c.manifest.json", "--seed", 1, "--output", "./c"), "c.manifest.json"),
+        (("blp", "--config", "t_dt_1.csv", "--seed", 1, "--output", "b.csv", "--trace-output", "t.csv"),
+         "t_dt_1.csv"),
+    ], ids=["fit-input", "config", "manifest-config", "trace-config"])
+    def test_output_names_input_or_config(self, tmp_path, capsys, monkeypatch, argv, source):
+        monkeypatch.chdir(tmp_path)
+        text = (
+            "E,value\n0.0,1.0\n0.5,0.8\n1.0,0.2\n" if argv[0] == "fit" else
+            "[sweep]\nentanglements = 0.5\ncollisions = 0\n\n[blp]\ndelta_ts = 1\ngrid_points = 10\n\n"
+            "[optimizer]\nstarts = 1\nmax_evals = 20\n"
+        )
+        (tmp_path / source).write_text(text)
+        code = run(*argv)
+        assert (tmp_path / source).read_text() == text
+        (tmp_path / source).unlink()
+        self.assert_rejected(tmp_path, capsys, code)
+
+    def test_empty_config_path(self, tmp_path, capsys):
+        code = run("sweep", "--config", "", "--seed", 1, "--output", tmp_path / "x.csv",
+                   "--collisions", "0", "--entanglements", "0.5")
+        assert "config file not found" in capsys.readouterr().err
+        assert code == 2 and list(tmp_path.iterdir()) == []
