@@ -153,6 +153,8 @@ def resolve_config(args) -> dict:
         raise UsageError(f"invalid model parameters: {exc}")
     if "seed" not in cfg["optimizer"]:
         raise UsageError("a seed is required (flag --seed or [optimizer] seed)")
+    if cfg["optimizer"]["seed"] < 0:
+        raise UsageError(f"the seed must be >= 0, got {cfg['optimizer']['seed']}")
     return cfg
 
 
@@ -178,8 +180,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([_csv_cell(v) for v in row])
 
 
-def write_manifest(output: str, command: str, started: float, outputs: list[str], **fields) -> str:
-    """Write <output>.manifest.json: command, version, outputs and wall time,
+def write_manifest(path: str, command: str, started: float, outputs: list[str], **fields) -> None:
+    """Write the manifest at path: command, version, outputs and wall time,
     plus the command's own fields."""
     manifest = {
         "command": command,
@@ -188,20 +190,9 @@ def write_manifest(output: str, command: str, started: float, outputs: list[str]
         "wall_time_s": time.time() - started,
         **fields,
     }
-    path = output + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
-
-
-def _run_fields(cfg: dict, threads: int) -> dict:
-    """Manifest fields of a simulation command: seed, threads and the resolved configuration."""
-    return {
-        "seed": cfg["optimizer"].get("seed"),
-        "threads": threads,
-        "config": {section: cfg[section] for section in DEFAULTS},
-    }
 
 
 def _parallel_map(func, items, threads: int) -> list:
@@ -214,12 +205,10 @@ def _parallel_map(func, items, threads: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes the data files main planned; fit returns its manifest fields
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
-    cfg = resolve_config(args)
+def cmd_sweep(args, cfg: dict, outputs: list[str]) -> None:
     params: ModelParams = cfg["params"]
     quantity = cfg["sweep"]["quantity"]
     e_list = parse_number_list(cfg["sweep"]["entanglements"])
@@ -238,13 +227,7 @@ def cmd_sweep(args) -> int:
 
     def run_point(point):
         idx, (e, n, p) = point
-        record = max_work_fixed_entanglement(
-            e,
-            n,
-            p,
-            quantity,
-            settings=base_settings.for_grid_index(idx),
-        )
+        record = max_work_fixed_entanglement(e, n, p, quantity, settings=base_settings.for_grid_index(idx))
         rep = record.report
         search = (base_settings.starts, rep.best_start, rep.converged) if rep else (0, 0, True)
         return (quantity, e, n, p.k, p.delta_t, record.value, *search)
@@ -252,8 +235,6 @@ def cmd_sweep(args) -> int:
     rows = _parallel_map(run_point, grid, args.threads)
     header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "best_start", "converged"]
     write_csv(args.output, header, rows)
-    write_manifest(args.output, "sweep", started, [args.output], **_run_fields(cfg, args.threads))
-    return 0
 
 
 def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:
@@ -265,9 +246,7 @@ def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:
     return fixed_entanglement_state(entanglement, np.zeros(6))
 
 
-def cmd_trajectory(args) -> int:
-    started = time.time()
-    cfg = resolve_config(args)
+def cmd_trajectory(args, cfg: dict, outputs: list[str]) -> None:
     params: ModelParams = cfg["params"]
     tcfg = cfg["trajectory"]
     quantity = tcfg["quantity"]
@@ -282,64 +261,33 @@ def cmd_trajectory(args) -> int:
     def run_dt(p):
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
         values = trajectory_work(traj, MODES[quantity])
-        return [
-            (p.delta_t, t, int(ci), v)
-            for t, ci, v in zip(traj.times, traj.collision_index, values)
-        ]
+        return [(p.delta_t, t, int(ci), v) for t, ci, v in zip(traj.times, traj.collision_index, values)]
 
     blocks = _parallel_map(run_dt, points, args.threads)
     rows = [row for block in blocks for row in block]
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], rows)
-    write_manifest(args.output, "trajectory", started, [args.output], **_run_fields(cfg, args.threads))
-    return 0
 
 
-def cmd_blp(args) -> int:
-    started = time.time()
-    cfg = resolve_config(args)
+def cmd_blp(args, cfg: dict, outputs: list[str]) -> None:
     params: ModelParams = cfg["params"]
     bcfg = cfg["blp"]
     dt_list = parse_number_list(bcfg["delta_ts"])
     if not dt_list:
         raise UsageError("empty delta_t list")
     grid_points = bcfg["grid_points"]
-    trace_paths = []
-    if args.trace_output:
-        stem, ext = os.path.splitext(args.trace_output)
-        trace_paths = [f"{stem}_dt_{float(dt):g}{ext or '.csv'}" for dt in dt_list]
-        taken = (args.output, args.output + ".manifest.json", args.config)
-        own = {os.path.abspath(path) for path in taken if path}
-        for i, path in enumerate(trace_paths):
-            if path in trace_paths[:i]:
-                raise UsageError(f"two delta_t values share the trace file {path}")
-            if os.path.abspath(path) in own:
-                raise UsageError(f"the trace file {path} would overwrite the output, its manifest or the config")
-            if os.path.isdir(path):
-                raise UsageError(f"cannot write {path}: it is a directory")
     points = [replace(params, k=bcfg["k"], delta_t=dt) for dt in dt_list]
     base_settings = OptimizerSettings(**cfg["optimizer"])
 
     def run_dt(point):
         idx, p = point
-        return blp_measure(
-            p.delta_t,
-            p,
-            settings=base_settings.for_grid_index(idx),
-            grid_points=grid_points,
-            collisions=bcfg["collisions"],
-        )
+        settings = base_settings.for_grid_index(idx)
+        return blp_measure(p.delta_t, p, settings=settings, grid_points=grid_points, collisions=bcfg["collisions"])
 
     results = _parallel_map(run_dt, list(enumerate(points)), args.threads)
-    rows = [
-        (p.delta_t, r.q_n, grid_points, base_settings.starts, r.report.converged)
-        for p, r in zip(points, results)
-    ]
+    rows = [(p.delta_t, r.q_n, grid_points, base_settings.starts, r.report.converged) for p, r in zip(points, results)]
     write_csv(args.output, ["delta_t", "Q_N", "grid_points", "starts", "converged"], rows)
-    for r, path in zip(results, trace_paths):
+    for r, path in zip(results, outputs[1:]):
         write_csv(path, ["t", "D"], [(t, d) for t, d in r.lambda_trace])
-    outputs = [args.output, *trace_paths]
-    write_manifest(args.output, "blp", started, outputs, **_run_fields(cfg, args.threads))
-    return 0
 
 
 def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, float]]:
@@ -371,26 +319,17 @@ def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, fl
     return data
 
 
-def cmd_fit(args) -> int:
-    started = time.time()
+def cmd_fit(args, cfg: None, outputs: list[str]) -> dict:
     data = _load_fit_data(args.input, args.n, args.quantity)
     result = fit_curve(args.model, data, bootstrap=args.bootstrap)
-    payload = {
-        "model": result.model,
-        "params": result.params,
-        "confidence95": result.confidence95,
-        "residual": result.residual,
-        "converged": result.converged,
-    }
+    payload = {key: getattr(result, key) for key in ("model", "params", "confidence95", "residual", "converged")}
     with open(args.output, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    write_manifest(
-        args.output, "fit", started, [args.output],
-        model=args.model, input=args.input, filters={"n": args.n, "quantity": args.quantity},
-        bootstrap=args.bootstrap, message=result.message,
-    )
-    return 0
+    return {
+        "model": args.model, "input": args.input, "filters": {"n": args.n, "quantity": args.quantity},
+        "bootstrap": args.bootstrap, "message": result.message,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -457,31 +396,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_run(args) -> None:
-    """Reject a thread count below 1, an output that is a directory or the
-    run's input or config, and an output in a missing or unwritable directory
-    before any work, so that a rejected run writes nothing."""
+# ---------------------------------------------------------------------------
+# the run
+
+
+def _outputs(args, cfg) -> list[str]:
+    """Every data file the run writes: the output, then with --trace-output
+    one BLP trace file per delta_t (named with delta_t as %g)."""
+    if not getattr(args, "trace_output", None):
+        return [args.output]
+    stem, ext = os.path.splitext(args.trace_output)
+    dts = parse_number_list(cfg["blp"]["delta_ts"])
+    return [args.output, *(f"{stem}_dt_{dt:g}{ext or '.csv'}" for dt in dts)]
+
+
+def _file_key(path: str):
+    """What identifies the file a path names: device and inode when it exists
+    (so symlinks and hard links match), else the path with links resolved."""
+    try:
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except OSError:
+        return os.path.realpath(path)
+
+
+def _check_run(args, paths: list[str]) -> None:
+    """Reject a thread count below 1 and any path the run would write that is
+    a directory, sits in a missing or unwritable directory, names the run's
+    input or config, or names another file of the run, before any work, so
+    that a rejected run writes nothing."""
     threads = getattr(args, "threads", 1)
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
     given = (getattr(args, "input", None), getattr(args, "config", None))
-    sources = {os.path.abspath(path) for path in given if path}
-    for path in (args.output, args.output + ".manifest.json"):
+    sources = {_file_key(path) for path in given if path}
+    written: dict = {}
+    for path in paths:
+        key = _file_key(path)
         if os.path.isdir(path):
             raise UsageError(f"cannot write {path}: it is a directory")
-        if os.path.abspath(path) in sources:
+        if key in sources:
             raise UsageError(f"cannot write {path}: it is the run's input or config file")
-    for path in filter(None, (args.output, getattr(args, "trace_output", None))):
-        folder = os.path.dirname(os.path.abspath(path))
+        if key in written:
+            raise UsageError(f"cannot write {path}: the run already writes that file (as {written[key]})")
+        written[key] = path
+        folder = os.path.dirname(os.path.realpath(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise UsageError(f"cannot write {path}: directory {folder} is missing or not writable")
 
 
 def main(argv=None) -> int:
+    """Resolve the configuration, plan and check every file the run writes,
+    run the command, then record the run in its manifest."""
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        _check_run(args)
-        return args.func(args)
+        cfg = None if args.command == "fit" else resolve_config(args)
+        outputs = _outputs(args, cfg)
+        manifest = args.output + ".manifest.json"
+        _check_run(args, [*outputs, manifest])
+        fields = args.func(args, cfg, outputs)
+        if cfg is not None:  # a simulation records its seed, threads and resolved configuration
+            config = {section: cfg[section] for section in DEFAULTS}
+            fields = {"seed": cfg["optimizer"]["seed"], "threads": args.threads, "config": config}
+        write_manifest(manifest, args.command, started, outputs, **fields)
+        return 0
     except ContractViolation as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return 3

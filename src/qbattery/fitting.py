@@ -261,12 +261,11 @@ def fit_curve(
     jtj = res.jac.T @ res.jac
     try:
         cov = np.linalg.inv(jtj) * (sse / dof)
-        half = Z95 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj) * (sse / dof)
-        half = Z95 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
         converged = False
         message = (message + "; " if message else "") + "singular normal equations"
+    half = Z95 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     if bootstrap > 0:
         half = _bootstrap_half_widths(mdl, e, y, res.x, bootstrap, bootstrap_seed)

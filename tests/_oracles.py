@@ -100,12 +100,42 @@ def kron_fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
     return np.kron(u1, u2) @ base
 
 
+def _battery_maps(p: ModelParams, unitaries) -> np.ndarray:
+    """(len, 16, 16) maps on row-major vec(rho) of the 8x8 collision unitaries:
+    rho -> Tr_spin[U (rho (x) diag(p0, p1)) U^dag]."""
+    u = np.stack(unitaries).reshape(-1, 4, 2, 4, 2)
+    pops = np.array([p.p0, p.p1])
+    return np.einsum("b,tisjb,tksmb->tikjm", pops, u, u.conj()).reshape(-1, 16, 16)
+
+
 def propagator_stack(p: ModelParams, taus) -> np.ndarray:
     """Reference for qbattery.collision.transfer_stack: the same contraction
     over one collision_propagator per tau, each from its own eigendecomposition."""
-    u = np.stack([collision_propagator(p, tau) for tau in taus]).reshape(-1, 4, 2, 4, 2)
-    pops = np.array([p.p0, p.p1])
-    return np.einsum("b,tisjb,tksmb->tikjm", pops, u, u.conj()).reshape(-1, 16, 16)
+    return _battery_maps(p, [collision_propagator(p, tau) for tau in taus])
+
+
+def closed_form_collision_unitary(p: ModelParams, tau: float) -> np.ndarray:
+    """exp(-j*tau*H_total) written out, with no diagonalization.
+
+    Qubit 1 precesses at e1.  In qubit 2 (x) spin, |00> and |11> pick up the
+    phases exp(-+j*tau*(e2 + h)), and the exchange block {|01>, |10>} turns as
+    cos(W*tau) I - j*sin(W*tau)/W * (D*sz + 2k*sx) with D = e2 - h and
+    W = sqrt(D^2 + 4k^2); at W = 0 the block is the identity.
+    """
+    d = p.e2 - p.h
+    w = np.hypot(d, 2.0 * p.k)
+    sin_over_w = tau * np.sinc(w * tau / np.pi)  # sin(W*tau)/W, tending to tau as W -> 0
+    pair = np.zeros((4, 4), dtype=complex)
+    pair[0, 0], pair[3, 3] = np.exp(-1j * tau * (p.e2 + p.h)), np.exp(1j * tau * (p.e2 + p.h))
+    pair[1:3, 1:3] = np.cos(w * tau) * np.eye(2) - 1j * sin_over_w * np.array([[d, 2.0 * p.k], [2.0 * p.k, -d]])
+    qubit1 = np.diag([np.exp(-1j * tau * p.e1), np.exp(1j * tau * p.e1)])
+    return np.kron(qubit1, pair)
+
+
+def closed_form_stack(p: ModelParams, taus) -> np.ndarray:
+    """Reference for qbattery.collision.transfer_stack that shares no code with
+    qbattery.linalg.unitary_from_hamiltonian: the closed-form unitary per tau."""
+    return _battery_maps(p, [closed_form_collision_unitary(p, tau) for tau in taus])
 
 
 def dense_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:

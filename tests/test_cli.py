@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -630,3 +631,43 @@ class TestRejectedRuns:
                    "--collisions", "0", "--entanglements", "0.5")
         assert "config file not found" in capsys.readouterr().err
         assert code == 2 and list(tmp_path.iterdir()) == []
+
+    SOURCE_TEXT = {
+        "s.csv": "E,value\n0.0,1.0\n0.5,0.8\n1.0,0.2\n",
+        "c.ini": "[sweep]\nentanglements = 0.5\ncollisions = 0\n\n[blp]\ndelta_ts = 1\ngrid_points = 10\n\n"
+        "[optimizer]\nstarts = 1\nmax_evals = 20\n",
+    }
+
+    @pytest.mark.parametrize("argv, source, link, make_link", [
+        (("fit", "--model", "M1", "--input", "s.csv", "--output", "link.csv"), "s.csv", "link.csv", os.symlink),
+        (("blp", "--config", "c.ini", "--seed", 1, "--output", "b.csv", "--trace-output", "t.csv"),
+         "c.ini", "t_dt_1.csv", os.symlink),
+        (("sweep", "--config", "c.ini", "--seed", 1, "--output", "x.csv"), "c.ini", "x.csv", os.link),
+    ], ids=["fit-output-symlink-to-input", "trace-symlink-to-config", "sweep-output-hard-link-to-config"])
+    def test_output_links_to_input_or_config(self, tmp_path, capsys, monkeypatch, argv, source, link, make_link):
+        monkeypatch.chdir(tmp_path)
+        text = self.SOURCE_TEXT[source]
+        (tmp_path / source).write_text(text)
+        make_link(source, link)
+        code = run(*argv)
+        assert (tmp_path / source).read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([source, link])
+        (tmp_path / link).unlink()
+        (tmp_path / source).unlink()
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("argv, ini, seed", [
+        (("sweep", "--quantity", "G_p", "--seed", -1, "--entanglements", "0.5", "--collisions", "0"), "", "-1"),
+        (("blp", "--seed", -3, "--delta-ts", "0.4", "--starts", 1, "--max-evals", 20, "--grid-points", 10),
+         "", "-3"),
+        (("trajectory", "--collisions", 1, "--substeps", 2), "[optimizer]\nseed = -2\n", "-2"),
+    ], ids=["sweep-flag", "blp-flag", "trajectory-ini"])
+    def test_negative_seed(self, tmp_path, capsys, argv, ini, seed):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        code = run(*argv, "--config", cfg, "--output", tmp_path / "x.csv")
+        cfg.unlink()
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "seed" in err and seed in err
+        assert list(tmp_path.iterdir()) == []

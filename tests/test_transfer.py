@@ -1,5 +1,8 @@
-"""The transfer-matrix core against the dense joint-space oracle, and its
-physical invariants as properties over random model parameters."""
+"""The transfer-matrix core against the dense joint-space oracle and the
+closed-form collision unitary, and its physical invariants as properties
+over random model parameters."""
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from qbattery.ergotropy import global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import dense_collisions, propagator_stack
+from _oracles import closed_form_stack, dense_collisions, propagator_stack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -65,6 +68,24 @@ class TestDenseOracle:
     def test_first_sample_is_input(self):
         rho = random_density_matrix(rng(705), 4)
         assert np.array_equal(run_collisions(rho, 3, [0.1, 0.2], ModelParams())[0], rho)
+
+
+class TestClosedFormOracle:
+    def test_stack_matches_closed_form(self):
+        gen = rng(709)
+        for case in range(32):
+            p = random_params(gen)
+            if case % 4 == 0:
+                p = replace(p, k=0.0)
+            taus = grid(p, int(gen.integers(1, 31))) if case % 2 else gen.uniform(0.0, 3.0, size=9)
+            taus = tuple(float(t) for t in taus)
+            assert np.abs(transfer_stack(p, taus) - closed_form_stack(p, taus)).max() <= 1e-12
+
+    def test_resonant_uncoupled_limit(self):
+        # e2 = h and k = 0: the exchange block's frequency W is 0
+        p = ModelParams(k=0.0)
+        taus = tuple(grid(p, 5))
+        assert np.abs(transfer_stack(p, taus) - closed_form_stack(p, taus)).max() <= 1e-12
 
 
 class TestTransferProperties:
