@@ -163,6 +163,8 @@ def resolve_config(args) -> dict:
 
 
 def _csv_cell(value) -> str:
+    if isinstance(value, float):  # nearly every cell; np.float64 is a float
+        return "%.17g" % value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -298,22 +300,25 @@ def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, fl
     data = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        columns = set(reader.fieldnames or ())
-        missing = {"E", "value"} - columns
-        if missing:
-            raise UsageError(f"input CSV lacks required columns: {sorted(missing)}")
-        for column, value in (("n", n_filter), ("quantity", quantity_filter)):
-            if value is not None and column not in columns:
-                raise UsageError(f"input CSV has no {column!r} column for --{column} to filter on")
-        for row in reader:
-            try:
-                if n_filter is not None and int(float(row["n"])) != n_filter:
-                    continue
-                if quantity_filter is not None and row["quantity"] != quantity_filter:
-                    continue
-                data.append((float(row["E"]), float(row["value"])))
-            except (TypeError, ValueError):
-                raise UsageError(f"malformed CSV value near line {reader.line_num} of {path}")
+        try:
+            columns = set(reader.fieldnames or ())
+            missing = {"E", "value"} - columns
+            if missing:
+                raise UsageError(f"input CSV lacks required columns: {sorted(missing)}")
+            for column, value in (("n", n_filter), ("quantity", quantity_filter)):
+                if value is not None and column not in columns:
+                    raise UsageError(f"input CSV has no {column!r} column for --{column} to filter on")
+            for row in reader:
+                try:
+                    if n_filter is not None and int(float(row["n"])) != n_filter:
+                        continue
+                    if quantity_filter is not None and row["quantity"] != quantity_filter:
+                        continue
+                    data.append((float(row["E"]), float(row["value"])))
+                except (TypeError, ValueError):
+                    raise UsageError(f"malformed CSV value near line {reader.line_num} of {path}")
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise UsageError(f"unreadable CSV {path}: {exc}")
     if not data:
         raise UsageError("no data rows left after filtering")
     return data

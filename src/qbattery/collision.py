@@ -3,12 +3,13 @@
 Each collision couples qubit 2 to one fresh thermal spin for a duration
 delta_t through the joint propagator exp(-j*tau*H_total), then traces the
 spin out.  On the battery alone this is a linear map, one 16x16 transfer
-matrix per tau acting on the row-major vec(rho); `run_collisions` applies
-stacks of them and is the package's only loop over collisions.  Fresh spins
-carry no memory, so every full collision applies the same map; *within* a
-collision the reduced dynamics is sampled from the collision's initial
-boundary state, which keeps the intra-collision spin-battery correlations
-exact.
+matrix per tau acting on the row-major vec(rho).  Fresh spins carry no
+memory, so every full collision applies the same map T, and an endpoint
+after n full collisions is one product with T**n (`collision_power`).
+`run_collisions`, the package's only loop over collisions, serves the
+trajectories that need every sample.  *Within* a collision the reduced
+dynamics is sampled from the collision's initial boundary state, which
+keeps the intra-collision spin-battery correlations exact.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def transfer_stack(p: ModelParams, taus: tuple[float, ...]) -> np.ndarray:
     stack = np.einsum("b,tisjb,tksmb->tikjm", pops, u, u.conj()).reshape(-1, 16, 16)
     stack.flags.writeable = False
     return stack
+
+
+def collision_power(p: ModelParams, n: int) -> np.ndarray:
+    """T**n, the 16x16 map of n full collisions on row-major vec(rho)."""
+    return np.linalg.matrix_power(transfer_stack(p, (p.delta_t,))[0], n)
 
 
 def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:

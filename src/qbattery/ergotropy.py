@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import Trajectory, _require_state, run_collisions
+from .collision import Trajectory, _require_state, collision_power
 from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import SIGMA_Z, ModelParams, battery_hamiltonian
@@ -99,7 +99,7 @@ def ergotropy_after_collisions(
     state = _require_state(rho0, "rho0")
     if n < 0:
         raise ValueError(f"collision count must be >= 0, got {n}")
-    return float(work(run_collisions(state, n, (p.delta_t,), p)[-1]))
+    return float(work((collision_power(p, n) @ state.reshape(16)).reshape(4, 4)))
 
 
 def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
@@ -131,7 +131,8 @@ def max_work_fixed_entanglement(
     quantity "G_p": direct yield of the locally passive initial state (no
     optimization; its free phase cannot change the yield, see the module
     docstring).  "G"/"L": global or local yield maximized over the 6-angle
-    fixed-entanglement family by seeded multi-start search.
+    fixed-entanglement family by seeded multi-start search, with T**n taken
+    once per search.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
@@ -143,10 +144,11 @@ def max_work_fixed_entanglement(
         return WorkRecord(ergotropy_after_collisions(rho0, n, p, mode))
     work = _yield_of(p, mode)
     base = fixed_entanglement_state(entanglement, np.zeros(6))  # the Schmidt normal form
+    power = collision_power(p, n)
 
     def objective(angles):
         c = _local_unitary(angles) @ base
-        return work(run_collisions(np.outer(c, c.conj()), n, (p.delta_t,), p)[-1])
+        return work((power @ (c[:, None] * c.conj()).reshape(16)).reshape(4, 4))
 
     _, value, report = multistart_maximize(objective, 6, settings)
     return WorkRecord(value, report)

@@ -7,6 +7,9 @@ negativity, which runs from 0 to 1 ebit for two qubits.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .linalg import ContractViolation
@@ -68,12 +71,17 @@ def locally_passive_state(entanglement: float, phase: float = 0.0) -> np.ndarray
 
 
 def single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Rz(alpha) @ Ry(beta) @ Rz(gamma), covering SU(2) up to global phase."""
-    rz_a = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
-    rz_g = np.diag([np.exp(-0.5j * gamma), np.exp(0.5j * gamma)])
-    cb, sb = np.cos(0.5 * beta), np.sin(0.5 * beta)
-    ry = np.array([[cb, -sb], [sb, cb]], dtype=complex)
-    return rz_a @ ry @ rz_g
+    """Rz(alpha) @ Ry(beta) @ Rz(gamma), covering SU(2) up to global phase.
+
+    Written out entry by entry: with Rz(x) = diag(exp(-jx/2), exp(jx/2)) and
+    Ry(b) = [[cos b/2, -sin b/2], [sin b/2, cos b/2]], the product is
+    [[s* cos, -d* sin], [d sin, s cos]] for the phases
+    s = exp(j(alpha + gamma)/2) and d = exp(j(alpha - gamma)/2).
+    """
+    cb, sb = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    s = cmath.exp(0.5j * (alpha + gamma))
+    d = cmath.exp(0.5j * (alpha - gamma))
+    return np.array([[s.conjugate() * cb, -d.conjugate() * sb], [d * sb, s * cb]])
 
 
 def _local_unitary(a) -> np.ndarray:

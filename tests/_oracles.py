@@ -91,6 +91,16 @@ def local_ergotropy_numeric(
     return multistart_maximize(extracted, 6, settings)[1]
 
 
+def euler_product_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Reference for qbattery.states.single_qubit_unitary: the matrix product
+    Rz(alpha) @ Ry(beta) @ Rz(gamma) of the three rotations."""
+    rz_a = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
+    rz_g = np.diag([np.exp(-0.5j * gamma), np.exp(0.5j * gamma)])
+    cb, sb = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    ry = np.array([[cb, -sb], [sb, cb]], dtype=complex)
+    return rz_a @ ry @ rz_g
+
+
 def kron_fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
     """Reference for qbattery.states.fixed_entanglement_state: the local
     unitaries applied to the Schmidt normal form through np.kron."""

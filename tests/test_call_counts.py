@@ -3,8 +3,8 @@
 A transfer stack over a whole tau grid takes one eigendecomposition of one
 collision Hamiltonian, and an objective evaluation of the G/L search
 diagonalises only the evolved state (L: its two marginals); the battery
-spectra are taken once per search.  Counts, not timings, so the guard does
-not depend on the host's speed.
+spectra and the n-collision map T**n are taken once per search.  Counts,
+not timings, so the guard does not depend on the host's speed.
 """
 
 import numpy as np
@@ -75,3 +75,24 @@ def test_objective_builds_no_state_through_the_checked_path(monkeypatch, quantit
     projectors = counted(monkeypatch, ergotropy, "projector")
     objective(np.linspace(0.2, 1.7, 6))
     assert (len(states), len(projectors)) == (0, 0)
+
+
+@pytest.mark.parametrize("quantity", ["G", "L"])
+def test_objective_evaluation_applies_the_search_power(monkeypatch, quantity):
+    """T**n is built once per search: an n=30 evaluation runs no collision
+    loop and takes no matrix power."""
+    objectives = []
+
+    def capture(objective, dim, settings=None):
+        objectives.append(objective)
+        return np.zeros(dim), 0.0, None
+
+    monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
+    ergotropy.max_work_fixed_entanglement(0.6, 30, ModelParams(k=0.8), quantity)
+    (objective,) = objectives
+    angles = np.linspace(0.2, 1.7, 6)
+    first = objective(angles)
+    loops = counted(monkeypatch, collision, "run_collisions")
+    powers = counted(monkeypatch, np.linalg, "matrix_power")
+    assert objective(angles) == first
+    assert (len(loops), len(powers)) == (0, 0)

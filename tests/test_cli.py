@@ -448,6 +448,14 @@ class TestRejectedRuns:
         data.unlink()
         self.assert_rejected(tmp_path, capsys, code)
 
+    def test_overlong_csv_field(self, tmp_path, capsys):
+        # the csv module refuses a field over its 131,072-character limit
+        data = tmp_path / "in.csv"
+        data.write_text("E,value\n0." + "1" * 200_000 + ",1.0\n0.5,0.8\n1.0,0.2\n")
+        code = run("fit", "--model", "M1", "--input", data, "--output", tmp_path / "f.json")
+        data.unlink()
+        self.assert_rejected(tmp_path, capsys, code)
+
     @pytest.mark.parametrize("flag, value, column", [("--n", 7, "'n'"), ("--quantity", "G", "'quantity'")])
     def test_missing_filter_column(self, tmp_path, capsys, flag, value, column):
         data = tmp_path / "in.csv"

@@ -12,7 +12,7 @@ from qbattery.states import (
 )
 from qbhelpers import random_pure_state, rng
 
-from _oracles import kron_fixed_entanglement_state, log_negativity, partial_trace
+from _oracles import euler_product_unitary, kron_fixed_entanglement_state, log_negativity, partial_trace
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -180,3 +180,10 @@ class TestHelpers:
         for _ in range(5):
             u = single_qubit_unitary(*gen.uniform(0, 2 * np.pi, size=3))
             assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+
+    def test_single_qubit_unitary_matches_euler_product(self):
+        gen = rng(61)
+        for alpha, beta, gamma in gen.uniform(-4 * np.pi, 4 * np.pi, size=(2000, 3)):
+            u = single_qubit_unitary(alpha, beta, gamma)
+            assert u.dtype == np.complex128
+            assert np.abs(u - euler_product_unitary(alpha, beta, gamma)).max() <= 1e-14

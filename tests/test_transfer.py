@@ -1,6 +1,7 @@
 """The transfer-matrix core against the dense joint-space oracle and the
 closed-form collision unitary, and its physical invariants as properties
-over random model parameters."""
+over random model parameters.  The n-collision map T**n is checked against
+the same oracle and against the collision-by-collision loop."""
 
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.collision import run_collisions, transfer_stack
-from qbattery.ergotropy import global_ergotropy, local_ergotropy
+from qbattery.collision import collision_power, run_collisions, transfer_stack
+from qbattery.ergotropy import ergotropy_after_collisions, global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
@@ -68,6 +69,36 @@ class TestDenseOracle:
     def test_first_sample_is_input(self):
         rho = random_density_matrix(rng(705), 4)
         assert np.array_equal(run_collisions(rho, 3, [0.1, 0.2], ModelParams())[0], rho)
+
+
+class TestCollisionPower:
+    COUNTS = (0, 1, 2, 7, 30, 100)
+
+    def cases(self, seed):
+        gen = rng(seed)
+        for case in range(12):
+            p = random_params(gen)
+            yield (replace(p, k=0.0) if case % 3 == 0 else p), gen
+
+    def test_state_matches_dense_oracle(self):
+        for p, gen in self.cases(711):
+            rho = random_density_matrix(gen, 4)
+            s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
+            diff = np.outer(s1, s1.conj()) - np.outer(s2, s2.conj())
+            for start in (rho, diff):
+                dense = dense_collisions(start, max(self.COUNTS), (p.delta_t,), p)
+                for n in self.COUNTS:
+                    got = (collision_power(p, n) @ start.reshape(16)).reshape(4, 4)
+                    assert np.abs(got - dense[n]).max() <= 1e-12
+
+    def test_ergotropy_matches_collision_loop(self):
+        for p, gen in self.cases(713):
+            rho = random_density_matrix(gen, 4)
+            loop = run_collisions(rho, max(self.COUNTS), (p.delta_t,), p)
+            h = battery_hamiltonian(p)
+            for n in self.COUNTS:
+                assert abs(ergotropy_after_collisions(rho, n, p) - global_ergotropy(loop[n], h)) <= 1e-12
+                assert abs(ergotropy_after_collisions(rho, n, p, "local") - local_ergotropy(loop[n], p)) <= 1e-12
 
 
 class TestClosedFormOracle:
