@@ -162,24 +162,37 @@ def resolve_config(args) -> dict:
 # output helpers
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):  # nearly every cell; np.float64 is a float
-        return "%.17g" % value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _cell_format(value) -> str:
+    if isinstance(value, bool):  # before int: bool is an int
+        return "%s"
     if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    return str(value)
+        return "%.17g"
+    if isinstance(value, (int, np.integer)):
+        return "%d"
+    return "%s"
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Write header and rows as CSV with CRLF line ends, as csv.writer does.
+
+    Each row goes through one %-format built from the first row's cell
+    types: %.17g for floats, %d for ints, plain text for strings, true/false
+    for booleans.  So every column must keep one type and no cell may need
+    CSV quoting; the commands write only numbers, booleans and quantity
+    names.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
+        fmt = bools = None
         for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+            if fmt is None:
+                fmt = ",".join(map(_cell_format, row)) + "\r\n"
+                bools = [i for i, v in enumerate(row) if isinstance(v, bool)]
+            if bools:
+                row = list(row)
+                for i in bools:
+                    row[i] = "true" if row[i] else "false"
+            fh.write(fmt % tuple(row))
 
 
 def write_manifest(path: str, command: str, started: float, outputs: list[str], **fields) -> None:

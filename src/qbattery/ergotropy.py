@@ -11,10 +11,22 @@ qubit 1.  R commutes with the battery Hamiltonian and with the collision
 Hamiltonian (its only qubit-1 term is qubit 1's energy), so n collisions
 give R rho_n R^dagger, whose spectrum and energy are rho_n's: G_p does not
 depend on the phase, and none is searched.
+
+The same holds for G and L, with any z rotations R1 (x) R2.  The collision
+channel is phase covariant: besides qubit 1's energy, the collision
+Hamiltonian conserves the excitations of qubit 2 and the spin, and the fresh
+spin is diagonal, so a collision maps R rho R^dagger to R rho' R^dagger.  R is
+diagonal, so it commutes with the battery Hamiltonian and the work yields of
+R rho_n R^dagger are rho_n's, marginals included.  Of the six Euler angles of
+U1 (x) U2 = Rz(a1)Ry(b1)Rz(g1) (x) Rz(a2)Ry(b2)Rz(g2), the outer a1 and a2
+are such rotations, and the inner g1, g2 only put the phases
+exp(-+j(g1 + g2)/2) on the Schmidt terms |00> and |11>.  So G and L depend on
+(b1, g1 + g2, b2) alone, and the search runs over those three angles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +36,8 @@ from .collision import collision_propagator  # noqa: F401  unused; perfbench wra
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import SIGMA_Z, ModelParams, battery_hamiltonian
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
-from .states import _local_unitary, fixed_entanglement_state, locally_passive_state, projector
+from .states import _rotated_schmidt_state, locally_passive_state, projector, schmidt_lambdas_from_entanglement
+from .states import fixed_entanglement_state  # noqa: F401  unused; perfbench wraps it by this module's name
 
 # The work yield each quantity reports: G_p and G the global one, L the local one.
 MODES = {"G_p": "global", "G": "global", "L": "local"}
@@ -130,9 +143,10 @@ def max_work_fixed_entanglement(
 
     quantity "G_p": direct yield of the locally passive initial state (no
     optimization; its free phase cannot change the yield, see the module
-    docstring).  "G"/"L": global or local yield maximized over the 6-angle
-    fixed-entanglement family by seeded multi-start search, with T**n taken
-    once per search.
+    docstring).  "G"/"L": global or local yield maximized over the
+    fixed-entanglement family by seeded multi-start search over the three
+    angles (b1, g1, b2) that the yield depends on (module docstring), with
+    T**n taken once per search.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
@@ -143,12 +157,12 @@ def max_work_fixed_entanglement(
         rho0 = projector(locally_passive_state(entanglement))
         return WorkRecord(ergotropy_after_collisions(rho0, n, p, mode))
     work = _yield_of(p, mode)
-    base = fixed_entanglement_state(entanglement, np.zeros(6))  # the Schmidt normal form
+    roots = [math.sqrt(lam) for lam in schmidt_lambdas_from_entanglement(entanglement)]
     power = collision_power(p, n)
 
     def objective(angles):
-        c = _local_unitary(angles) @ base
+        c = _rotated_schmidt_state(*roots, *angles)
         return work((power @ (c[:, None] * c.conj()).reshape(16)).reshape(4, 4))
 
-    _, value, report = multistart_maximize(objective, 6, settings)
+    _, value, report = multistart_maximize(objective, 3, settings)
     return WorkRecord(value, report)

@@ -3,6 +3,8 @@
 The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
+The G/L search over all six Euler angles and the csv.writer path are
+references for package code that reaches the same result with less work.
 The backflow oracles deliberately avoid the package's optimizer,
 orthogonal-pair parametrization and transfer-matrix core: pairs are two
 *independent* pure states from a plain spherical chart, sampled with a
@@ -13,10 +15,13 @@ the values frozen in the test modules were produced by these functions.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 from scipy.stats import qmc
 
-from qbattery.collision import collision_propagator
+from qbattery.collision import collision_power, collision_propagator
+from qbattery.ergotropy import MODES, _yield_of
 from qbattery.linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
 from qbattery.model import ModelParams, battery_hamiltonian, total_collision_hamiltonian
 from qbattery.optimize import OptimizerSettings, multistart_maximize
@@ -213,3 +218,40 @@ def dense_backflow_lower_bound(
             prev = dist
         best = max(best, float(acc.max()))
     return best
+
+
+def six_angle_max_work(
+    entanglement: float, n: int, p: ModelParams, quantity: str, settings: OptimizerSettings | None = None
+) -> float:
+    """Reference for the G and L searches of
+    qbattery.ergotropy.max_work_fixed_entanglement: the same multi-start
+    search, but over all six Euler angles of U1 (x) U2, each state built
+    through np.kron."""
+    work = _yield_of(p, MODES[quantity])
+    power = collision_power(p, n)
+
+    def objective(angles):
+        c = kron_fixed_entanglement_state(entanglement, angles)
+        return work((power @ np.outer(c, c.conj()).reshape(16)).reshape(4, 4))
+
+    return multistart_maximize(objective, 6, settings)[1]
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % value
+    return str(value)
+
+
+def csv_module_write(path: str, header: list[str], rows) -> None:
+    """Reference for qbattery.cli.write_csv: the standard csv.writer, each
+    cell formatted on its own."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row])

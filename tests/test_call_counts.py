@@ -44,13 +44,14 @@ def test_objective_evaluation(monkeypatch, quantity, spectra, n):
     objectives = []
 
     def capture(objective, dim, settings=None):
-        objectives.append(objective)
+        objectives.append((objective, dim))
         return np.zeros(dim), 0.0, None
 
     monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
     ergotropy.max_work_fixed_entanglement(0.6, n, ModelParams(k=0.8), quantity)
-    (objective,) = objectives
-    angles = np.linspace(0.2, 1.7, 6)
+    ((objective, dim),) = objectives
+    assert dim == 3
+    angles = np.linspace(0.2, 1.7, dim)
     first = objective(angles)  # builds the transfer stack the search shares
     kron = counted(monkeypatch, np, "kron")
     eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
@@ -65,15 +66,16 @@ def test_objective_builds_no_state_through_the_checked_path(monkeypatch, quantit
     objectives = []
 
     def capture(objective, dim, settings=None):
-        objectives.append(objective)
+        objectives.append((objective, dim))
         return np.zeros(dim), 0.0, None
 
     monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
     ergotropy.max_work_fixed_entanglement(0.6, 7, ModelParams(k=0.8), quantity)
-    (objective,) = objectives
+    ((objective, dim),) = objectives
+    assert dim == 3
     states = counted(monkeypatch, ergotropy, "fixed_entanglement_state")
     projectors = counted(monkeypatch, ergotropy, "projector")
-    objective(np.linspace(0.2, 1.7, 6))
+    objective(np.linspace(0.2, 1.7, dim))
     assert (len(states), len(projectors)) == (0, 0)
 
 
@@ -84,13 +86,14 @@ def test_objective_evaluation_applies_the_search_power(monkeypatch, quantity):
     objectives = []
 
     def capture(objective, dim, settings=None):
-        objectives.append(objective)
+        objectives.append((objective, dim))
         return np.zeros(dim), 0.0, None
 
     monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
     ergotropy.max_work_fixed_entanglement(0.6, 30, ModelParams(k=0.8), quantity)
-    (objective,) = objectives
-    angles = np.linspace(0.2, 1.7, 6)
+    ((objective, dim),) = objectives
+    assert dim == 3
+    angles = np.linspace(0.2, 1.7, dim)
     first = objective(angles)
     loops = counted(monkeypatch, collision, "run_collisions")
     powers = counted(monkeypatch, np.linalg, "matrix_power")

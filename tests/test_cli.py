@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from qbattery.cli import main, parse_number_list
+from qbattery.cli import main, parse_number_list, write_csv
 from qbattery.states import schmidt_gap
+
+from _oracles import csv_module_write
 
 
 def read_csv(path):
@@ -33,6 +35,23 @@ class TestParseNumberList:
             parse_number_list("1,two")
         with pytest.raises(UsageError):
             parse_number_list("1:0")
+
+
+class TestWriteCsv:
+    def test_matches_the_csv_module(self, tmp_path):
+        """One %-format per file writes the bytes csv.writer wrote, CRLF
+        line ends included."""
+        header = ["name", "x", "y", "i", "j", "flag", "other"]
+        rows = [
+            ("G_p", 0.1, np.float64(-2.5e-17), 3, np.int64(-7), True, False),
+            ("L", 1.0, np.float64(np.nan), 0, np.int64(2**40), False, True),
+            ("G", 1e300, np.float64(np.inf), -12, np.int64(0), True, True),
+        ]
+        write_csv(tmp_path / "new.csv", header, rows)
+        csv_module_write(tmp_path / "old.csv", header, rows)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\r\n") == 4
 
 
 class TestSweepCommand:

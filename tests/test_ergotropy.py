@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qbattery.collision import fine_trajectory
 from qbattery.ergotropy import (
@@ -14,10 +16,11 @@ from qbattery.ergotropy import (
 from qbattery.linalg import ContractViolation
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.optimize import OptimizerSettings
-from qbattery.states import locally_passive_state, projector, schmidt_gap
+from qbattery.states import fixed_entanglement_state, locally_passive_state, projector, schmidt_gap
 from qbhelpers import haar_unitaries, random_density_matrix, random_params, rng
 
-from _oracles import local_ergotropy_numeric
+from _oracles import local_ergotropy_numeric, six_angle_max_work
+from test_transfer import PROPERTY, params_st
 
 P = ModelParams()
 H12 = battery_hamiltonian(P)
@@ -235,3 +238,27 @@ class TestMaxWorkFixedEntanglement:
         with pytest.raises(ValueError, match="collision count must be >= 0"):
             settings = OptimizerSettings(starts=1, seed=0, max_evals=20)
             max_work_fixed_entanglement(0.5, -1, P, quantity, settings)
+
+
+class TestSearchedAngles:
+    """G and L depend on the Euler angles (b1, g1 + g2, b2) alone (the
+    ergotropy module docstring), so their search runs over three angles."""
+
+    @PROPERTY
+    @given(params_st, st.floats(0.0, 1.0), st.integers(0, 39), st.tuples(*[st.floats(-2 * np.pi, 2 * np.pi)] * 6))
+    def test_yields_ignore_the_other_three_angles(self, p, e, n, angles):
+        _, b1, g1, _, b2, g2 = angles
+        full = projector(fixed_entanglement_state(e, angles))
+        reduced = projector(fixed_entanglement_state(e, (0.0, b1, g1 + g2, 0.0, b2, 0.0)))
+        for mode in ("global", "local"):
+            want = ergotropy_after_collisions(full, n, p, mode)
+            assert abs(ergotropy_after_collisions(reduced, n, p, mode) - want) <= 1e-13
+
+    @pytest.mark.parametrize("quantity", ["G", "L"])
+    @pytest.mark.parametrize("e", [0.2, 0.6, 0.9])
+    @pytest.mark.parametrize("n", [0, 7, 30])
+    def test_reaches_the_six_angle_maximum(self, quantity, e, n):
+        p = ModelParams(k=0.8)
+        six = six_angle_max_work(e, n, p, quantity, OptimizerSettings(starts=2, seed=11, max_evals=1200))
+        three = max_work_fixed_entanglement(e, n, p, quantity, OptimizerSettings(starts=4, seed=11)).value
+        assert three >= six - 1e-12
