@@ -13,7 +13,8 @@ Configuration comes from an INI file (sections [model], [optimizer],
 Every simulation command requires a seed; there is no entropy default.
 Outputs are CSV/JSON with full double precision, and each run writes a
 manifest recording the resolved configuration, so identical config + seed
-reproduce byte-identical data files regardless of --threads.
+reproduce byte-identical data files.  Grid points run one after another,
+each with its own seed derived from the base seed and the point's index.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 contract violation.
@@ -210,15 +211,6 @@ def write_manifest(path: str, command: str, started: float, outputs: list[str], 
         fh.write("\n")
 
 
-def _parallel_map(func, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
-
 # ---------------------------------------------------------------------------
 # commands: each writes the data files main planned; fit returns its manifest fields
 
@@ -238,16 +230,13 @@ def cmd_sweep(args, cfg: dict, outputs: list[str]) -> None:
     schmidt_gap(e_list)  # every E in [0, 1] before any search
     base_settings = OptimizerSettings(**cfg["optimizer"])
     couplings = [replace(params, k=k) for k in k_list]
-    grid = list(enumerate((e, n, p) for e in e_list for n in n_list for p in couplings))
-
-    def run_point(point):
-        idx, (e, n, p) = point
+    grid = ((e, n, p) for e in e_list for n in n_list for p in couplings)
+    rows = []
+    for idx, (e, n, p) in enumerate(grid):
         record = max_work_fixed_entanglement(e, n, p, quantity, settings=base_settings.for_grid_index(idx))
         rep = record.report
         search = (base_settings.starts, rep.best_start, rep.converged) if rep else (0, 0, True)
-        return (quantity, e, n, p.k, p.delta_t, record.value, *search)
-
-    rows = _parallel_map(run_point, grid, args.threads)
+        rows.append((quantity, e, n, p.k, p.delta_t, record.value, *search))
     header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "best_start", "converged"]
     write_csv(args.output, header, rows)
 
@@ -271,15 +260,12 @@ def cmd_trajectory(args, cfg: dict, outputs: list[str]) -> None:
     if not dt_list:
         raise UsageError("empty delta_t list")
     rho0 = projector(_trajectory_initial_state(quantity, tcfg["entanglement"]))
-    points = [replace(params, delta_t=dt) for dt in dt_list]
-
-    def run_dt(p):
+    points = [replace(params, delta_t=dt) for dt in dt_list]  # every delta_t checked before any work
+    rows = []
+    for p in points:
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
         values = trajectory_work(traj, MODES[quantity])
-        return [(p.delta_t, t, int(ci), v) for t, ci, v in zip(traj.times, traj.collision_index, values)]
-
-    blocks = _parallel_map(run_dt, points, args.threads)
-    rows = [row for block in blocks for row in block]
+        rows.extend((p.delta_t, t, int(ci), v) for t, ci, v in zip(traj.times, traj.collision_index, values))
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], rows)
 
 
@@ -290,15 +276,13 @@ def cmd_blp(args, cfg: dict, outputs: list[str]) -> None:
     if not dt_list:
         raise UsageError("empty delta_t list")
     grid_points = bcfg["grid_points"]
-    points = [replace(params, k=bcfg["k"], delta_t=dt) for dt in dt_list]
+    points = [replace(params, k=bcfg["k"], delta_t=dt) for dt in dt_list]  # checked before any work
     base_settings = OptimizerSettings(**cfg["optimizer"])
-
-    def run_dt(point):
-        idx, p = point
-        settings = base_settings.for_grid_index(idx)
-        return blp_measure(p.delta_t, p, settings=settings, grid_points=grid_points, collisions=bcfg["collisions"])
-
-    results = _parallel_map(run_dt, list(enumerate(points)), args.threads)
+    results = [
+        blp_measure(p.delta_t, p, settings=base_settings.for_grid_index(idx),
+                    grid_points=grid_points, collisions=bcfg["collisions"])
+        for idx, p in enumerate(points)
+    ]
     rows = [(p.delta_t, r.q_n, grid_points, base_settings.starts, r.report.converged) for p, r in zip(points, results)]
     write_csv(args.output, ["delta_t", "Q_N", "grid_points", "starts", "converged"], rows)
     for r, path in zip(results, outputs[1:]):
@@ -364,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_optimizer=True):
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--seed", dest="optimizer.seed", type=int, help="base RNG seed (required)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1, help="accepted and checked (>= 1); has no effect")
         p.add_argument("--output", required=True, help="output CSV path")
         if with_optimizer:
             p.add_argument("--starts", dest="optimizer.starts", type=int, help="multi-start count")
@@ -474,9 +458,9 @@ def main(argv=None) -> int:
         manifest = args.output + ".manifest.json"
         _check_run(args, [*outputs, manifest])
         fields = args.func(args, cfg, outputs)
-        if cfg is not None:  # a simulation records its seed, threads and resolved configuration
+        if cfg is not None:  # a simulation records its seed and resolved configuration
             config = {section: cfg[section] for section in DEFAULTS}
-            fields = {"seed": cfg["optimizer"]["seed"], "threads": args.threads, "config": config}
+            fields = {"seed": cfg["optimizer"]["seed"], "config": config}
         write_manifest(manifest, args.command, started, outputs, **fields)
         return 0
     except ContractViolation as exc:

@@ -29,7 +29,8 @@ class OptimizerSettings:
 
     def for_grid_index(self, index: int) -> "OptimizerSettings":
         """Derived settings whose seed is a pure function of (seed, index), so
-        sweep results do not depend on execution order or thread count."""
+        each grid point's result depends only on the base seed and its place
+        in the grid."""
         return replace(self, seed=self.seed * 1_000_003 + index)
 
 

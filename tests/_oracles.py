@@ -23,7 +23,7 @@ from scipy.stats import qmc
 from qbattery.collision import collision_power, collision_propagator
 from qbattery.ergotropy import MODES, _yield_of
 from qbattery.linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
-from qbattery.model import ModelParams, battery_hamiltonian, total_collision_hamiltonian
+from qbattery.model import SIGMA_Z, ModelParams, battery_hamiltonian, total_collision_hamiltonian
 from qbattery.optimize import OptimizerSettings, multistart_maximize
 from qbattery.states import schmidt_lambdas_from_entanglement, single_qubit_unitary
 
@@ -94,6 +94,19 @@ def local_ergotropy_numeric(
         return e_in - float(np.trace(u @ r @ u.conj().T @ h12).real)
 
     return multistart_maximize(extracted, 6, settings)[1]
+
+
+def marginal_local_work(r, p: ModelParams) -> np.ndarray:
+    """Reference for the package's closed-form local yield of a (..., 4, 4)
+    stack: each qubit's marginal by partial trace, its ergotropy from the
+    2x2 spectrum, and their sum."""
+    blocks = np.asarray(r, dtype=complex).reshape(np.shape(r)[:-2] + (2, 2, 2, 2))
+    total = 0.0
+    for e, marginal in ((p.e1, np.einsum("...isjs->...ij", blocks)), (p.e2, np.einsum("...sisj->...ij", blocks))):
+        h = e * SIGMA_Z
+        rho_desc = np.linalg.eigvalsh(marginal)[..., ::-1]
+        total = total + np.trace(marginal @ h, axis1=-2, axis2=-1).real - rho_desc @ np.linalg.eigvalsh(h)
+    return total
 
 
 def euler_product_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:

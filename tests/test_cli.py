@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -354,6 +355,25 @@ class TestDeterminism:
         assert run(*argv_base, "--output", out1, "--threads", 2) == 0
         assert run(*argv_base, "--output", out2, "--threads", 3) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestSerialRun:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--quantity", "G", "--entanglements", "0.3,0.7", "--collisions", "2"),
+        ("blp", "--delta-ts", "0.9,1.1", "--grid-points", 20),
+    ])
+    def test_no_thread_starts(self, tmp_path, monkeypatch, argv):
+        """Grid points run in one loop: --threads is accepted, starts no
+        thread and is not recorded."""
+        def no_thread(self):
+            raise AssertionError("a command started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--seed", 3, "--starts", 1, "--max-evals", 40, "--threads", 4, "--output", out) == 0
+        assert len(read_csv(out)) == 2
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert "threads" not in manifest
 
 
 class TestRangeItems:

@@ -17,9 +17,9 @@ from qbattery.linalg import ContractViolation
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.optimize import OptimizerSettings
 from qbattery.states import fixed_entanglement_state, locally_passive_state, projector, schmidt_gap
-from qbhelpers import haar_unitaries, random_density_matrix, random_params, rng
+from qbhelpers import haar_unitaries, random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import local_ergotropy_numeric, six_angle_max_work
+from _oracles import local_ergotropy_numeric, marginal_local_work, six_angle_max_work
 from test_transfer import PROPERTY, params_st
 
 P = ModelParams()
@@ -118,6 +118,16 @@ class TestLocalErgotropy:
         c = np.zeros(4)
         c[0], c[3] = np.sqrt(0.5 * (1 + gap)), np.sqrt(0.5 * (1 - gap))
         assert np.isclose(local_ergotropy(projector(c), P), 6.0 * gap, atol=1e-9)
+
+    @PROPERTY
+    @given(params_st, st.integers(0, 2**32 - 1))
+    def test_closed_form_matches_marginal_spectra(self, p, seed):
+        gen = rng(seed)
+        states = [random_density_matrix(gen, 4) for _ in range(4)]
+        states += [projector(random_pure_state(gen)) for _ in range(4)]
+        want = marginal_local_work(np.array(states), p)
+        for rho, w in zip(states, want):
+            assert abs(local_ergotropy(rho, p) - w) <= 1e-13
 
     def test_matches_numeric_maximization(self):
         gen = rng(233)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qbattery.model import ModelParams
 from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
@@ -7,6 +11,7 @@ from qbattery.optimize import OptimizerSettings
 from qbhelpers import random_pure_state, rng
 
 from _oracles import blp_functional, dense_backflow_lower_bound
+from test_transfer import PROPERTY, seed_st
 
 P = ModelParams()
 
@@ -63,6 +68,32 @@ class TestDistinguishabilityTrace:
         assert len(trace) == 11
         assert np.allclose(trace[:, 0], np.linspace(0, 0.5, 11))
         assert np.isclose(trace[0, 1], 1.0)  # orthogonal pair starts at D=1
+
+
+class TestCutoffTime:
+    """Backflow sets in at the closed-form cut-off time tau* = pi/(2*Omega),
+    Omega = sqrt((e2 - h)**2 + 4k**2), where qubit 2's coherence factor
+    first turns (Breuer, Laine & Piilo, PRL 103, 210401 (2009)): before it
+    D never grows for any orthogonal pair; after it the equatorial pair's D
+    grows."""
+
+    POLE = (np.array([1, 0, 0, 0], complex), np.array([0, 1, 0, 0], complex))
+    EQUATOR = (np.array([1, 1, 0, 0], complex) / math.sqrt(2), np.array([1, -1, 0, 0], complex) / math.sqrt(2))
+
+    @PROPERTY
+    @given(st.floats(0.01, 4.0), st.floats(-0.85, 0.66), st.floats(0.35, 1.5), st.floats(0.7, 1.5), seed_st)
+    def test_backflow_begins_at_the_cutoff(self, beta_h, detuning, k, e2, seed):
+        h = e2 - detuning
+        cutoff = math.pi / (2.0 * math.hypot(detuning, 2.0 * k))
+        p = ModelParams(e1=e2 + 1.0, e2=e2, h=h, k=k, beta=beta_h / h, delta_t=1.3 * cutoff)
+        taus = np.array(window(p.delta_t, 130))
+        before = taus <= 0.98 * cutoff  # increments of D that end by 0.98 tau*
+        after = taus - taus[0] >= cutoff  # increments that begin at tau* or later
+        gen = rng(seed)
+        pairs = [self.POLE, self.EQUATOR] + [pair_from_angles(gen.uniform(0, 2 * np.pi, 10)) for _ in range(8)]
+        steps = [np.diff(_distance_samples(s1, s2, p, tuple(taus))) for s1, s2 in pairs]
+        assert max(s[before].max() for s in steps) <= 1e-12
+        assert np.maximum(steps[1][after], 0.0).sum() > 0.01
 
 
 class TestBlpFunctional:
