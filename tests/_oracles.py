@@ -3,8 +3,9 @@
 The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
-The G/L search over all six Euler angles and the csv.writer path are
-references for package code that reaches the same result with less work.
+The G/L search over all six Euler angles, the csv.writer path and scipy's
+scrambled Halton sampler are references for package code that reaches the
+same result with less work.
 The backflow oracles deliberately avoid the package's optimizer,
 orthogonal-pair parametrization and transfer-matrix core: pairs are two
 *independent* pure states from a plain spherical chart, sampled with a
@@ -24,7 +25,7 @@ from qbattery.collision import collision_power, collision_propagator
 from qbattery.ergotropy import MODES, _yield_of
 from qbattery.linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
 from qbattery.model import SIGMA_Z, ModelParams, battery_hamiltonian, total_collision_hamiltonian
-from qbattery.optimize import OptimizerSettings, multistart_maximize
+from qbattery.optimize import SPAN, OptimizerSettings, multistart_maximize
 from qbattery.states import schmidt_lambdas_from_entanglement, single_qubit_unitary
 
 
@@ -248,6 +249,16 @@ def six_angle_max_work(
         return work((power @ np.outer(c, c.conj()).reshape(16)).reshape(4, 4))
 
     return multistart_maximize(objective, 6, settings)[1]
+
+
+def scipy_start_points(dim: int, settings: OptimizerSettings) -> np.ndarray:
+    """Reference for qbattery.optimize.start_points: the zero vector, then
+    scipy's scrambled Halton draw for the settings' seed."""
+    pts = np.zeros((settings.starts, dim))
+    if settings.starts > 1:
+        rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
+        pts[1:] = qmc.Halton(d=dim, scramble=True, seed=rng).random(settings.starts - 1) * SPAN
+    return pts
 
 
 def _csv_cell(value) -> str:

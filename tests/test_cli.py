@@ -512,6 +512,19 @@ class TestRejectedRuns:
         self.assert_rejected(tmp_path, capsys, code)
 
     @pytest.mark.parametrize("argv", [
+        ("sweep", "--quantity", "G", "--collisions", "0", "--entanglements", "0.5"),
+        ("sweep", "--quantity", "G_p", "--collisions", "0", "--entanglements", "0.5"),
+        ("blp", "--delta-ts", "1.6", "--grid-points", 10),
+    ])
+    def test_impossible_start_count(self, tmp_path, capsys, argv):
+        # 10**11 starts once ended in an allocation traceback
+        code = run(*argv, "--seed", 1, "--output", tmp_path / "x.csv", "--starts", 100_000_000_000)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "starts must be in [1, 100000], got 100000000000" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ("sweep", "--entanglements", "nan", "--collisions", "0"),
         ("trajectory", "--entanglement", "nan", "--collisions", 1, "--substeps", 2),
     ])

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qbattery.collision import fine_trajectory
+from qbattery.ergotropy import trajectory_work
 from qbattery.model import ModelParams
 from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
 from qbattery.optimize import OptimizerSettings
+from qbattery.states import locally_passive_state, projector
 from qbhelpers import random_pure_state, rng
 
 from _oracles import blp_functional, dense_backflow_lower_bound
@@ -75,7 +78,8 @@ class TestCutoffTime:
     Omega = sqrt((e2 - h)**2 + 4k**2), where qubit 2's coherence factor
     first turns (Breuer, Laine & Piilo, PRL 103, 210401 (2009)): before it
     D never grows for any orthogonal pair; after it the equatorial pair's D
-    grows."""
+    grows.  The global work of a locally passive state inside one collision
+    first turns up at the same tau*."""
 
     POLE = (np.array([1, 0, 0, 0], complex), np.array([0, 1, 0, 0], complex))
     EQUATOR = (np.array([1, 1, 0, 0], complex) / math.sqrt(2), np.array([1, -1, 0, 0], complex) / math.sqrt(2))
@@ -94,6 +98,17 @@ class TestCutoffTime:
         steps = [np.diff(_distance_samples(s1, s2, p, tuple(taus))) for s1, s2 in pairs]
         assert max(s[before].max() for s in steps) <= 1e-12
         assert np.maximum(steps[1][after], 0.0).sum() > 0.01
+
+    @PROPERTY
+    @given(st.floats(0.01, 4.0), st.floats(-0.85, 0.66), st.floats(0.35, 1.5), st.floats(0.7, 1.5),
+           st.floats(0.05, 1.0), st.floats(1.2, 2.0))
+    def test_work_turns_up_at_the_cutoff(self, beta_h, detuning, k, e2, entanglement, stretch):
+        h = e2 - detuning
+        cutoff = math.pi / (2.0 * math.hypot(detuning, 2.0 * k))
+        p = ModelParams(e1=e2 + 1.0, e2=e2, h=h, k=k, beta=beta_h / h, delta_t=stretch * cutoff)
+        traj = fine_trajectory(projector(locally_passive_state(entanglement)), 1, 1000, p)
+        rises = np.flatnonzero(np.diff(trajectory_work(traj, "global")) > 1e-12)
+        assert rises.size and abs(traj.times[rises[0]] - cutoff) <= p.delta_t / 1000  # within one grid step
 
 
 class TestBlpFunctional:
