@@ -16,8 +16,8 @@ manifest recording the resolved configuration, so identical config + seed
 reproduce byte-identical data files.  Grid points run one after another,
 each with its own seed derived from the base seed and the point's index.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-contract violation.
+Exit codes: 0 success, 2 usage or configuration error (or out of memory),
+3 numerical contract violation.
 """
 
 from __future__ import annotations
@@ -80,11 +80,18 @@ DEFAULTS = {
 }
 
 
+# Ranges are counted before they are expanded, so a slip such as 0:1e12
+# stops at once instead of filling memory.  A million items take about 0.5 s
+# and 30 MB to expand, and are minutes of work even for the cheapest points
+# (a G_p sweep point, about 0.2 ms on a 2-core VM).
+MAX_LIST_ITEMS = 1_000_000
+
+
 def parse_number_list(text: str, integer: bool = False) -> list:
     """Comma-separated numbers; an item 'lo:hi' or 'lo:hi:step' expands to an
     inclusive range (default step 1).  Ranges are stepped in decimal, so each
     item is the float of its decimal value (0:1:0.1 gives 0.3, not
-    0.30000000000000004)."""
+    0.30000000000000004).  A list may hold at most MAX_LIST_ITEMS items."""
     out: list = []
     for item in (t.strip() for t in str(text).split(",")):
         if not item:
@@ -98,12 +105,15 @@ def parse_number_list(text: str, integer: bool = False) -> list:
                 step = Decimal(parts[2]) if len(parts) == 3 else Decimal(1)
                 if step <= 0 or hi < lo:
                     raise ValueError(item)
-                count = int((hi - lo) // step)
-                out.extend(float(lo + i * step) for i in range(count + 1))
+                count = int((hi - lo) // step) + 1
+                values = (float(lo + i * step) for i in range(count))
             else:
-                out.append(float(item))
+                count, values = 1, [float(item)]
         except (ValueError, ArithmeticError):
             raise UsageError(f"cannot parse list item {item!r}")
+        if len(out) + count > MAX_LIST_ITEMS:
+            raise UsageError(f"list item {item!r} takes the list past {MAX_LIST_ITEMS} items")
+        out.extend(values)
     if integer:
         if not all(np.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in out):
             raise UsageError(f"expected integers in list {text!r}")
@@ -212,10 +222,10 @@ def write_manifest(path: str, command: str, started: float, outputs: list[str], 
 
 
 # ---------------------------------------------------------------------------
-# commands: each writes the data files main planned; fit returns its manifest fields
+# commands: each writes its data files; fit returns its manifest fields
 
 
-def cmd_sweep(args, cfg: dict, outputs: list[str]) -> None:
+def cmd_sweep(args, cfg: dict) -> None:
     params: ModelParams = cfg["params"]
     quantity = cfg["sweep"]["quantity"]
     e_list = parse_number_list(cfg["sweep"]["entanglements"])
@@ -250,7 +260,17 @@ def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:
     return fixed_entanglement_state(entanglement, np.zeros(6))
 
 
-def cmd_trajectory(args, cfg: dict, outputs: list[str]) -> None:
+def _check_sample_times(dt_list: list[float], steps: int) -> None:
+    """Reject, before any work, a delta_t list whose largest delta_t times
+    steps is past the largest float: trajectory forms its sample times from
+    (collisions x substeps) x delta_t, and blp's last sample time is
+    collisions x delta_t.  The product is taken in decimal, which no step
+    count overflows."""
+    if Decimal(steps) * Decimal(max(dt_list)) > Decimal(sys.float_info.max):
+        raise UsageError(f"sample times overflow: {steps} x delta_t {max(dt_list)!r}")
+
+
+def cmd_trajectory(args, cfg: dict) -> None:
     params: ModelParams = cfg["params"]
     tcfg = cfg["trajectory"]
     quantity = tcfg["quantity"]
@@ -261,6 +281,7 @@ def cmd_trajectory(args, cfg: dict, outputs: list[str]) -> None:
         raise UsageError("empty delta_t list")
     rho0 = projector(_trajectory_initial_state(quantity, tcfg["entanglement"]))
     points = [replace(params, delta_t=dt) for dt in dt_list]  # every delta_t checked before any work
+    _check_sample_times(dt_list, tcfg["collisions"] * tcfg["substeps"])
     rows = []
     for p in points:
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
@@ -269,7 +290,7 @@ def cmd_trajectory(args, cfg: dict, outputs: list[str]) -> None:
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], rows)
 
 
-def cmd_blp(args, cfg: dict, outputs: list[str]) -> None:
+def cmd_blp(args, cfg: dict) -> None:
     params: ModelParams = cfg["params"]
     bcfg = cfg["blp"]
     dt_list = parse_number_list(bcfg["delta_ts"])
@@ -277,6 +298,7 @@ def cmd_blp(args, cfg: dict, outputs: list[str]) -> None:
         raise UsageError("empty delta_t list")
     grid_points = bcfg["grid_points"]
     points = [replace(params, k=bcfg["k"], delta_t=dt) for dt in dt_list]  # checked before any work
+    _check_sample_times(dt_list, bcfg["collisions"])
     base_settings = OptimizerSettings(**cfg["optimizer"])
     results = [
         blp_measure(p.delta_t, p, settings=base_settings.for_grid_index(idx),
@@ -285,8 +307,9 @@ def cmd_blp(args, cfg: dict, outputs: list[str]) -> None:
     ]
     rows = [(p.delta_t, r.q_n, grid_points, base_settings.starts, r.report.converged) for p, r in zip(points, results)]
     write_csv(args.output, ["delta_t", "Q_N", "grid_points", "starts", "converged"], rows)
-    for r, path in zip(results, outputs[1:]):
-        write_csv(path, ["t", "D"], [(t, d) for t, d in r.lambda_trace])
+    if args.trace_output is not None:
+        trace = ((p.delta_t, t, d) for p, r in zip(points, results) for t, d in r.lambda_trace)
+        write_csv(args.trace_output, ["delta_t", "t", "D"], trace)
 
 
 def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, float]]:
@@ -321,7 +344,7 @@ def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, fl
     return data
 
 
-def cmd_fit(args, cfg: None, outputs: list[str]) -> dict:
+def cmd_fit(args, cfg: None) -> dict:
     data = _load_fit_data(args.input, args.n, args.quantity)
     result = fit_curve(args.model, data, bootstrap=args.bootstrap)
     payload = {key: getattr(result, key) for key in ("model", "params", "confidence95", "residual", "converged")}
@@ -380,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--collisions", dest="blp.collisions", type=int,
         help="extension: scan backflow across this many collisions (default 1)",
     )
-    p_blp.add_argument("--trace-output", dest="trace_output", help="per-pair (t, D) dump stem")
+    p_blp.add_argument("--trace-output", dest="trace_output", help="delta_t,t,D CSV of the best pairs' trace distance")
     p_blp.set_defaults(func=cmd_blp)
 
     p_fit = sub.add_parser("fit", help="fit a sweep CSV to a model family")
@@ -400,16 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # the run
-
-
-def _outputs(args, cfg) -> list[str]:
-    """Every data file the run writes: the output, then with --trace-output
-    one BLP trace file per delta_t (named with delta_t as %g)."""
-    if not getattr(args, "trace_output", None):
-        return [args.output]
-    stem, ext = os.path.splitext(args.trace_output)
-    dts = parse_number_list(cfg["blp"]["delta_ts"])
-    return [args.output, *(f"{stem}_dt_{dt:g}{ext or '.csv'}" for dt in dts)]
 
 
 def _file_key(path: str):
@@ -435,6 +448,8 @@ def _check_run(args, paths: list[str]) -> None:
     written: dict = {}
     for path in paths:
         key = _file_key(path)
+        if not path:
+            raise UsageError("cannot write an empty path")
         if os.path.isdir(path):
             raise UsageError(f"cannot write {path}: it is a directory")
         if key in sources:
@@ -454,10 +469,10 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         cfg = None if args.command == "fit" else resolve_config(args)
-        outputs = _outputs(args, cfg)
+        outputs = [path for path in (args.output, getattr(args, "trace_output", None)) if path is not None]
         manifest = args.output + ".manifest.json"
         _check_run(args, [*outputs, manifest])
-        fields = args.func(args, cfg, outputs)
+        fields = args.func(args, cfg)
         if cfg is not None:  # a simulation records its seed and resolved configuration
             config = {section: cfg[section] for section in DEFAULTS}
             fields = {"seed": cfg["optimizer"]["seed"], "config": config}
@@ -466,6 +481,9 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory: the run is too large for the memory available", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

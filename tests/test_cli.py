@@ -37,6 +37,17 @@ class TestParseNumberList:
         with pytest.raises(UsageError):
             parse_number_list("1:0")
 
+    def test_item_count_is_checked_before_expanding(self, monkeypatch):
+        from qbattery.cli import UsageError
+
+        with pytest.raises(UsageError, match="past 1000000 items"):
+            parse_number_list("0:1e12")  # would fill memory if it were expanded
+        monkeypatch.setattr("qbattery.cli.MAX_LIST_ITEMS", 3)
+        assert parse_number_list("0:2") == [0.0, 1.0, 2.0]
+        for text in ("0:3", "0:1,2:3", "0:1,2,3"):
+            with pytest.raises(UsageError, match="past 3 items"):
+                parse_number_list(text)
+
 
 class TestWriteCsv:
     def test_matches_the_csv_module(self, tmp_path):
@@ -205,10 +216,10 @@ class TestBlpCommand:
         assert q[0] <= 1e-6  # short windows are Markovian
         assert np.all(np.diff(q) >= -1e-3)  # non-decreasing up to grid noise
         assert q[-2] > 0.99  # full exchange revival by delta_t = 1.6
-        # per-pair trace dumps, one file per delta_t, columns t and D
-        trace = read_csv(tmp_path / "trace_dt_0.2.csv")
-        assert set(trace[0].keys()) == {"t", "D"}
-        assert len(trace) == 201
+        # one trace table, every delta_t's grid in command order
+        trace = read_csv(tmp_path / "trace.csv")
+        assert list(trace[0]) == ["delta_t", "t", "D"]
+        assert len([row for row in trace if float(row["delta_t"]) == 0.2]) == 201
 
     def test_coupling_forced_to_one_unless_overridden(self, tmp_path):
         # model k=3 would show backflow already at delta_t=0.4; the command
@@ -240,7 +251,31 @@ class TestBlpCommand:
         )
         assert code == 0
         assert float(read_csv(out)[0]["Q_N"]) > 1e-4
-        assert len(read_csv(tmp_path / "mtrace_dt_1.csv")) == 2 * 100 + 1
+        assert len(read_csv(tmp_path / "mtrace.csv")) == 2 * 100 + 1
+
+    def test_trace_table_holds_each_lambda_trace(self, tmp_path):
+        from dataclasses import replace
+
+        from qbattery.model import ModelParams
+        from qbattery.nonmarkov import blp_measure
+        from qbattery.optimize import OptimizerSettings
+
+        trace = tmp_path / "T.csv"
+        code = run(
+            "blp", "--seed", 6, "--output", tmp_path / "b.csv", "--delta-ts", "0.6,1.6",
+            "--collisions", 2, "--grid-points", 10, "--starts", 2, "--max-evals", 60,
+            "--trace-output", trace,
+        )
+        assert code == 0
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "delta_t,t,D"
+        want = []
+        settings = OptimizerSettings(seed=6, starts=2, max_evals=60)
+        for idx, dt in enumerate((0.6, 1.6)):
+            result = blp_measure(dt, replace(ModelParams(), delta_t=dt), settings=settings.for_grid_index(idx),
+                                 grid_points=10, collisions=2)
+            want += ["%.17g,%.17g,%.17g" % (dt, t, d) for t, d in result.lambda_trace]
+        assert lines[1:] == want and len(want) == 2 * (2 * 10 + 1)
 
 
 class TestFitCommand:
@@ -566,6 +601,12 @@ class TestRejectedRuns:
          "blp_measure"),
         (("sweep", "--quantity", "G", "--entanglements", "0.5,1.5", "--collisions", "0"),
          "max_work_fixed_entanglement"),
+        (("sweep", "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0:1e12"),
+         "max_work_fixed_entanglement"),
+        (("trajectory", "--delta-ts", "0.2,1e307", "--collisions", 1, "--substeps", 200), "fine_trajectory"),
+        (("trajectory", "--delta-ts", "0.2", "--collisions", 10**400, "--substeps", 2), "fine_trajectory"),
+        (("blp", "--delta-ts", "1.6,1e308", "--collisions", 2, "--starts", 1, "--max-evals", 20,
+          "--grid-points", 10), "blp_measure"),
     ])
     def test_bad_grid_value_before_any_work(self, tmp_path, capsys, monkeypatch, argv, kernel):
         def no_work(*args, **kwargs):
@@ -575,6 +616,24 @@ class TestRejectedRuns:
         code = run(*argv, "--seed", 1, "--threads", 1, "--output", tmp_path / "x.csv")
         self.assert_rejected(tmp_path, capsys, code)
 
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("qbattery.cli.fine_trajectory", no_memory)
+        code = run("trajectory", "--seed", 1, "--output", tmp_path / "x.csv", "--collisions", 1000,
+                   "--substeps", 1_000_000)
+        self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--output", "", "--collisions", "0", "--entanglements", "0.5"),
+        ("blp", "--output", "b.csv", "--trace-output", "", "--delta-ts", "0.4", "--starts", 1,
+         "--max-evals", 20, "--grid-points", 10),
+    ], ids=["output", "trace"])
+    def test_empty_output_path(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        self.assert_rejected(tmp_path, capsys, run(*argv, "--seed", 1))
+
     def test_config_is_directory(self, tmp_path, capsys):
         folder = tmp_path / "cfg"
         folder.mkdir()
@@ -583,21 +642,14 @@ class TestRejectedRuns:
         folder.rmdir()
         self.assert_rejected(tmp_path, capsys, code)
 
-    @pytest.mark.parametrize("delta_ts, folder", [
-        ("0.2,0.2", None),  # two delta_t share one trace file
-        ("1.0000001,1.0000002", None),  # the same under %g
-        ("0.4", "t_dt_0.4.csv"),  # the trace file is a directory
-    ])
-    def test_trace_file_clash(self, tmp_path, capsys, delta_ts, folder):
-        if folder:
-            (tmp_path / folder).mkdir()
+    def test_trace_file_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "t.csv").mkdir()
         code = run(
-            "blp", "--seed", 1, "--output", tmp_path / "b.csv", "--delta-ts", delta_ts,
+            "blp", "--seed", 1, "--output", tmp_path / "b.csv", "--delta-ts", "0.4",
             "--starts", 1, "--max-evals", 20, "--grid-points", 10,
             "--trace-output", tmp_path / "t.csv",
         )
-        if folder:
-            (tmp_path / folder).rmdir()
+        (tmp_path / "t.csv").rmdir()
         self.assert_rejected(tmp_path, capsys, code)
 
     def run_with_config(self, tmp_path, ini, *argv):
@@ -638,7 +690,7 @@ class TestRejectedRuns:
         assert code == 2 and err.count("\n") == 1 and name in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("output", ["t_dt_1.csv", "./t_dt_1.csv"])
+    @pytest.mark.parametrize("output", ["t.csv", "./t.csv"])
     def test_trace_file_is_the_output(self, tmp_path, capsys, monkeypatch, output):
         monkeypatch.chdir(tmp_path)
         code = run("blp", "--seed", 1, "--output", output, "--delta-ts", "1",
@@ -670,8 +722,7 @@ class TestRejectedRuns:
         (("fit", "--model", "M1", "--input", "s.csv", "--output", "s.csv"), "s.csv"),
         (("sweep", "--config", "c.ini", "--seed", 1, "--output", "c.ini"), "c.ini"),
         (("sweep", "--config", "c.manifest.json", "--seed", 1, "--output", "./c"), "c.manifest.json"),
-        (("blp", "--config", "t_dt_1.csv", "--seed", 1, "--output", "b.csv", "--trace-output", "t.csv"),
-         "t_dt_1.csv"),
+        (("blp", "--config", "t.csv", "--seed", 1, "--output", "b.csv", "--trace-output", "t.csv"), "t.csv"),
     ], ids=["fit-input", "config", "manifest-config", "trace-config"])
     def test_output_names_input_or_config(self, tmp_path, capsys, monkeypatch, argv, source):
         monkeypatch.chdir(tmp_path)
@@ -701,7 +752,7 @@ class TestRejectedRuns:
     @pytest.mark.parametrize("argv, source, link, make_link", [
         (("fit", "--model", "M1", "--input", "s.csv", "--output", "link.csv"), "s.csv", "link.csv", os.symlink),
         (("blp", "--config", "c.ini", "--seed", 1, "--output", "b.csv", "--trace-output", "t.csv"),
-         "c.ini", "t_dt_1.csv", os.symlink),
+         "c.ini", "t.csv", os.symlink),
         (("sweep", "--config", "c.ini", "--seed", 1, "--output", "x.csv"), "c.ini", "x.csv", os.link),
     ], ids=["fit-output-symlink-to-input", "trace-symlink-to-config", "sweep-output-hard-link-to-config"])
     def test_output_links_to_input_or_config(self, tmp_path, capsys, monkeypatch, argv, source, link, make_link):

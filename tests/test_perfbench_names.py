@@ -53,8 +53,19 @@ def test_imported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
-def test_named_cache_reports_statistics():
-    # perfbench/child.py NAMED_CACHES reads this cache's statistics
-    from qbattery.collision import collision_propagator
+def _named_caches():
+    """(module, name) of every `getattr(MODULES["module"], "name", None)` in
+    perfbench/child.py's NAMED_CACHES."""
+    for node in ast.walk(ast.parse((PERFBENCH / "child.py").read_text())):
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["NAMED_CACHES"]:
+            return [(call.args[0].slice.value, call.args[1].value) for call in node.value.values]
+    raise AssertionError("perfbench/child.py defines no NAMED_CACHES")
 
-    assert callable(getattr(collision_propagator, "cache_info", None))
+
+def test_named_cache_reports_statistics():
+    # child.py reads cache_info() of each named cache that exists and skips a None
+    pairs = _named_caches()
+    assert pairs
+    for module, name in pairs:
+        cache = getattr(importlib.import_module(module), name, None)
+        assert cache is None or callable(getattr(cache, "cache_info", None)), (module, name)
