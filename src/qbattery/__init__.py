@@ -22,7 +22,6 @@ from .linalg import (
     ContractViolation,
     is_density_matrix,
     is_hermitian,
-    kron,
     unitary_from_hamiltonian,
 )
 from .model import (

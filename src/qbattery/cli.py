@@ -105,7 +105,8 @@ def parse_number_list(text: str, integer: bool = False) -> list:
                 step = Decimal(parts[2]) if len(parts) == 3 else Decimal(1)
                 if step <= 0 or hi < lo:
                     raise ValueError(item)
-                count = int((hi - lo) // step) + 1
+                # (hi - lo) // step raises past Decimal's 28 digits where / rounds, so count such a span as too long
+                count = int((hi - lo) // step) + 1 if (hi - lo) / step <= MAX_LIST_ITEMS else MAX_LIST_ITEMS + 1
                 values = (float(lo + i * step) for i in range(count))
             else:
                 count, values = 1, [float(item)]

@@ -38,11 +38,6 @@ def is_density_matrix(a, tol: float = STATE_TOL) -> bool:
     return bool(np.linalg.eigvalsh(m).min() >= -tol)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(_as_square(a), _as_square(b))
-
-
 def unitary_from_hamiltonian(h, t) -> np.ndarray:
     """exp(-j*t*h) for Hermitian h, computed exactly via eigendecomposition;
     a 1-D array t gives the (len(t), d, d) stack from one eigendecomposition."""

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .linalg import kron
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,11 @@ class ModelParams:
         for name in ("e1", "e2", "h", "k", "beta", "delta_t"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
+        # e1 + e2 + |h| + 2k bounds the 8x8 spectrum, so this bounds every collision
+        # phase; Python floats overflow to inf without a numpy warning.
+        phase = float(self.delta_t) * (float(self.e1) + float(self.e2) + abs(float(self.h)) + 2.0 * float(self.k))
+        if not np.isfinite(phase):
+            raise ValueError(f"collision phases overflow: delta_t {self.delta_t!r} x (e1 + e2 + |h| + 2k)")
 
     @property
     def p0(self) -> float:
@@ -67,12 +67,12 @@ class ModelParams:
 
 def battery_hamiltonian(p: ModelParams) -> np.ndarray:
     """e1*sz (x) I + e2*I (x) sz; diag(e1+e2, e1-e2, -e1+e2, -e1-e2)."""
-    return p.e1 * kron(SIGMA_Z, ID2) + p.e2 * kron(ID2, SIGMA_Z)
+    return np.diag(np.array([p.e1 + p.e2, p.e1 - p.e2, -p.e1 + p.e2, -p.e1 - p.e2], dtype=complex))
 
 
 def bath_spin_hamiltonian(p: ModelParams) -> np.ndarray:
     """h*sz for a single bath spin."""
-    return p.h * SIGMA_Z.copy()
+    return p.h * SIGMA_Z
 
 
 def interaction_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -81,14 +81,16 @@ def interaction_hamiltonian(p: ModelParams) -> np.ndarray:
     Equals 2k on the |01><10| + |10><01| block and zero elsewhere, so it
     conserves the total excitation of the qubit2/spin pair.
     """
-    return p.k * (kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y))
+    h = np.zeros((4, 4), dtype=complex)
+    h[1, 2] = h[2, 1] = 2.0 * p.k
+    return h
 
 
 def total_collision_hamiltonian(p: ModelParams) -> np.ndarray:
     """8x8 generator of one collision in qubit1 (x) qubit2 (x) spin ordering."""
     return (
-        kron(battery_hamiltonian(p), ID2)
-        + kron(ID2, interaction_hamiltonian(p))
-        + kron(ID4, bath_spin_hamiltonian(p))
+        np.kron(battery_hamiltonian(p), ID2)
+        + np.kron(ID2, interaction_hamiltonian(p))
+        + np.kron(np.eye(4), bath_spin_hamiltonian(p))
     )
 

@@ -84,14 +84,6 @@ def single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return np.array([[s.conjugate() * cb, -d.conjugate() * sb], [d * sb, s * cb]])
 
 
-def _local_unitary(a) -> np.ndarray:
-    """Unchecked kron(U(a[:3]), U(a[3:])) of single_qubit_unitary, without
-    np.kron's overhead: the same products u1[i, k] * u2[j, l]."""
-    u1 = single_qubit_unitary(*a[:3])
-    u2 = single_qubit_unitary(*a[3:])
-    return (u1[:, None, :, None] * u2[None, :, None, :]).reshape(4, 4)
-
-
 def _rotated_schmidt_state(root1: float, root2: float, b1: float, g1: float, b2: float) -> np.ndarray:
     """Unchecked fixed_entanglement_state(E, (0, b1, g1, 0, b2, 0)) up to a
     global phase, from the Schmidt roots root_i = sqrt(lambda_i):
@@ -127,4 +119,4 @@ def fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
     base = np.zeros(4, dtype=complex)
     base[0] = np.sqrt(lam1)
     base[3] = np.sqrt(lam2)
-    return _local_unitary(a) @ base
+    return np.kron(single_qubit_unitary(*a[:3]), single_qubit_unitary(*a[3:])) @ base

@@ -42,6 +42,9 @@ class TestParseNumberList:
 
         with pytest.raises(UsageError, match="past 1000000 items"):
             parse_number_list("0:1e12")  # would fill memory if it were expanded
+        for text in ("0:1e30", "0:1e27:1e-3"):  # counts past Decimal's 28 digits
+            with pytest.raises(UsageError, match="past 1000000 items"):
+                parse_number_list(text)
         monkeypatch.setattr("qbattery.cli.MAX_LIST_ITEMS", 3)
         assert parse_number_list("0:2") == [0.0, 1.0, 2.0]
         for text in ("0:3", "0:1,2:3", "0:1,2,3"):
@@ -615,6 +618,17 @@ class TestRejectedRuns:
         monkeypatch.setattr(f"qbattery.cli.{kernel}", no_work)
         code = run(*argv, "--seed", 1, "--threads", 1, "--output", tmp_path / "x.csv")
         self.assert_rejected(tmp_path, capsys, code)
+
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would be a second stderr line
+    @pytest.mark.parametrize("argv", [
+        ("trajectory", "--collisions", 1, "--substeps", 1),
+        ("blp", "--starts", 1, "--max-evals", 1, "--grid-points", 2),
+    ], ids=["trajectory", "blp"])
+    def test_collision_phase_overflow(self, tmp_path, capsys, argv):
+        code = run(*argv, "--seed", 1, "--delta-ts", "1.7976931348623157e308", "--output", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert (code, err.count("\n"), list(tmp_path.iterdir())) == (2, 1, [])
+        assert "delta_t" in err
 
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):

@@ -6,7 +6,6 @@ from qbattery.linalg import (
     ContractViolation,
     is_density_matrix,
     is_hermitian,
-    kron,
     unitary_from_hamiltonian,
 )
 from qbhelpers import random_density_matrix, random_hermitian, rng
@@ -16,34 +15,6 @@ from _oracles import is_unitary, partial_trace, trace_distance
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_sigma_z_pair(self):
-        assert np.array_equal(kron(SZ, SZ), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-    def test_block_structure(self):
-        a = np.arange(4).reshape(2, 2).astype(complex)
-        b = np.array([[1, 2], [3, 4]], dtype=complex)
-        out = kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                assert np.allclose(out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2], a[i, j] * b)
-
-    def test_trace_multiplicative(self):
-        gen = rng(11)
-        for _ in range(10):
-            a = random_hermitian(gen, 3)
-            b = random_hermitian(gen, 2)
-            assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
-
-    def test_rejects_nonfinite(self):
-        bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-        with pytest.raises(ContractViolation):
-            kron(bad, I2)
 
 
 class TestPartialTrace:

@@ -20,6 +20,18 @@ def comm(a, b):
     return a @ b - b @ a
 
 
+def pauli_assembly(p):
+    """The battery, interaction and 8x8 collision Hamiltonians rebuilt from
+    scratch with raw numpy Pauli products, no package helpers."""
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    i2, i4 = np.eye(2), np.eye(4)
+    h12 = p.e1 * np.kron(sz, i2) + p.e2 * np.kron(i2, sz)
+    hint = p.k * (np.kron(sx, sx) + np.kron(sy, sy))
+    return h12, hint, np.kron(h12, i2) + np.kron(i2, hint) + np.kron(i4, p.h * sz)
+
+
 class TestModelParams:
     def test_defaults(self):
         assert (P.e1, P.e2, P.h, P.k, P.beta, P.delta_t) == (2.0, 1.0, 1.0, 1.0, 10.0, 0.2)
@@ -35,6 +47,7 @@ class TestModelParams:
             {"k": -0.1},
             {"beta": -1.0},
             {"h": np.inf},
+            {"delta_t": 1e308},  # collision phases 1e308 x (2 + 1 + 1 + 2) overflow
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -98,16 +111,24 @@ class TestTotalHamiltonian:
         assert abs(np.trace(h)) <= 1e-14
 
     def test_against_independent_assembly(self):
-        # rebuild from scratch with raw numpy, no package helpers
         p = ModelParams(e1=1.9, e2=0.4, h=0.8, k=1.3, beta=2.0, delta_t=0.5)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        i2, i4 = np.eye(2), np.eye(4)
-        h12 = p.e1 * np.kron(sz, i2) + p.e2 * np.kron(i2, sz)
-        hint = p.k * (np.kron(sx, sx) + np.kron(sy, sy))
-        want = np.kron(h12, i2) + np.kron(i2, hint) + np.kron(i4, p.h * sz)
+        _, _, want = pauli_assembly(p)
         assert np.allclose(total_collision_hamiltonian(p), want, atol=1e-14)
+
+    def test_closed_forms_equal_the_pauli_assembly_bit_for_bit(self):
+        """The closed forms give the Pauli products' own floats, signs of
+        zeros included, so no transfer stack or search can move."""
+        gen = np.random.default_rng(15)
+        for i in range(300):
+            e2 = gen.uniform(1e-3, 5.0)
+            h = 0.0 if i % 7 == 0 else gen.normal(scale=3.0)
+            k = 0.0 if i % 5 == 0 else gen.uniform(0.0, 4.0)
+            p = ModelParams(e1=e2 + gen.uniform(1e-6, 5.0), e2=e2, h=h, k=k, delta_t=gen.uniform(0.01, 5.0))
+            got = (battery_hamiltonian(p), interaction_hamiltonian(p), total_collision_hamiltonian(p))
+            for a, b in zip(got, pauli_assembly(p)):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+                assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
 
 
 class TestThermalSpinState:
