@@ -1,8 +1,8 @@
 """Two-qubit quantum batteries under repeated-collision spin-bath noise.
 
-Simulation and analysis toolkit: dense complex linear algebra for small
-systems, the battery/bath model, entanglement-constrained state families,
-collision dynamics, global and local work extraction, the BLP
+Simulation and analysis toolkit: numerical contracts for small systems,
+the battery/bath model, entanglement-constrained state families, the
+closed-form collision channel, global and local work extraction, the BLP
 non-Markovianity measure, and least-squares fitting of sweep results.
 """
 
@@ -18,19 +18,8 @@ from .ergotropy import (
     trajectory_work,
 )
 from .fitting import MODELS, FitResult, fit_curve
-from .linalg import (
-    ContractViolation,
-    is_density_matrix,
-    is_hermitian,
-    unitary_from_hamiltonian,
-)
-from .model import (
-    ModelParams,
-    battery_hamiltonian,
-    bath_spin_hamiltonian,
-    interaction_hamiltonian,
-    total_collision_hamiltonian,
-)
+from .linalg import ContractViolation, is_density_matrix, is_hermitian
+from .model import ModelParams, battery_hamiltonian
 from .nonmarkov import BLPResult, blp_measure
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 from .states import (

@@ -21,9 +21,9 @@ give R rho_n R^dagger, whose spectrum and energy are rho_n's: G_p does not
 depend on the phase, and none is searched.
 
 The same holds for G and L, with any z rotations R1 (x) R2.  The collision
-channel is phase covariant: besides qubit 1's energy, the collision
-Hamiltonian conserves the excitations of qubit 2 and the spin, and the fresh
-spin is diagonal, so a collision maps R rho R^dagger to R rho' R^dagger.  R is
+channel is phase covariant: written out (collision.py), it mixes only
+qubit 2's populations and multiplies qubit 2's coherence by g and qubit 1's
+by a phase, so a collision maps R rho R^dagger to R rho' R^dagger.  R is
 diagonal, so it commutes with the battery Hamiltonian and the work yields of
 R rho_n R^dagger are rho_n's, marginals included.  Of the six Euler angles of
 U1 (x) U2 = Rz(a1)Ry(b1)Rz(g1) (x) Rz(a2)Ry(b2)Rz(g2), the outer a1 and a2

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small (dim <= 8) quantum systems."""
+"""Numerical contracts for small quantum systems: tolerances and state checks."""
 
 from __future__ import annotations
 
@@ -36,16 +36,3 @@ def is_density_matrix(a, tol: float = STATE_TOL) -> bool:
     if abs(m.trace() - 1.0) > tol:
         return False
     return bool(np.linalg.eigvalsh(m).min() >= -tol)
-
-
-def unitary_from_hamiltonian(h, t) -> np.ndarray:
-    """exp(-j*t*h) for Hermitian h, computed exactly via eigendecomposition;
-    a 1-D array t gives the (len(t), d, d) stack from one eigendecomposition."""
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ContractViolation("time must be finite")
-    m = _as_square(h)
-    if not is_hermitian(m):
-        raise ContractViolation("input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * t[..., None, None] * w)) @ v.conj().T

@@ -1,4 +1,4 @@
-"""Battery and bath model: Hamiltonians and physical parameters.
+"""Battery and bath model: physical parameters and the battery Hamiltonian.
 
 Conventions, fixed across the whole package:
 
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
+from .linalg import STATE_TOL
+
+MAX_PHASE = STATE_TOL * 2.0**53  # the phase precision bound of ModelParams
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,13 @@ class ModelParams:
     (bath splitting resonant with qubit 2) and beta=10.  The thermal spin
     populations depend only on the product beta*h; the collision dynamics
     depend on h alone.
+
+    Phase precision policy: e1 + e2 + |h| + 2k bounds the spectrum of the
+    collision Hamiltonian, so delta_t * (e1 + e2 + |h| + 2k) bounds every
+    phase a collision puts on a state.  A float phase phi is rounded by up to
+    phi * 2**-53, so a delta_t that takes it past MAX_PHASE = STATE_TOL * 2**53
+    (about 9.0e7; delta_t <= 1.5e7 with the default energies) is rejected: its
+    rounding alone could move a state by more than STATE_TOL.
     """
 
     e1: float = 2.0
@@ -48,11 +56,12 @@ class ModelParams:
         for name in ("e1", "e2", "h", "k", "beta", "delta_t"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
-        # e1 + e2 + |h| + 2k bounds the 8x8 spectrum, so this bounds every collision
-        # phase; Python floats overflow to inf without a numpy warning.
+        # Python floats overflow to inf without a numpy warning; NaN and inf fail the comparison
         phase = float(self.delta_t) * (float(self.e1) + float(self.e2) + abs(float(self.h)) + 2.0 * float(self.k))
-        if not np.isfinite(phase):
-            raise ValueError(f"collision phases overflow: delta_t {self.delta_t!r} x (e1 + e2 + |h| + 2k)")
+        if not phase <= MAX_PHASE:
+            raise ValueError(
+                f"delta_t {self.delta_t!r} x (e1 + e2 + |h| + 2k) = {phase:.3g} is past the precision bound {MAX_PHASE:.3g}"
+            )
 
     @property
     def p0(self) -> float:
@@ -68,29 +77,3 @@ class ModelParams:
 def battery_hamiltonian(p: ModelParams) -> np.ndarray:
     """e1*sz (x) I + e2*I (x) sz; diag(e1+e2, e1-e2, -e1+e2, -e1-e2)."""
     return np.diag(np.array([p.e1 + p.e2, p.e1 - p.e2, -p.e1 + p.e2, -p.e1 - p.e2], dtype=complex))
-
-
-def bath_spin_hamiltonian(p: ModelParams) -> np.ndarray:
-    """h*sz for a single bath spin."""
-    return p.h * SIGMA_Z
-
-
-def interaction_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Exchange coupling k*(sx (x) sx + sy (x) sy) on qubit2 (x) spin.
-
-    Equals 2k on the |01><10| + |10><01| block and zero elsewhere, so it
-    conserves the total excitation of the qubit2/spin pair.
-    """
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 2] = h[2, 1] = 2.0 * p.k
-    return h
-
-
-def total_collision_hamiltonian(p: ModelParams) -> np.ndarray:
-    """8x8 generator of one collision in qubit1 (x) qubit2 (x) spin ordering."""
-    return (
-        np.kron(battery_hamiltonian(p), ID2)
-        + np.kron(ID2, interaction_hamiltonian(p))
-        + np.kron(np.eye(4), bath_spin_hamiltonian(p))
-    )
-

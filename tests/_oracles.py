@@ -1,5 +1,10 @@
 """Independent references that tests compare package code against.
 
+The dense path is the reference for the collision layer: the 8x8 collision
+Hamiltonian assembled from its battery, interaction and bath-spin terms,
+exp(-j*t*H) from one eigendecomposition (`unitary_from_hamiltonian`), and
+the spin traced out of the joint state.  The package evolves the battery
+through the same channel written in closed form.
 The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
@@ -21,12 +26,54 @@ import csv
 import numpy as np
 from scipy.stats import qmc
 
-from qbattery.collision import collision_power, collision_propagator
+from qbattery.collision import collision_power
 from qbattery.ergotropy import MODES, _yield_of
-from qbattery.linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
-from qbattery.model import SIGMA_Z, ModelParams, battery_hamiltonian, total_collision_hamiltonian
+from qbattery.linalg import ContractViolation, _as_square, is_density_matrix, is_hermitian
+from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.optimize import SPAN, OptimizerSettings, multistart_maximize
 from qbattery.states import schmidt_lambdas_from_entanglement, single_qubit_unitary
+
+
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+ID2 = np.eye(2, dtype=complex)
+
+
+def unitary_from_hamiltonian(h, t) -> np.ndarray:
+    """exp(-j*t*h) for Hermitian h, computed exactly via eigendecomposition;
+    a 1-D array t gives the (len(t), d, d) stack from one eigendecomposition."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ContractViolation("time must be finite")
+    m = _as_square(h)
+    if not is_hermitian(m):
+        raise ContractViolation("input is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(m)
+    return (v * np.exp(-1j * t[..., None, None] * w)) @ v.conj().T
+
+
+def bath_spin_hamiltonian(p: ModelParams) -> np.ndarray:
+    """h*sz for a single bath spin."""
+    return p.h * SIGMA_Z
+
+
+def interaction_hamiltonian(p: ModelParams) -> np.ndarray:
+    """Exchange coupling k*(sx (x) sx + sy (x) sy) on qubit2 (x) spin.
+
+    Equals 2k on the |01><10| + |10><01| block and zero elsewhere, so it
+    conserves the total excitation of the qubit2/spin pair.
+    """
+    h = np.zeros((4, 4), dtype=complex)
+    h[1, 2] = h[2, 1] = 2.0 * p.k
+    return h
+
+
+def total_collision_hamiltonian(p: ModelParams) -> np.ndarray:
+    """8x8 generator of one collision in qubit1 (x) qubit2 (x) spin ordering."""
+    return (
+        np.kron(battery_hamiltonian(p), ID2)
+        + np.kron(ID2, interaction_hamiltonian(p))
+        + np.kron(np.eye(4), bath_spin_hamiltonian(p))
+    )
 
 
 def partial_trace(x, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -138,9 +185,9 @@ def _battery_maps(p: ModelParams, unitaries) -> np.ndarray:
 
 
 def propagator_stack(p: ModelParams, taus) -> np.ndarray:
-    """Reference for qbattery.collision.transfer_stack: the same contraction
-    over one collision_propagator per tau, each from its own eigendecomposition."""
-    return _battery_maps(p, [collision_propagator(p, tau) for tau in taus])
+    """Reference for qbattery.collision.transfer_stack: the contraction over
+    the dense unitaries exp(-j*tau*H_total), from one eigendecomposition."""
+    return _battery_maps(p, unitary_from_hamiltonian(total_collision_hamiltonian(p), np.asarray(taus, dtype=float)))
 
 
 def closed_form_collision_unitary(p: ModelParams, tau: float) -> np.ndarray:
@@ -163,7 +210,8 @@ def closed_form_collision_unitary(p: ModelParams, tau: float) -> np.ndarray:
 
 def closed_form_stack(p: ModelParams, taus) -> np.ndarray:
     """Reference for qbattery.collision.transfer_stack that shares no code with
-    qbattery.linalg.unitary_from_hamiltonian: the closed-form unitary per tau."""
+    unitary_from_hamiltonian: the closed-form unitary per tau, contracted with
+    the spin as the dense path does."""
     return _battery_maps(p, [closed_form_collision_unitary(p, tau) for tau in taus])
 
 

@@ -18,14 +18,20 @@ from qbattery.ergotropy import (
     max_work_fixed_entanglement,
 )
 from qbattery.fitting import MODELS, fit_curve
-from qbattery.linalg import unitary_from_hamiltonian
-from qbattery.model import ModelParams, total_collision_hamiltonian
+from qbattery.model import ModelParams
 from qbattery.nonmarkov import blp_measure
 from qbattery.optimize import OptimizerSettings
 from qbattery.states import locally_passive_state, projector, schmidt_gap
 from qbhelpers import random_density_matrix, rng
 
-from _oracles import local_ergotropy_numeric, partial_trace, thermal_spin_state, trace_distance
+from _oracles import (
+    local_ergotropy_numeric,
+    partial_trace,
+    thermal_spin_state,
+    total_collision_hamiltonian,
+    trace_distance,
+    unitary_from_hamiltonian,
+)
 
 P = ModelParams()
 

@@ -1,7 +1,8 @@
 """Counts of the calls that rebuild constants, as a deterministic guard.
 
-A transfer stack over a whole tau grid takes one eigendecomposition of one
-collision Hamiltonian, and an objective evaluation of the G/L search
+A transfer stack over a whole tau grid and the n-collision map T**n are
+the collision channel in closed form, with no eigendecomposition, einsum or
+matrix power, and an objective evaluation of the G/L search
 diagonalises only the evolved state for G and nothing for L, whose marginal
 ergotropies are read off the state in closed form; the battery spectrum and
 the n-collision map T**n are taken once per search.  Counts, not timings, so
@@ -28,15 +29,16 @@ def counted(monkeypatch, owner, name) -> list:
     return calls
 
 
-def test_transfer_stack_build_diagonalises_once(monkeypatch):
+def test_channel_build_takes_no_decomposition_or_power(monkeypatch):
     p = ModelParams(k=0.7, delta_t=0.9)
     taus = tuple((s * p.delta_t) / 30 for s in range(1, 31))
     collision.transfer_stack.cache_clear()
-    collision.collision_propagator.cache_clear()
     eigh = counted(monkeypatch, np.linalg, "eigh")
-    hamiltonian = counted(monkeypatch, collision, "total_collision_hamiltonian")
+    einsum = counted(monkeypatch, np, "einsum")
+    powers = counted(monkeypatch, np.linalg, "matrix_power")
     assert collision.transfer_stack(p, taus).shape == (30, 16, 16)
-    assert (len(eigh), len(hamiltonian)) == (1, 1)
+    assert collision.collision_power(p, 30).shape == (16, 16)
+    assert (len(eigh), len(einsum), len(powers)) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("quantity, spectra", [("G", 1), ("L", 0)])

@@ -625,10 +625,11 @@ class TestRejectedRuns:
         ("blp", "--starts", 1, "--max-evals", 1, "--grid-points", 2),
     ], ids=["trajectory", "blp"])
     def test_collision_phase_overflow(self, tmp_path, capsys, argv):
-        code = run(*argv, "--seed", 1, "--delta-ts", "1.7976931348623157e308", "--output", tmp_path / "x.csv")
-        err = capsys.readouterr().err
-        assert (code, err.count("\n"), list(tmp_path.iterdir())) == (2, 1, [])
-        assert "delta_t" in err
+        for delta_t in ("1.7976931348623157e308", "1e17"):  # the phases overflow, or keep no digit
+            code = run(*argv, "--seed", 1, "--delta-ts", delta_t, "--output", tmp_path / "x.csv")
+            err = capsys.readouterr().err
+            assert (code, err.count("\n"), list(tmp_path.iterdir())) == (2, 1, [])
+            assert "delta_t" in err
 
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):

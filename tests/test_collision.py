@@ -8,12 +8,20 @@ from qbattery.collision import (
     fine_trajectory,
     run_collisions,
 )
-from qbattery.linalg import ContractViolation, is_density_matrix, unitary_from_hamiltonian
-from qbattery.model import ID2, SIGMA_Z, ModelParams, total_collision_hamiltonian
+from qbattery.linalg import ContractViolation, is_density_matrix
+from qbattery.model import ModelParams
 from qbattery.states import locally_passive_state, projector
 from qbhelpers import random_density_matrix, rng
 
-from _oracles import partial_trace, thermal_spin_state, trace_distance
+from _oracles import (
+    ID2,
+    SIGMA_Z,
+    partial_trace,
+    thermal_spin_state,
+    total_collision_hamiltonian,
+    trace_distance,
+    unitary_from_hamiltonian,
+)
 
 P = ModelParams()
 RHO_LP = projector(locally_passive_state(0.6))

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qbattery.linalg import (
-    ContractViolation,
-    is_density_matrix,
-    is_hermitian,
-    unitary_from_hamiltonian,
-)
+from qbattery.linalg import ContractViolation, is_density_matrix, is_hermitian
 from qbhelpers import random_density_matrix, random_hermitian, rng
 
-from _oracles import is_unitary, partial_trace, trace_distance
+from _oracles import is_unitary, partial_trace, trace_distance, unitary_from_hamiltonian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from qbattery.model import (
+from qbattery.model import ModelParams, battery_hamiltonian
+
+from _oracles import (
     ID2,
     SIGMA_Z,
-    ModelParams,
     bath_spin_hamiltonian,
-    battery_hamiltonian,
     interaction_hamiltonian,
+    thermal_spin_state,
     total_collision_hamiltonian,
 )
-
-from _oracles import thermal_spin_state
 
 P = ModelParams()
 
@@ -48,6 +47,7 @@ class TestModelParams:
             {"beta": -1.0},
             {"h": np.inf},
             {"delta_t": 1e308},  # collision phases 1e308 x (2 + 1 + 1 + 2) overflow
+            {"delta_t": 1e17},  # phases of 6e17 keep no digit
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qbattery.collision import fine_trajectory
-from qbattery.ergotropy import trajectory_work
-from qbattery.model import ModelParams
+from qbattery.collision import fine_trajectory, run_collisions
+from qbattery.ergotropy import global_ergotropy, local_ergotropy, trajectory_work
+from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
 from qbattery.optimize import OptimizerSettings
 from qbattery.states import locally_passive_state, projector
-from qbhelpers import random_pure_state, rng
+from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
 from _oracles import blp_functional, dense_backflow_lower_bound
 from test_transfer import PROPERTY, seed_st
@@ -109,6 +109,21 @@ class TestCutoffTime:
         traj = fine_trajectory(projector(locally_passive_state(entanglement)), 1, 1000, p)
         rises = np.flatnonzero(np.diff(trajectory_work(traj, "global")) > 1e-12)
         assert rises.size and abs(traj.times[rises[0]] - cutoff) <= p.delta_t / 1000  # within one grid step
+
+    def test_work_is_symmetric_about_the_cutoff(self):
+        """Inside one collision the work depends on tau only through
+        lambda(tau) = 1 - (2k*sin(W*tau)/W)**2: the rest of the channel is z
+        rotations, which commute with the battery Hamiltonian.  So the work at
+        tau and at pi/W - tau, where lambda is equal, is equal."""
+        gen = rng(317)
+        for _ in range(200):
+            p = random_params(gen)
+            turn = math.pi / math.hypot(p.e2 - p.h, 2.0 * p.k)  # twice the cut-off tau*
+            tau = gen.uniform(0.0, turn)
+            states = run_collisions(random_density_matrix(gen, 4), 1, (tau, turn - tau), p)[1:]
+            h = battery_hamiltonian(p)
+            assert abs(global_ergotropy(states[0], h) - global_ergotropy(states[1], h)) <= 1e-12
+            assert abs(local_ergotropy(states[0], p) - local_ergotropy(states[1], p)) <= 1e-12
 
 
 class TestBlpFunctional:

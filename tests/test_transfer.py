@@ -1,20 +1,31 @@
-"""The transfer-matrix core against the dense joint-space oracle and the
-closed-form collision unitary, and its physical invariants as properties
-over random model parameters.  The n-collision map T**n is checked against
-the same oracle and against the collision-by-collision loop."""
+"""The closed-form collision channel against the dense joint-space oracle
+and the closed-form collision unitary, and its physical invariants as
+properties over random model parameters.  The n-collision map T**n is
+checked against the same oracle, against the collision-by-collision loop and
+against its n -> infinity limit."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.collision import collision_power, run_collisions, transfer_stack
+from qbattery.collision import collision_power, collision_propagator, run_collisions, transfer_stack
 from qbattery.ergotropy import ergotropy_after_collisions, global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
+from qbattery.states import locally_passive_state, projector
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import closed_form_stack, dense_collisions, propagator_stack
+from _oracles import (
+    closed_form_stack,
+    dense_collisions,
+    partial_trace,
+    propagator_stack,
+    thermal_spin_state,
+    total_collision_hamiltonian,
+    unitary_from_hamiltonian,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -58,13 +69,25 @@ class TestDenseOracle:
             got = run_collisions(diff, 30, taus, p)
             assert np.abs(got - dense_collisions(diff, 30, taus, p)).max() <= 1e-12
 
-    def test_stack_equals_per_tau_propagators(self):
+    def test_channel_matches_dense_path(self):
+        """Over 200 random models, every fifth with k = 0 and every seventh
+        with e2 = h (so W = 0 at every 35th): the maps and the 8x8 propagator
+        against the eigendecomposition, and T**n against repeated products of
+        the dense map, whose own rounding grows with n."""
         gen = rng(707)
-        for case in range(24):
+        counts = (0, 1, 2, 3, 7, 30, 99, 100, 101, 250, 1000)
+        for case in range(200):
             p = random_params(gen)
-            taus = grid(p, int(gen.integers(1, 31))) if case % 2 else gen.uniform(0.0, 3.0, size=9)
-            taus = tuple(float(t) for t in taus)
-            assert (transfer_stack(p, taus) == propagator_stack(p, taus)).all()
+            p = replace(p, k=0.0 if case % 5 == 0 else p.k, h=p.e2 if case % 7 == 0 else p.h)
+            taus = tuple(gen.uniform(0.0, 3.0, size=9).tolist()) + (p.delta_t,)
+            assert np.abs(transfer_stack(p, taus) - propagator_stack(p, taus)).max() <= 1e-13
+            dense_u = unitary_from_hamiltonian(total_collision_hamiltonian(p), taus[0])
+            assert np.abs(collision_propagator(p, taus[0]) - dense_u).max() <= 1e-13
+            one, power = propagator_stack(p, (p.delta_t,))[0], np.eye(16, dtype=complex)
+            for n in range(max(counts) + 1):
+                if n in counts:
+                    assert np.abs(collision_power(p, n) - power).max() <= 1e-11
+                power = one @ power
 
     def test_first_sample_is_input(self):
         rho = random_density_matrix(rng(705), 4)
@@ -90,6 +113,31 @@ class TestCollisionPower:
                 for n in self.COUNTS:
                     got = (collision_power(p, n) @ start.reshape(16)).reshape(4, 4)
                     assert np.abs(got - dense[n]).max() <= 1e-12
+
+    def test_work_reaches_the_steady_limit(self):
+        """lambda(delta_t) < 1 at the defaults, so Lambda = lambda(delta_t)**n
+        vanishes: qubit 2 ends in the spin's diag(p0, p1), uncorrelated, and
+        qubit 1 only turns.  n = 10**20 is past int64."""
+        p = ModelParams()
+        h = battery_hamiltonian(p)
+        for rho in (projector(locally_passive_state(0.5)), random_density_matrix(rng(719), 4)):
+            limit = np.kron(partial_trace(rho, (2, 2), "A"), thermal_spin_state(p))
+            for n in (10**12, 10**15, 10**18, 10**20):
+                assert abs(ergotropy_after_collisions(rho, n, p) - global_ergotropy(limit, h)) <= 1e-12
+                assert abs(ergotropy_after_collisions(rho, n, p, "local") - local_ergotropy(limit, p)) <= 1e-12
+
+    def test_power_at_full_swap_and_without_coupling(self):
+        """At W*delta_t = pi/2 on resonance lambda(delta_t) is 0, where
+        1 - (2k*s)**2 cancels; at k = 0 it is 1, so no count may move the work."""
+        swap = ModelParams(delta_t=math.pi / 4)  # W = 2k = 2
+        for n in (1, 2, 3):
+            dense = np.linalg.matrix_power(propagator_stack(swap, (swap.delta_t,))[0], n)
+            assert np.abs(collision_power(swap, n) - dense).max() <= 1e-13
+        p, rho = ModelParams(k=0.0, h=0.3), random_density_matrix(rng(727), 4)
+        for mode in ("global", "local"):
+            still = ergotropy_after_collisions(rho, 0, p, mode)
+            for n in (1, 10**12, 10**18, 10**300):
+                assert abs(ergotropy_after_collisions(rho, n, p, mode) - still) <= 1e-12
 
     def test_ergotropy_matches_collision_loop(self):
         for p, gen in self.cases(713):
