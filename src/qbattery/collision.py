@@ -17,13 +17,15 @@ which keeps the intra-collision spin-battery correlations exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .linalg import ContractViolation, is_density_matrix
-from .model import ModelParams
+from .model import MAX_PHASE, ModelParams
 
 
 def _exchange(p: ModelParams, t):
@@ -86,14 +88,21 @@ def transfer_stack(p: ModelParams, taus: tuple[float, ...]) -> np.ndarray:
     return stack
 
 
+def _times(phase: float, n: int) -> float:
+    """phase*n.  Past MAX_PHASE the product carries no digit of the true
+    phase and can overflow, so it is then reduced exactly mod 2*pi instead."""
+    total = phase * float(n)
+    return total if abs(total) <= MAX_PHASE else float(Fraction(phase) * int(n) % Fraction(math.tau))
+
+
 def collision_power(p: ModelParams, n: int) -> np.ndarray:
     """T**n, the 16x16 map of n full collisions on row-major vec(rho): the
     channel with Lambda = lambda(delta_t)**n, |g**n| = sqrt(Lambda) and the
-    phases taken n times.  n may exceed int64."""
+    phases taken n times.  n may exceed int64 and reach the float range."""
     lam, g = _qubit2(p, p.delta_t)
     lam_n = lam ** float(n)
-    g_n = np.sqrt(lam_n) * np.exp(1j * np.angle(g) * float(n))
-    return _channel(p, np.atleast_1d(lam_n), g_n, np.exp(-2j * p.e1 * p.delta_t * float(n)))[0]
+    g_n = np.sqrt(lam_n) * np.exp(1j * _times(float(np.angle(g)), n))
+    return _channel(p, np.atleast_1d(lam_n), g_n, np.exp(-1j * _times(2.0 * p.e1 * p.delta_t, n)))[0]
 
 
 def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:

@@ -8,43 +8,43 @@ g(E) = sqrt(2**(E+1) - 2**(2E)):
     M3: 3*p*(1 + g(E)) + q*exp(r*E**3)     params (p, q, r)
     M4: 6*c*g(E) + b*exp(a*E)              params (a, b, c)
 
-Every family is separable (variable projection: Golub & Pereyra, SIAM J.
+Every family is separable, and variable projection (Golub & Pereyra, SIAM J.
 Numer. Anal. 10, 413 (1973); O'Leary & Rust, Comput. Optim. Appl. 54, 579
-(2013)), and the default start uses that.  M1 is linear in (3*c*a, -3*c)
-and is solved in closed form.  M2, M3 and M4 are one form,
-scale*u*shape(E) + v*exp(k*phi(E)), built by ``_separable``: the rate k is
-a in M2 and M4 (phi(E) = E) and r in M3 (phi(E) = E**3), and u and v enter
-linearly.  For a fixed k, u and v come from a linear least-squares solve,
-which leaves a one-dimensional profile SSE(k).  The profile is scanned on
-RATE_GRID, k in [-8, 8] in steps of 0.01 (1601 points), and the best grid
-point is refined by a bracketed root search (Brent) of the profile's
-analytic slope dSSE/dk between the point's two neighbours.  The slope,
-unlike differences of SSE, is not lost in rounding near the minimum, so
-the start is the stationary point to about 1e-12.  It is the global
-least-squares minimum over the bracket and needs no initial guess; a rate
-outside [-8, 8] is reached only by the polish below.
+(2013)) is the one solver, for a fit, a refit from ``init`` and every
+bootstrap draw.  M1 is linear in (3*c*a, -3*c) and is solved in closed form;
+it has one minimum, so ``init`` is only checked for its shape.  M2, M3 and
+M4 are one form, scale*u*shape(E) + v*exp(k*phi(E)), built by
+``_separable``: the rate k is a in M2 and M4 (phi(E) = E) and r in M3
+(phi(E) = E**3), and u and v enter linearly.  For a fixed k, u and v come
+from a linear least-squares solve, which leaves a one-dimensional profile
+SSE(k), scanned on RATE_GRID: k in [-8, 8] in steps of 0.01.  The search
+takes the best grid point, the global minimum over the scan, or with
+``init`` the local minimum reached downhill from the grid point nearest
+init's rate.  Brent's method then finds the root of the profile's analytic
+slope dSSE/dk between that point's two neighbours; the slope, unlike
+differences of SSE, is not lost in rounding, so the rate is the stationary
+point to about 1e-12.  No rate outside [-8, 8] is reached: a search that
+stops at the scan's edge is reported as not converged, in a message that
+names the edge.
 
-From that start (or from an explicit ``init``) damped Gauss-Newton
-(Levenberg-Marquardt) iterations with each family's analytic Jacobian
-polish all parameters together.  The reported 95% confidence half-widths
-come from the linearized covariance at the optimum, scaled by the residual
-variance and the two-sided 95% normal quantile.
+The 95% confidence half-widths come from the linearized covariance at the
+optimum, scaled by the residual variance and the two-sided 95% normal
+quantile, or with ``bootstrap`` from the percentiles of seeded
+residual-resampling draws, each refitted from the fitted rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import brentq
 
 from .states import schmidt_gap
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 RATE_GRID = np.linspace(-8.0, 8.0, 1601)  # profile scan of a (M2, M4) or r (M3)
-MAX_NFEV = 500  # Levenberg-Marquardt evaluation budget per fit or refit
-STEP_TOL = 1e-10  # relative step size that ends the iterations
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,13 @@ class FitModel:
     param_names: tuple[str, ...]
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]  # d predict / d params
-    start: Callable[[np.ndarray, np.ndarray], np.ndarray]  # global start from (E, value)
+    # (E, values (rows, n), init or None) -> parameters (rows, n_par), and per
+    # row Brent's iterations and a note that is empty where the rate was bracketed
+    solve: Callable[..., tuple[np.ndarray, Sequence[int], Sequence[str]]]
+
+    def start(self, e, y) -> np.ndarray:
+        """The global least-squares parameters: the best over the whole rate scan."""
+        return self.solve(e, np.asarray(y)[None], None)[0][0]
 
 
 def _over(num, den):
@@ -62,38 +68,57 @@ def _over(num, den):
     return np.divide(num, den, out=np.zeros(shape), where=den > 0)
 
 
-def _profile(base, t, y, rates):
-    """Best u*base + v*exp(k*t) fit to y for each rate k.
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
 
-    Returns the residual rows (len(rates), len(y)) and the coefficients u, v.
-    The base column does not depend on k, so it is projected out once; a
-    rate whose exponential column lies in the span of base gets v = 0.
-    """
+
+def _perp(z, base, bb):
+    """Each row of z with its component along base removed."""
+    return z - np.outer(_over(z @ base, bb), base)
+
+
+def _slope(k, base, t, y_perp, bb):
+    """dSSE/dk = -2*v*r.(t*exp(k*t)) of one row: r is orthogonal to both columns."""
+    x = np.exp(k * t)
+    x_perp = x - base * (x @ base / bb if bb > 0 else 0.0)
+    xx = x_perp @ x_perp
+    v = x_perp @ y_perp / xx if xx > 0 else 0.0
+    return -2.0 * v * ((y_perp - v * x_perp) @ (t * x))
+
+
+def _profile_solve(base, t, y, init_rate):
+    """(k, v, u) minimising |y - u*base - v*exp(k*t)| for each row of y, with
+    Brent's iterations and a note that is empty where it bracketed k."""
     bb = base @ base
-    y_perp = y - base * _over(base @ y, bb)
+    y_perp = _perp(y, base, bb)
+    x_perp = _perp(np.exp(np.multiply.outer(RATE_GRID, t)), base, bb)
+    c = y_perp @ x_perp.T  # SSE(k) = |y_perp|**2 - c**2/|x_perp|**2, with no residual rows
+    sse = _rowdot(y_perp, y_perp)[:, None] - c * _over(c, _rowdot(x_perp, x_perp))
+    near = None if init_rate is None else np.argmin(np.abs(RATE_GRID - init_rate))
+    last = len(RATE_GRID) - 1
+    solved = []
+    for row, s in zip(y_perp, sse):
+        j = int(np.argmin(s) if near is None else near)
+        while j < last and s[j + 1] < s[j]:  # downhill to a local minimum of the scan
+            j += 1
+        while j > 0 and s[j - 1] < s[j]:
+            j -= 1
+        lo, hi = RATE_GRID[max(j - 1, 0)], RATE_GRID[min(j + 1, last)]
+        args = (base, t, row, bb)
+        k, its, note = RATE_GRID[j], 0, ""
+        if _slope(lo, *args) < 0.0 < _slope(hi, *args):
+            k, info = brentq(_slope, lo, hi, args=args, full_output=True)
+            its = info.iterations
+        else:
+            note = (f"rate stopped at {k:g}, the edge of the scan [-8, 8]" if j in (0, last)
+                    else f"the profile slope does not change sign about rate {k:g}")
+        solved.append((k, its, note))
+    rates, iterations, notes = zip(*solved)
     x = np.exp(np.multiply.outer(rates, t))
-    x_perp = x - np.outer(_over(x @ base, bb), base)
-    v = _over(x_perp @ y_perp, np.einsum("ij,ij->i", x_perp, x_perp))
+    x_perp = _perp(x, base, bb)
+    v = _over(_rowdot(x_perp, y_perp), _rowdot(x_perp, x_perp))
     u = _over((y - v[:, None] * x) @ base, bb)
-    return y_perp - v[:, None] * x_perp, u, v
-
-
-def _profile_start(base, t, y) -> tuple[float, float, float]:
-    """(k, v, u) minimising |y - u*base - v*exp(k*t)| over k in the grid bracket."""
-
-    def slope(k):
-        # dSSE/dk = -2*v*r.(t*exp(k*t)): r is orthogonal to both columns.
-        r, _, v = _profile(base, t, y, np.array([k]))
-        return -2.0 * v[0] * (r[0] @ (t * np.exp(k * t)))
-
-    r = _profile(base, t, y, RATE_GRID)[0]
-    i = int(np.argmin(np.einsum("ij,ij->i", r, r)))
-    k = RATE_GRID[i]
-    lo, hi = RATE_GRID[max(i - 1, 0)], RATE_GRID[min(i + 1, len(RATE_GRID) - 1)]
-    if slope(lo) < 0.0 < slope(hi):
-        k = brentq(slope, lo, hi)
-    _, u, v = _profile(base, t, y, np.array([k]))
-    return float(k), float(v[0]), float(u[0])
+    return np.column_stack([rates, v, u]), iterations, notes
 
 
 def _m1(e, p):
@@ -106,14 +131,15 @@ def _m1_jacobian(e, p):
     return np.column_stack([3.0 * (a - schmidt_gap(e)), np.full(len(e), 3.0 * c)])
 
 
-def _m1_start(e, y):
+def _m1_solve(e, y, init=None):
     """Closed form: y = alpha + beta*g with alpha = 3*c*a and beta = -3*c."""
     basis = np.column_stack([np.ones_like(e), schmidt_gap(e)])
-    (alpha, beta), *_ = np.linalg.lstsq(basis, y, rcond=None)
+    (alpha, beta), *_ = np.linalg.lstsq(basis, y.T, rcond=None)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = -alpha / beta
     # c = 0 leaves a undetermined (the curve is 0 for every a); keep it finite.
-    return np.array([-beta / 3.0, a if np.isfinite(a) else 0.0])
+    p = np.column_stack([-beta / 3.0, np.where(np.isfinite(a), a, 0.0)])
+    return p, [0] * len(y), [""] * len(y)
 
 
 def _separable(name, names, scale, shape, phi, order) -> FitModel:
@@ -133,10 +159,12 @@ def _separable(name, names, scale, shape, phi, order) -> FitModel:
         x = np.exp(k * t)
         return np.column_stack([v * t * x, x, scale * shape(e)])[:, order]
 
-    def start(e, y):
-        return np.array(_profile_start(scale * shape(e), phi(e), y))[order]
+    def solve(e, y, init=None):
+        rate = None if init is None else init[where[0]]
+        kvu, iterations, notes = _profile_solve(scale * shape(e), phi(e), y, rate)
+        return kvu[:, order], iterations, notes
 
-    return FitModel(name, names, predict, jacobian, start)
+    return FitModel(name, names, predict, jacobian, solve)
 
 
 def _one_plus_gap(e):
@@ -144,7 +172,7 @@ def _one_plus_gap(e):
 
 
 MODELS: dict[str, FitModel] = {
-    "M1": FitModel("M1", ("c", "a"), _m1, _m1_jacobian, _m1_start),
+    "M1": FitModel("M1", ("c", "a"), _m1, _m1_jacobian, _m1_solve),
     "M2": _separable("M2", ("a", "b", "c"), 3.0, _one_plus_gap, lambda e: e, [0, 1, 2]),
     "M3": _separable("M3", ("p", "q", "r"), 3.0, _one_plus_gap, lambda e: e**3, [2, 1, 0]),
     "M4": _separable("M4", ("a", "b", "c"), 6.0, schmidt_gap, lambda e: e, [0, 1, 2]),
@@ -186,34 +214,6 @@ def _split_data(data) -> tuple[np.ndarray, np.ndarray]:
     return e, y
 
 
-def _bootstrap_half_widths(
-    mdl: FitModel,
-    e: np.ndarray,
-    y: np.ndarray,
-    fitted: np.ndarray,
-    samples: int,
-    seed: int,
-) -> np.ndarray:
-    """95% half-widths from seeded residual-resampling refits."""
-    gen = np.random.default_rng(seed)
-    base = mdl.predict(e, fitted)
-    residuals = y - base
-    draws = np.empty((samples, len(fitted)))
-    for b in range(samples):
-        y_star = base + gen.choice(residuals, size=len(e), replace=True)
-        res = least_squares(
-            lambda p: mdl.predict(e, p) - y_star,
-            fitted,
-            jac=lambda p: mdl.jacobian(e, p),
-            method="lm",
-            xtol=STEP_TOL,
-            max_nfev=MAX_NFEV,
-        )
-        draws[b] = res.x
-    lo, hi = np.percentile(draws, [2.5, 97.5], axis=0)
-    return 0.5 * (hi - lo)
-
-
 def fit_curve(
     model,
     data,
@@ -223,10 +223,10 @@ def fit_curve(
 ) -> FitResult:
     """Least-squares fit of a model family to (E, value) pairs.
 
-    Without ``init`` the iterations start from the family's ``start``, the
-    global minimum over the rate bracket; with it they start from ``init`` and
-    find the nearest local minimum.  Never raises on numerical trouble: a
-    singular linearization or an exhausted iteration budget is reported
+    Without ``init`` the result is the global minimum over the rate scan;
+    with it, the local minimum nearest init's rate.  Never raises on
+    numerical trouble: a rate that Brent's method could not bracket (such
+    as one at the scan's edge) or singular normal equations are reported
     through ``converged`` and ``message``.  With ``bootstrap > 0`` the
     confidence half-widths come from that many seeded residual-resampling
     refits (percentile based) instead of the linearized covariance; a
@@ -239,26 +239,19 @@ def fit_curve(
     n_par = len(mdl.param_names)
     if len(e) < n_par + 1:
         raise ValueError(f"need at least {n_par + 1} data points, got {len(e)}")
-    x0 = np.asarray(init, dtype=float) if init is not None else mdl.start(e, y)
-    if x0.shape != (n_par,):
-        raise ValueError(f"init must have {n_par} entries, got {x0.shape}")
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (n_par,):
+            raise ValueError(f"init must have {n_par} entries, got {init.shape}")
 
-    res = least_squares(
-        lambda p: mdl.predict(e, p) - y,
-        x0,
-        jac=lambda p: mdl.jacobian(e, p),
-        method="lm",
-        xtol=STEP_TOL,
-        ftol=np.finfo(float).eps,
-        gtol=np.finfo(float).eps,
-        max_nfev=MAX_NFEV,
-    )
-    sse = float(2.0 * res.cost)
+    fitted, iterations, message = (out[0] for out in mdl.solve(e, y[None], init))
+    r = mdl.predict(e, fitted) - y
+    sse = float(r @ r)
     dof = len(e) - n_par
-    converged = bool(res.status > 0)
-    message = res.message if not converged else ""
+    converged = not message
 
-    jtj = res.jac.T @ res.jac
+    jac = mdl.jacobian(e, fitted)
+    jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj) * (sse / dof)
     except np.linalg.LinAlgError:
@@ -267,15 +260,19 @@ def fit_curve(
         message = (message + "; " if message else "") + "singular normal equations"
     half = Z95 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    if bootstrap > 0:
-        half = _bootstrap_half_widths(mdl, e, y, res.x, bootstrap, bootstrap_seed)
+    if bootstrap > 0:  # every draw refitted by the same solve, from the fitted rate
+        gen = np.random.default_rng(bootstrap_seed)
+        base = mdl.predict(e, fitted)
+        y_star = base + gen.choice(y - base, size=(bootstrap, len(e)), replace=True)
+        lo, hi = np.percentile(mdl.solve(e, y_star, fitted)[0], [2.5, 97.5], axis=0)
+        half = 0.5 * (hi - lo)
 
     return FitResult(
         model=mdl.name,
-        params=dict(zip(mdl.param_names, (float(v) for v in res.x))),
+        params=dict(zip(mdl.param_names, (float(v) for v in fitted))),
         residual=sse,
         confidence95=dict(zip(mdl.param_names, (float(v) for v in half))),
-        iterations=int(res.nfev),
+        iterations=int(iterations),
         converged=converged,
         message=message,
     )

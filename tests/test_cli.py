@@ -631,6 +631,18 @@ class TestRejectedRuns:
             assert (code, err.count("\n"), list(tmp_path.iterdir())) == (2, 1, [])
             assert "delta_t" in err
 
+    @pytest.mark.filterwarnings("error")  # as above: a warning would print on stderr
+    def test_collision_count_past_the_float_range(self, tmp_path, capsys):
+        config = tmp_path / "big.ini"
+        config.write_text("[model]\ndelta_t = 1.0\n")
+        out = tmp_path / "s.csv"
+        code = run("sweep", "--seed", 1, "--config", config, "--quantity", "G_p", "--entanglements", "0.5",
+                   "--collisions", "1.7e308", "--output", out)
+        assert (code, capsys.readouterr().err) == (0, "")
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert abs(float(row["value"]) - 0.0898202747532375) <= 1e-12  # the steady work
+
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError

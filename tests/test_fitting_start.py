@@ -133,3 +133,30 @@ def test_non_finite_row_is_named():
     data[6, 0] = np.inf
     with pytest.raises(ValueError, match="row 7 of 21"):
         fit_curve("M1", data)
+
+
+@pytest.mark.parametrize("model", ["M2", "M3", "M4"])
+def test_bootstrap_refits_each_draw_as_a_fit_from_init(model):
+    draws = 40
+    for seed in range(3):
+        _, data = jittered(model, seed, noise=1e-2)
+        boot = fit_curve(model, data, bootstrap=draws, bootstrap_seed=seed)
+        fitted = vec(boot)
+        base = MODELS[model].predict(E_GRID, fitted)
+        gen = np.random.default_rng(seed)
+        refits = []
+        for _ in range(draws):
+            y_star = base + gen.choice(data[:, 1] - base, size=len(E_GRID), replace=True)
+            refits.append(vec(fit_curve(model, np.column_stack([E_GRID, y_star]), init=fitted)))
+        lo, hi = np.percentile(refits, [2.5, 97.5], axis=0)
+        half = np.array([boot.confidence95[n] for n in MODELS[model].param_names])
+        assert np.allclose(0.5 * (hi - lo), half, rtol=1e-9, atol=0.0), (model, seed)
+
+
+def test_rate_past_the_scan_is_reported():
+    # The least-squares rate is 9, past RATE_GRID: the fit stops at its edge and says so.
+    data = np.column_stack([E_GRID, MODELS["M2"].predict(E_GRID, np.array([9.0, -1.2, 0.89]))])
+    res = fit_curve("M2", data)
+    assert not res.converged
+    assert res.params["a"] == RATE_GRID[-1]
+    assert "edge of the scan [-8, 8]" in res.message

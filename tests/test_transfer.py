@@ -117,14 +117,15 @@ class TestCollisionPower:
     def test_work_reaches_the_steady_limit(self):
         """lambda(delta_t) < 1 at the defaults, so Lambda = lambda(delta_t)**n
         vanishes: qubit 2 ends in the spin's diag(p0, p1), uncorrelated, and
-        qubit 1 only turns.  n = 10**20 is past int64."""
-        p = ModelParams()
-        h = battery_hamiltonian(p)
-        for rho in (projector(locally_passive_state(0.5)), random_density_matrix(rng(719), 4)):
-            limit = np.kron(partial_trace(rho, (2, 2), "A"), thermal_spin_state(p))
-            for n in (10**12, 10**15, 10**18, 10**20):
-                assert abs(ergotropy_after_collisions(rho, n, p) - global_ergotropy(limit, h)) <= 1e-12
-                assert abs(ergotropy_after_collisions(rho, n, p, "local") - local_ergotropy(limit, p)) <= 1e-12
+        qubit 1 only turns.  n = 10**20 is past int64, and at delta_t = 1 the
+        phases of n = int(1.7e308) collisions are past the float range."""
+        for p in (ModelParams(), ModelParams(delta_t=1.0)):
+            h = battery_hamiltonian(p)
+            for rho in (projector(locally_passive_state(0.5)), random_density_matrix(rng(719), 4)):
+                limit = np.kron(partial_trace(rho, (2, 2), "A"), thermal_spin_state(p))
+                for n in (10**12, 10**15, 10**18, 10**20, int(1.7e308)):
+                    assert abs(ergotropy_after_collisions(rho, n, p) - global_ergotropy(limit, h)) <= 1e-12
+                    assert abs(ergotropy_after_collisions(rho, n, p, "local") - local_ergotropy(limit, p)) <= 1e-12
 
     def test_power_at_full_swap_and_without_coupling(self):
         """At W*delta_t = pi/2 on resonance lambda(delta_t) is 0, where
