@@ -25,16 +25,19 @@ slope dSSE/dk between that point's two neighbours; the slope, unlike
 differences of SSE, is not lost in rounding, so the rate is the stationary
 point to about 1e-12.  No rate outside [-8, 8] is reached: a search that
 stops at the scan's edge is reported as not converged, in a message that
-names the edge.
+names the edge, and a flat profile (say all-zero data) as an undetermined rate.
 
 The 95% confidence half-widths come from the linearized covariance at the
 optimum, scaled by the residual variance and the two-sided 95% normal
 quantile, or with ``bootstrap`` from the percentiles of seeded
-residual-resampling draws, each refitted from the fitted rate.
+residual-resampling draws, each refitted from the fitted rate.  Draws whose
+rate was not bracketed are counted in the message, and the fit reads not
+converged.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,21 +71,23 @@ def _over(num, den):
     return np.divide(num, den, out=np.zeros(shape), where=den > 0)
 
 
-def _rowdot(a, b):
-    return np.einsum("ij,ij->i", a, b)
-
-
 def _perp(z, base, bb):
     """Each row of z with its component along base removed."""
     return z - np.outer(_over(z @ base, bb), base)
 
 
-def _slope(k, base, t, y_perp, bb):
-    """dSSE/dk = -2*v*r.(t*exp(k*t)) of one row: r is orthogonal to both columns."""
+def _project(k, base, t, y_perp, bb):
+    """exp(k*t), its part x_perp orthogonal to base, and y_perp's weight v on
+    x_perp.  _perp and _over for one row, in scalar form for speed in Brent."""
     x = np.exp(k * t)
     x_perp = x - base * (x @ base / bb if bb > 0 else 0.0)
     xx = x_perp @ x_perp
-    v = x_perp @ y_perp / xx if xx > 0 else 0.0
+    return x, x_perp, (x_perp @ y_perp / xx if xx > 0 else 0.0)
+
+
+def _slope(k, base, t, y_perp, bb):
+    """dSSE/dk = -2*v*r.(t*exp(k*t)) of one row: r is orthogonal to both columns."""
+    x, x_perp, v = _project(k, base, t, y_perp, bb)
     return -2.0 * v * ((y_perp - v * x_perp) @ (t * x))
 
 
@@ -90,35 +95,36 @@ def _profile_solve(base, t, y, init_rate):
     """(k, v, u) minimising |y - u*base - v*exp(k*t)| for each row of y, with
     Brent's iterations and a note that is empty where it bracketed k."""
     bb = base @ base
-    y_perp = _perp(y, base, bb)
-    x_perp = _perp(np.exp(np.multiply.outer(RATE_GRID, t)), base, bb)
-    c = y_perp @ x_perp.T  # SSE(k) = |y_perp|**2 - c**2/|x_perp|**2, with no residual rows
-    sse = _rowdot(y_perp, y_perp)[:, None] - c * _over(c, _rowdot(x_perp, x_perp))
+    grid_perp = _perp(np.exp(np.multiply.outer(RATE_GRID, t)), base, bb)
+    grid_inv = _over(1.0, np.einsum("ij,ij->i", grid_perp, grid_perp))
     near = None if init_rate is None else np.argmin(np.abs(RATE_GRID - init_rate))
     last = len(RATE_GRID) - 1
     solved = []
-    for row, s in zip(y_perp, sse):
+    for row, row_perp in zip(y, _perp(y, base, bb)):  # scan row by row: memory stays O(grid)
+        c = grid_perp @ row_perp  # SSE(k) = |y_perp|**2 - c**2/|x_perp|**2 on the scan
+        s = row_perp @ row_perp - c * c * grid_inv
         j = int(np.argmin(s) if near is None else near)
         while j < last and s[j + 1] < s[j]:  # downhill to a local minimum of the scan
             j += 1
         while j > 0 and s[j - 1] < s[j]:
             j -= 1
+        args = (base, t, row_perp, bb)
         lo, hi = RATE_GRID[max(j - 1, 0)], RATE_GRID[min(j + 1, last)]
-        args = (base, t, row, bb)
+        down, up = _slope(lo, *args), _slope(hi, *args)
         k, its, note = RATE_GRID[j], 0, ""
-        if _slope(lo, *args) < 0.0 < _slope(hi, *args):
+        if down < 0.0 < up:
             k, info = brentq(_slope, lo, hi, args=args, full_output=True)
             its = info.iterations
+        elif down == up == 0.0 or np.ptp(s) == 0.0:
+            note = "the rate is undetermined (flat profile)"
+        elif j in (0, last):
+            note = f"rate stopped at {k:g}, the edge of the scan [-8, 8]"
         else:
-            note = (f"rate stopped at {k:g}, the edge of the scan [-8, 8]" if j in (0, last)
-                    else f"the profile slope does not change sign about rate {k:g}")
-        solved.append((k, its, note))
-    rates, iterations, notes = zip(*solved)
-    x = np.exp(np.multiply.outer(rates, t))
-    x_perp = _perp(x, base, bb)
-    v = _over(_rowdot(x_perp, y_perp), _rowdot(x_perp, x_perp))
-    u = _over((y - v[:, None] * x) @ base, bb)
-    return np.column_stack([rates, v, u]), iterations, notes
+            note = f"the profile slope does not change sign about rate {k:g}"
+        x, _, v = _project(k, *args)
+        solved.append(((k, v, (row - v * x) @ base / bb if bb > 0 else 0.0), its, note))
+    kvu, iterations, notes = zip(*solved)
+    return np.array(kvu), iterations, notes
 
 
 def _m1(e, p):
@@ -214,23 +220,18 @@ def _split_data(data) -> tuple[np.ndarray, np.ndarray]:
     return e, y
 
 
-def fit_curve(
-    model,
-    data,
-    init=None,
-    bootstrap: int = 0,
-    bootstrap_seed: int = 0,
-) -> FitResult:
+def fit_curve(model, data, init=None, bootstrap: int = 0, bootstrap_seed: int = 0) -> FitResult:
     """Least-squares fit of a model family to (E, value) pairs.
 
     Without ``init`` the result is the global minimum over the rate scan;
     with it, the local minimum nearest init's rate.  Never raises on
     numerical trouble: a rate that Brent's method could not bracket (such
-    as one at the scan's edge) or singular normal equations are reported
-    through ``converged`` and ``message``.  With ``bootstrap > 0`` the
-    confidence half-widths come from that many seeded residual-resampling
-    refits (percentile based) instead of the linearized covariance; a
-    negative ``bootstrap`` raises ValueError.
+    as one at the scan's edge), in the fit or in any bootstrap draw, and
+    singular normal equations are reported through ``converged`` and
+    ``message``.  With ``bootstrap > 0`` the confidence half-widths come
+    from that many seeded residual-resampling refits (percentile based)
+    instead of the linearized covariance; a negative ``bootstrap`` raises
+    ValueError.
     """
     mdl = _resolve_model(model)
     if bootstrap < 0:
@@ -244,11 +245,11 @@ def fit_curve(
         if init.shape != (n_par,):
             raise ValueError(f"init must have {n_par} entries, got {init.shape}")
 
-    fitted, iterations, message = (out[0] for out in mdl.solve(e, y[None], init))
-    r = mdl.predict(e, fitted) - y
-    sse = float(r @ r)
+    fitted, iterations, note = (out[0] for out in mdl.solve(e, y[None], init))
+    problems = [note] if note else []
+    base = mdl.predict(e, fitted)
+    sse = float((base - y) @ (base - y))
     dof = len(e) - n_par
-    converged = not message
 
     jac = mdl.jacobian(e, fitted)
     jtj = jac.T @ jac
@@ -256,16 +257,17 @@ def fit_curve(
         cov = np.linalg.inv(jtj) * (sse / dof)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj) * (sse / dof)
-        converged = False
-        message = (message + "; " if message else "") + "singular normal equations"
+        problems.append("singular normal equations")
     half = Z95 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     if bootstrap > 0:  # every draw refitted by the same solve, from the fitted rate
         gen = np.random.default_rng(bootstrap_seed)
-        base = mdl.predict(e, fitted)
         y_star = base + gen.choice(y - base, size=(bootstrap, len(e)), replace=True)
-        lo, hi = np.percentile(mdl.solve(e, y_star, fitted)[0], [2.5, 97.5], axis=0)
+        refits, _, notes = mdl.solve(e, y_star, fitted)
+        lo, hi = np.percentile(refits, [2.5, 97.5], axis=0)
         half = 0.5 * (hi - lo)
+        problems += [f"{count} of {bootstrap} bootstrap draws: {note}"
+                     for note, count in Counter(filter(None, notes)).most_common()]
 
     return FitResult(
         model=mdl.name,
@@ -273,6 +275,6 @@ def fit_curve(
         residual=sse,
         confidence95=dict(zip(mdl.param_names, (float(v) for v in half))),
         iterations=int(iterations),
-        converged=converged,
-        message=message,
+        converged=not problems,
+        message="; ".join(problems),
     )

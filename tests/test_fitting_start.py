@@ -1,5 +1,6 @@
 """The global start and the analytic Jacobians of the fit families."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -160,3 +161,33 @@ def test_rate_past_the_scan_is_reported():
     assert not res.converged
     assert res.params["a"] == RATE_GRID[-1]
     assert "edge of the scan [-8, 8]" in res.message
+
+
+def test_bootstrap_draws_past_the_scan_are_reported():
+    # Fitted a = 7.85; half the draws' least-squares rates lie past RATE_GRID.
+    _, data = jittered("M4", 17, noise=1e-2)
+    assert fit_curve("M4", data).converged
+    boot = fit_curve("M4", data, bootstrap=50, bootstrap_seed=17)
+    assert not boot.converged
+    assert boot.message == "25 of 50 bootstrap draws: rate stopped at 8, the edge of the scan [-8, 8]"
+
+
+@pytest.mark.parametrize("model", ["M2", "M3", "M4"])
+def test_flat_profile_is_reported_as_undetermined(model):
+    res = fit_curve(model, np.column_stack([E_GRID, np.zeros_like(E_GRID)]))
+    assert not res.converged
+    assert "the rate is undetermined (flat profile)" in res.message
+    assert "edge" not in res.message
+
+
+def test_bootstrap_memory_does_not_scale_with_the_scan():
+    # Each draw's scan over RATE_GRID is made and dropped in turn: a draw
+    # costs its resample and its result, not 1,601 floats per array.
+    _, data = jittered("M4", 3, noise=1e-2)
+    tracemalloc.start()
+    try:
+        fit_curve("M4", data, bootstrap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
