@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .states import schmidt_gap
 
@@ -94,6 +93,8 @@ def _slope(k, base, t, y_perp, bb):
 def _profile_solve(base, t, y, init_rate):
     """(k, v, u) minimising |y - u*base - v*exp(k*t)| for each row of y, with
     Brent's iterations and a note that is empty where it bracketed k."""
+    from scipy.optimize import brentq  # here, so that only a fit pays scipy.optimize's import
+
     bb = base @ base
     grid_perp = _perp(np.exp(np.multiply.outer(RATE_GRID, t)), base, bb)
     grid_inv = _over(1.0, np.einsum("ij,ij->i", grid_perp, grid_perp))

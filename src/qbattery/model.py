@@ -10,14 +10,23 @@ Conventions, fixed across the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import STATE_TOL
 
 MAX_PHASE = STATE_TOL * 2.0**53  # the phase precision bound of ModelParams
+
+
+def _expit(x: float) -> float:
+    """1/(1 + exp(-x)) through libm's exp, as scipy.special.expit computes
+    it, and equal to it bit for bit (numpy's exp differs in the last bit)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) is past the float range, so scipy's inf gives 0.0
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -66,12 +75,12 @@ class ModelParams:
     @property
     def p0(self) -> float:
         """Population of the upper spin level |0> in the thermal bath state."""
-        return float(expit(-2.0 * self.beta * self.h))
+        return _expit(-2.0 * self.beta * self.h)
 
     @property
     def p1(self) -> float:
         """Population of the lower spin level |1> in the thermal bath state."""
-        return float(expit(2.0 * self.beta * self.h))
+        return _expit(2.0 * self.beta * self.h)
 
 
 def battery_hamiltonian(p: ModelParams) -> np.ndarray:

@@ -8,9 +8,9 @@ through the same channel written in closed form.
 The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
-The G/L search over all six Euler angles, the csv.writer path and scipy's
-scrambled Halton sampler are references for package code that reaches the
-same result with less work.
+The G/L search over all six Euler angles, the csv.writer path, scipy's
+scrambled Halton sampler and scipy's Nelder-Mead are references for package
+code that reaches the same result with less work.
 The backflow oracles deliberately avoid the package's optimizer,
 orthogonal-pair parametrization and transfer-matrix core: pairs are two
 *independent* pure states from a plain spherical chart, sampled with a
@@ -24,13 +24,14 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from qbattery.collision import collision_power
 from qbattery.ergotropy import MODES, _yield_of
 from qbattery.linalg import ContractViolation, _as_square, is_density_matrix, is_hermitian
 from qbattery.model import ModelParams, battery_hamiltonian
-from qbattery.optimize import SPAN, OptimizerSettings, multistart_maximize
+from qbattery.optimize import F_TOL, SPAN, X_TOL, OptimizerSettings, multistart_maximize
 from qbattery.states import schmidt_lambdas_from_entanglement, single_qubit_unitary
 
 
@@ -307,6 +308,34 @@ def scipy_start_points(dim: int, settings: OptimizerSettings) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
         pts[1:] = qmc.Halton(d=dim, scramble=True, seed=rng).random(settings.starts - 1) * SPAN
     return pts
+
+
+def scipy_nelder_mead(fun, x0, max_evals: int) -> tuple[np.ndarray, float, int, list[tuple[int, str]]]:
+    """Reference for qbattery.optimize._nelder_mead: scipy's
+    minimize(method="Nelder-Mead") with the package's options, as (x, value,
+    evaluations, steps).  steps holds one (evaluations before it, kind) per
+    finished iteration, kind being "reflect", "expand", "contract" or
+    "shrink", read off how many evaluations it made and whether its
+    reflection beat every earlier value."""
+    values, ends = [], []
+
+    def counted(x):
+        values.append(fun(x))
+        return values[-1]
+
+    res = minimize(counted, x0, method="Nelder-Mead", callback=lambda _: ends.append(len(values)),
+                   options={"maxfev": max_evals, "xatol": X_TOL, "fatol": F_TOL})
+    steps, start = [], len(x0) + 1
+    for end in ends:
+        if end - start == 1:
+            kind = "reflect"
+        elif end - start == 2:
+            kind = "expand" if values[start] < min(values[:start]) else "contract"
+        else:
+            kind = "shrink"
+        steps.append((start, kind))
+        start = end
+    return res.x, res.fun, res.nfev, steps
 
 
 def _csv_cell(value) -> str:

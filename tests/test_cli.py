@@ -137,6 +137,16 @@ class TestSweepCommand:
         assert all(float(r["E"]) == 0.6 for r in rows)
         assert all(float(r["delta_t"]) == 0.3 for r in rows)
 
+    def test_cold_bath_from_config(self, tmp_path):
+        # 2 * beta overflows to inf; the populations read 0 and 1
+        cfg = tmp_path / "cold.ini"
+        cfg.write_text("[model]\nbeta = 1e308\n")
+        out = tmp_path / "cold.csv"
+        code = run("sweep", "--config", cfg, "--seed", 1, "--output", out,
+                   "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "3")
+        assert code == 0
+        assert [r["value"] for r in read_csv(out)] == ["0.19950212188104821"]
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[model]\ncouplingg = 2\n")

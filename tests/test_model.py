@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from qbattery.model import ModelParams, battery_hamiltonian
+from qbattery.model import ModelParams, _expit, battery_hamiltonian
 
 from _oracles import (
     ID2,
@@ -58,6 +59,23 @@ class TestModelParams:
         assert np.isclose(P.p0 + P.p1, 1.0)
         assert np.isclose(P.p0, 1.0 / (1.0 + np.exp(20.0)))
         assert np.isclose(P.p0, 2.0611536e-9, rtol=1e-6)
+
+
+class TestExpit:
+    def test_equal_to_scipy_bit_for_bit(self):
+        gen = np.random.default_rng(0)
+        x = np.concatenate([
+            gen.normal(0.0, 3.0, 150_000),
+            gen.uniform(-40.0, 40.0, 150_000),
+            gen.uniform(-800.0, 800.0, 100_000),  # a quarter past |x| = 709.78, where exp(-x) overflows
+            [709.78, -709.78, 709.79, -709.79, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf, 0.0, -0.0, 5e-324],
+        ])
+        assert np.array([_expit(v) for v in x.tolist()]).tobytes() == expit(x).tobytes()
+
+    @pytest.mark.parametrize("beta, p0, p1", [(1e308, 0.0, 1.0), (355.0, 0.0, 1.0), (0.0, 0.5, 0.5)])
+    def test_populations_at_the_limits(self, beta, p0, p1):
+        p = ModelParams(beta=beta)
+        assert (p.p0, p.p1) == (p0, p1)
 
 
 class TestBatteryHamiltonian:

@@ -1,5 +1,5 @@
-"""Start points and settings of the multi-start search, and the import cost
-they no longer carry."""
+"""Start points, settings and simplex search of the multi-start search, and
+the import cost they no longer carry."""
 
 import ast
 import os
@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbattery.optimize import MAX_STARTS, OptimizerSettings, start_points
+import qbattery.ergotropy as ergotropy
+import qbattery.nonmarkov as nonmarkov
+from qbattery.model import ModelParams
+from qbattery.optimize import MAX_STARTS, OptimizerSettings, _nelder_mead, start_points
 
-from _oracles import scipy_start_points
+from _oracles import scipy_nelder_mead, scipy_start_points
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qbattery"
 COUNTS = (1, 2, 9, 24, 64)  # one start is the zero vector alone
@@ -52,13 +55,97 @@ class TestSettings:
         assert OptimizerSettings(starts=MAX_STARTS).for_grid_index(3).starts == MAX_STARTS
 
 
+def _objective(module, run):
+    """The objective that `run` hands to module's multi-start search."""
+    caught = []
+
+    def search(objective, dim, settings=None):
+        caught.append(objective)
+        return np.zeros(dim), 0.0, None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "multistart_maximize", search)
+        run()
+    return lambda x: -caught[0](x)  # minimized, as the search minimizes it
+
+
+OBJECTIVES = {  # name: (dimension, objective, evaluation cap of the seed sweep)
+    "G": (3, lambda: _objective(ergotropy, lambda: ergotropy.max_work_fixed_entanglement(
+        0.6, 30, ModelParams(k=0.8), "G")), 2000),
+    "L": (3, lambda: _objective(ergotropy, lambda: ergotropy.max_work_fixed_entanglement(
+        0.4, 30, ModelParams(delta_t=0.7), "L")), 2000),
+    # a binding cap, as in the benchmark's blp commands; 10 grid points keep it cheap
+    "BLP": (10, lambda: _objective(nonmarkov, lambda: nonmarkov.blp_measure(
+        1.0, ModelParams(delta_t=1.0), grid_points=10)), 100),
+}
+
+
+def _same(port, oracle):
+    """Bitwise equal point and value, and equal evaluation counts."""
+    (x, value, evals), (ox, ovalue, oevals) = port, oracle[:3]
+    return x.tobytes() == ox.tobytes() and np.float64(value).tobytes() == np.float64(ovalue).tobytes() and evals == oevals
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_equal_to_scipy_over_seeds(self, name):
+        dim, make, cap = OBJECTIVES[name]
+        fun = make()
+        for seed in range(200):
+            x0 = start_points(dim, OptimizerSettings(starts=2, seed=seed))[1]
+            assert _same(_nelder_mead(fun, x0, cap), scipy_nelder_mead(fun, x0, cap)), seed
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_equal_to_scipy_when_the_cap_cuts_a_step(self, name):
+        dim, make, _ = OBJECTIVES[name]
+        fun = make()
+        for seed in range(40):  # the first start whose search both expands and shrinks
+            x0 = start_points(dim, OptimizerSettings(starts=2, seed=seed))[1]
+            steps = {kind: start for start, kind in reversed(scipy_nelder_mead(fun, x0, 400)[3])}  # first of each kind
+            if {"expand", "shrink"} <= steps.keys():
+                break
+        else:
+            pytest.fail("no start both expands and shrinks")
+        # reflected then cut before expanding; reflected, contracted, one vertex shrunk then cut
+        for cap in (1, dim, dim + 1, steps["expand"] + 1, steps["shrink"] + 3):
+            assert _same(_nelder_mead(fun, x0, cap), scipy_nelder_mead(fun, x0, cap)), (seed, cap)
+
+    def test_flat_blp_start_breaks_ties_as_scipy(self):
+        """At delta_t = 1.0 the zero start's simplex holds equal values, which
+        np.argsort orders differently from a stable sort."""
+        fun = _objective(nonmarkov, lambda: nonmarkov.blp_measure(1.0, ModelParams(delta_t=1.0), grid_points=20))
+        x0 = np.zeros(10)
+        first = np.array([fun(x0), *(fun(0.00025 * e) for e in np.eye(10))])
+        assert not np.array_equal(np.argsort(first), np.argsort(first, kind="stable"))
+        for cap in (11, 12, 300, 2000):
+            assert _same(_nelder_mead(fun, x0, cap), scipy_nelder_mead(fun, x0, cap)), cap
+
+
 class TestImportCost:
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # a child interpreter: this one already holds scipy.stats through _oracles
-        env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-        code = "import sys, qbattery.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+    ENV = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+
+    def _child(self, code, cwd=None):
+        # a child interpreter: this one already holds scipy through _oracles
+        return subprocess.run([sys.executable, "-c", code], env=self.ENV, cwd=cwd,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import sys, qbattery.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        assert self._child(code) == "[]"
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        """sweep, trajectory and blp exit 0 where importing scipy fails."""
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from qbattery.cli import main\n"
+            "print([main(argv.split()) for argv in [\n"
+            "    'sweep --seed 1 --quantity G --entanglements 0.5 --collisions 0,2 --starts 2 --max-evals 30 --output s.csv',\n"
+            "    'trajectory --seed 1 --collisions 2 --substeps 4 --output t.csv',\n"
+            "    'blp --seed 1 --grid-points 10 --starts 2 --max-evals 30 --output b.csv',\n"
+            "]])"
+        )
+        assert self._child(code, cwd=tmp_path) == "[0, 0, 0]"
+        assert all((tmp_path / name).stat().st_size > 0 for name in ("s.csv", "t.csv", "b.csv"))
 
     def test_package_source_imports_no_scipy_stats(self):
         found = []
@@ -72,4 +159,26 @@ class TestImportCost:
                     continue
                 found += [f"{path.name}:{node.lineno}" for name in names
                           if name == "scipy.stats" or name.startswith("scipy.stats.")]
+        assert found == []
+
+    def test_package_source_imports_no_scipy_at_module_level(self):
+        """Only function bodies may import scipy (fitting's brentq), so no
+        command but fit loads it."""
+
+        def run_on_import(node):  # every node but those inside a function body
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield child
+                    yield from run_on_import(child)
+
+        found = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in run_on_import(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
         assert found == []
