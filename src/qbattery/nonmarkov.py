@@ -11,6 +11,22 @@ The maximization runs over orthogonal pure pairs: the first state is a
 6-angle chart of the two-qubit pure states, the second takes 4 more angles
 in the orthogonal complement.  Both come from one smooth Givens-rotation
 frame, so the objective stays continuous in all 10 angles.
+
+The search never evaluates D on the whole grid.  Inside collision m + 1 the
+battery has passed through the generalized amplitude-damping channel with
+Lambda = lambda(delta_t)**m * lambda(tau), followed by z rotations, which
+leave every trace distance as it is.  At one spin temperature
+GAD_{Lambda'} = GAD_{Lambda'/Lambda} o GAD_Lambda for Lambda' <= Lambda,
+and the trace distance contracts under that CPTP map, so D = f(Lambda) with
+f non-decreasing (Breuer, Laine & Piilo, PRL 103, 210401 (2009), make the
+same step for amplitude damping).  D therefore rises only where Lambda
+rises, and its positive increments over a maximal rising run of Lambda
+telescope to D(last sample) - D(first sample).  The maps from the initial
+pair to the two ends of each run are built once per delta_t, so one
+evaluation costs a pair, one 16x16 product per run end and one batched
+4x4 eigvalsh on 2*runs matrices: about 60 us at delta_t = 1.0 on a 2-core
+VM, against 560 us for the 201-sample trace.  The reported trace of the
+best pair is still sampled on the whole grid.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import run_collisions
+from .collision import _qubit2, run_collisions, transfer_stack
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 
@@ -61,6 +77,15 @@ def pair_from_angles(angles10) -> tuple[np.ndarray, np.ndarray]:
     return s1, s2
 
 
+def _difference(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    return np.outer(s1, s1.conj()) - np.outer(s2, s2.conj())
+
+
+def _trace_distances(ops: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each Hermitian 4x4 operator of a stack."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(ops)).sum(axis=1)
+
+
 def _distance_samples(
     s1: np.ndarray, s2: np.ndarray, p: ModelParams, taus, collisions: int = 1
 ) -> np.ndarray:
@@ -70,8 +95,27 @@ def _distance_samples(
     Every map here is linear in the input, so only the difference of the two
     battery states is propagated.
     """
-    diff = np.outer(s1, s1.conj()) - np.outer(s2, s2.conj())
-    return 0.5 * np.abs(np.linalg.eigvalsh(run_collisions(diff, collisions, taus, p))).sum(axis=1)
+    return _trace_distances(run_collisions(_difference(s1, s2), collisions, taus, p))
+
+
+def _run_end_maps(p: ModelParams, taus: tuple[float, ...], collisions: int) -> np.ndarray:
+    """(2*runs, 16, 16) maps on row-major vec(rho) from tau = 0 to the first
+    and the last sample of each maximal run of samples over which Lambda
+    rises, in that order.  The sample at taus[j] of collision m + 1 is
+    stack[j] after T**m, with T = stack[-1] one full collision."""
+    stack = transfer_stack(p, taus)
+    lam = _qubit2(p, np.array(taus))[0]
+    # cumprod keeps Lambda at a collision's last sample equal to the next power
+    powers = np.cumprod(np.concatenate([[1.0], np.full(collisions - 1, lam[-1])]))
+    rising = np.diff(np.outer(powers, lam).ravel()) > 0.0  # lambda <= 1, so no run starts at tau = 0
+    ends = np.flatnonzero(np.diff(np.concatenate([[False], rising, [False]])))
+    maps = np.empty((len(ends), 16, 16), dtype=complex)
+    power, done = np.eye(16, dtype=complex), 0
+    for i, (m, j) in enumerate(zip(*np.divmod(ends, len(taus)))):  # m ascends, so T**m only grows
+        if m > done:
+            power, done = np.linalg.matrix_power(stack[-1], m - done) @ power, m
+        maps[i] = stack[j] @ power
+    return maps
 
 
 @dataclass(frozen=True)
@@ -104,10 +148,11 @@ def blp_measure(
     times = np.arange(collisions * grid_points + 1) * (delta_t / grid_points)
     taus = tuple(times[1 : grid_points + 1].tolist())
 
+    maps = _run_end_maps(p, taus, collisions)
+
     def objective(angles):
-        s1, s2 = pair_from_angles(angles)
-        d = _distance_samples(s1, s2, p, taus, collisions)
-        return float(np.maximum(np.diff(d), 0.0).sum())
+        d = _trace_distances((maps @ _difference(*pair_from_angles(angles)).reshape(16)).reshape(-1, 4, 4))
+        return float(np.maximum(d[1::2] - d[::2], 0.0).sum())
 
     best_angles, q_n, report = multistart_maximize(objective, 10, settings)
     s1, s2 = pair_from_angles(best_angles)

@@ -12,8 +12,9 @@ the guard does not depend on the host's speed.
 import numpy as np
 import pytest
 
-from qbattery import collision, ergotropy
+from qbattery import collision, ergotropy, nonmarkov
 from qbattery.model import ModelParams
+from test_nonmarkov import search_objective
 
 
 def counted(monkeypatch, owner, name) -> list:
@@ -102,3 +103,17 @@ def test_objective_evaluation_applies_the_search_power(monkeypatch, quantity):
     powers = counted(monkeypatch, np.linalg, "matrix_power")
     assert objective(angles) == first
     assert (len(loops), len(powers)) == (0, 0)
+
+
+@pytest.mark.parametrize("collisions, runs", [(1, 1), (3, 3)])
+def test_blp_evaluation_reads_the_rising_run_ends(monkeypatch, collisions, runs):
+    """At delta_t = 1.6 Lambda rises once per collision, from the cut-off
+    pi/4 to pi/2; an evaluation diagonalises D at those runs' two ends in one
+    call and evolves no trace."""
+    objective = search_objective(1.6, ModelParams(), 40, collisions)
+    eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+    samples = counted(monkeypatch, nonmarkov, "_distance_samples")
+    loops = counted(monkeypatch, nonmarkov, "run_collisions")
+    assert objective(np.linspace(0.2, 1.7, 10)) > 0.0
+    assert [args[0].shape for args in eigvalsh] == [(2 * runs, 4, 4)]
+    assert (len(samples), len(loops)) == (0, 0)

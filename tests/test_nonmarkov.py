@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qbattery.nonmarkov as nonmarkov
 from qbattery.collision import fine_trajectory, run_collisions
 from qbattery.ergotropy import global_ergotropy, local_ergotropy, trajectory_work
 from qbattery.model import ModelParams, battery_hamiltonian
@@ -22,6 +24,20 @@ P = ModelParams()
 def window(delta_t: float, grid_points: int) -> list[float]:
     """The grid_points taus in (0, delta_t] at which blp_measure samples D."""
     return (np.arange(1, grid_points + 1) * (delta_t / grid_points)).tolist()
+
+
+def search_objective(delta_t: float, p: ModelParams, grid_points: int, collisions: int):
+    """The objective that blp_measure hands to its multi-start search."""
+    caught = []
+
+    def search(objective, dim, settings=None):
+        caught.append(objective)
+        return np.zeros(dim), 0.0, None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonmarkov, "multistart_maximize", search)
+        blp_measure(delta_t, p, grid_points=grid_points, collisions=collisions)
+    return caught[0]
 
 
 class TestPairParametrization:
@@ -126,6 +142,63 @@ class TestCutoffTime:
             assert abs(local_ergotropy(states[0], p) - local_ergotropy(states[1], p)) <= 1e-12
 
 
+class TestRisingRuns:
+    """Inside collision m + 1 the channel is amplitude damping with
+    Lambda = lambda(delta_t)**m * lambda(tau) followed by z rotations, so
+    D = f(Lambda) with f non-decreasing, and the search's objective reads D
+    only at the ends of Lambda's rising runs (the nonmarkov module
+    docstring)."""
+
+    @staticmethod
+    def lam(p: ModelParams, t) -> np.ndarray:
+        """lambda(t) = cos(W t)**2 + ((e2 - h) sin(W t)/W)**2, the form that
+        stays accurate where lambda reaches 0."""
+        w = math.hypot(p.e2 - p.h, 2.0 * p.k)
+        t = np.asarray(t, dtype=float)
+        return np.cos(w * t) ** 2 + ((p.e2 - p.h) * t * np.sinc(w * t / np.pi)) ** 2
+
+    @staticmethod
+    def case(gen, i: int):
+        """Model, delta_t and grid of case i: kinds 0-3 are a random detuned
+        model at finite temperature, k = 0, resonance with a sample where
+        Lambda reaches 0, and delta_t past pi/W (two rising runs per
+        collision); collisions run 1-3, so every kind meets every count."""
+        kind, collisions, grid = i % 4, 1 + i % 3, int(gen.integers(10, 121))
+        p = random_params(gen)
+        delta_t = gen.uniform(0.05, 4.0)
+        if kind == 1:
+            p = replace(p, k=0.0)
+        elif kind == 2:
+            p = replace(p, h=p.e2, k=gen.uniform(0.3, 3.0))
+            j = int(gen.integers(grid // 4, grid + 1))  # the sample at the cut-off pi/(4k)
+            delta_t = math.pi / (4.0 * p.k) * grid / j
+        elif kind == 3:
+            p = replace(p, k=gen.uniform(0.3, 3.0))
+            delta_t = gen.uniform(1.6, 2.4) * math.pi / math.hypot(p.e2 - p.h, 2.0 * p.k)
+        return kind, p, delta_t, grid, collisions
+
+    def test_run_ends_give_the_full_trace_backflow(self):
+        gen = rng(331)
+        for i in range(240):
+            kind, p, delta_t, grid, collisions = self.case(gen, i)
+            times = np.arange(collisions * grid + 1) * (delta_t / grid)
+            taus = times[1 : grid + 1]
+            inside = self.lam(p, taus)
+            big_lam = np.concatenate([[1.0], np.outer(inside[-1] ** np.arange(collisions), inside).ravel()])
+            if kind == 2:
+                assert inside.min() <= 1e-20
+            if kind == 3:  # two rising runs in one collision
+                rising = np.diff(np.concatenate([[1.0], inside])) > 0.0
+                assert np.count_nonzero(np.diff(np.concatenate([[False], rising, [False]]))) >= 4
+            order = np.argsort(big_lam, kind="stable")
+            objective = search_objective(delta_t, p, grid, collisions)
+            for _ in range(2):
+                angles = gen.uniform(0, 2 * np.pi, 10)
+                d = _distance_samples(*pair_from_angles(angles), p, tuple(taus.tolist()), collisions)
+                assert np.diff(d[order]).min() >= -1e-12, (i, "D falls as Lambda grows")
+                assert abs(objective(angles) - blp_functional(np.column_stack([times, d]))) <= 1e-12, i
+
+
 class TestBlpFunctional:
     def test_monotone_decreasing_gives_zero(self):
         trace = [(0.0, 1.0), (0.5, 0.7), (1.0, 0.3)]
@@ -165,6 +238,16 @@ class TestBlpMeasure:
         assert abs(res.q_n - blp_functional(res.lambda_trace)) <= 1e-12
         assert np.allclose(np.diff(res.lambda_trace[:, 0]), 1.2 / 200)
         assert abs(res.lambda_trace[0, 1] - 1.0) <= 1e-10  # the optimal pair is orthogonal
+
+    @pytest.mark.parametrize("collisions", [1, 3])
+    def test_no_rising_run_gives_exact_zero(self, collisions):
+        """Below the cut-off pi/(2W) Lambda falls at every sample, across
+        spin renewals too, so no pair has any backflow to find."""
+        detuned = ModelParams(e1=2.7, e2=1.3, h=0.6, k=0.7, beta=1.5)
+        cutoff = math.pi / (2.0 * math.hypot(detuned.e2 - detuned.h, 2.0 * detuned.k))
+        settings = OptimizerSettings(starts=2, seed=5, max_evals=100)
+        for p, delta_t in [(P, 0.4), (detuned, 0.9 * cutoff)]:
+            assert blp_measure(delta_t, p, settings, grid_points=50, collisions=collisions).q_n == 0.0
 
     def test_zero_coupling_zero_measure(self):
         p = ModelParams(k=0.0)

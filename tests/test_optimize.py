@@ -147,6 +147,23 @@ class TestImportCost:
         assert self._child(code, cwd=tmp_path) == "[0, 0, 0]"
         assert all((tmp_path / name).stat().st_size > 0 for name in ("s.csv", "t.csv", "b.csv"))
 
+    def test_fit_without_scipy_exits_2(self, tmp_path):
+        """fit, the one command that needs scipy, exits 2 with one line where
+        importing it fails, and writes neither its output nor a manifest."""
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from qbattery.cli import main\n"
+            "print([main(argv.split()) for argv in [\n"
+            "    'sweep --seed 1 --quantity G_p --entanglements 0:1:0.25 --collisions 3 --output g.csv',\n"
+            "    'fit --model M4 --input g.csv --n 3 --output f.json',\n"
+            "]])"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=self.ENV, cwd=tmp_path,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[0, 2]"
+        assert len(run.stderr.splitlines()) == 1 and "scipy" in run.stderr
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["g.csv", "g.csv.manifest.json"]
+
     def test_package_source_imports_no_scipy_stats(self):
         found = []
         for path in sorted(PACKAGE.glob("*.py")):
