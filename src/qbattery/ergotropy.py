@@ -170,9 +170,12 @@ def max_work_fixed_entanglement(
     roots = [math.sqrt(lam) for lam in schmidt_lambdas_from_entanglement(entanglement)]
     power = collision_power(p, n)
 
-    def objective(angles):
-        c = _rotated_schmidt_state(*roots, *angles)
-        return work((power @ (c[:, None] * c.conj()).reshape(16)).reshape(4, 4))
+    def objective(angles):  # (..., 3) angles, one value per point
+        lead = np.shape(angles)[:-1]
+        c = np.array([_rotated_schmidt_state(*roots, *a) for a in np.reshape(angles, (-1, 3)).tolist()])
+        # (16, 1) columns, so power @ v is power @ vec bit for bit; v @ power.T is not
+        v = (c[:, :, None] * c[:, None, :].conj()).reshape(lead + (16, 1))
+        return work((power @ v).reshape(lead + (4, 4)))
 
     _, value, report = multistart_maximize(objective, 3, settings)
     return WorkRecord(value, report)

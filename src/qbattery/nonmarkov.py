@@ -21,69 +21,80 @@ and the trace distance contracts under that CPTP map, so D = f(Lambda) with
 f non-decreasing (Breuer, Laine & Piilo, PRL 103, 210401 (2009), make the
 same step for amplitude damping).  D therefore rises only where Lambda
 rises, and its positive increments over a maximal rising run of Lambda
-telescope to D(last sample) - D(first sample).  The maps from the initial
-pair to the two ends of each run are built once per delta_t, so one
-evaluation costs a pair, one 16x16 product per run end and one batched
-4x4 eigvalsh on 2*runs matrices: about 60 us at delta_t = 1.0 on a 2-core
-VM, against 560 us for the 201-sample trace.  The reported trace of the
-best pair is still sampled on the whole grid.
+telescope to D(last sample) - D(first sample).  Only Lambda at the two
+ends of each run is kept, once per delta_t.  An evaluation applies the
+phase-free GAD_Lambda (qubit 2's populations keep the fraction Lambda of
+their offset from the bath's, its coherences the fraction sqrt(Lambda)) to
+the pair's difference at every run end, with no 16x16 map, so it costs a
+pair, a few elementwise products and one batched 4x4 eigvalsh on 2*runs
+matrices.  At delta_t = 1.0 that is about 28 us for one point alone and
+9 us per point in a batch of 9, the lock-step round of a 9-start search,
+where the 16x16 run-end maps took 46 us per point (a 2-core VM, best of
+five rounds).  A run end takes 256 B per point evaluated, where its map
+took 4 KB.  The reported trace of the best pair is still sampled on the
+whole grid.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import _qubit2, run_collisions, transfer_stack
+from .collision import _qubit2, run_collisions
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 
 
-def _givens(dim: int, i: int, j: int, theta: float, phi: float) -> np.ndarray:
-    g = np.eye(dim, dtype=complex)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[i, j] = -s * np.exp(-1j * phi)
-    g[j, i] = s * np.exp(1j * phi)
-    g[j, j] = c
-    return g
-
-
-def _frame(angles6) -> np.ndarray:
-    """Unitary frame whose first column sweeps all pure states (up to global
-    phase) as the 6 angles vary; the other columns complete it smoothly."""
-    t1, p1, t2, p2, t3, p3 = angles6
-    return _givens(4, 2, 3, t3, p3) @ _givens(4, 1, 2, t2, p2) @ _givens(4, 0, 1, t1, p1)
+def _pair(t1, p1, t2, p2, t3, p3, psi1, chi1, psi2, chi2) -> tuple[complex, ...]:
+    """The 8 amplitudes of pair_from_angles for one point, from scalars."""
+    c1, n1 = math.cos(t1), math.sin(t1)
+    c2, n2 = math.cos(t2), math.sin(t2)
+    c3, n3 = math.cos(t3), math.sin(t3)
+    u1, u2, u3 = cmath.exp(1j * p1), cmath.exp(1j * p2), cmath.exp(1j * p3)
+    a = math.cos(psi1)
+    b = math.sin(psi1) * math.cos(psi2) * cmath.exp(1j * chi1)
+    d = math.sin(psi1) * math.sin(psi2) * cmath.exp(1j * chi2)
+    return (
+        c1, n1 * c2 * u1, n1 * n2 * c3 * u1 * u2, n1 * n2 * n3 * u1 * u2 * u3,
+        -a * n1 * u1.conjugate(),
+        a * c1 * c2 - b * n2 * u2.conjugate(),
+        a * c1 * n2 * c3 * u2 + b * c2 * c3 - d * n3 * u3.conjugate(),
+        a * c1 * n2 * n3 * u2 * u3 + b * c2 * n3 * u3 + d * c3,
+    )
 
 
 def pair_from_angles(angles10) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal pure-state pair from 10 angles (6 for the first state,
-    4 for its partner in the orthogonal complement)."""
-    a = np.asarray(angles10, dtype=float).reshape(-1)
-    if a.shape != (10,):
+    4 for its partner in the orthogonal complement), over leading axes:
+    (..., 10) angles give two (..., 4) states.
+
+    The frame F = G23(t3, p3) G12(t2, p2) G01(t1, p1), with G_ij(t, p) the
+    Givens rotation by t in the plane (i, j) whose entry (j, i) is
+    sin(t) exp(j p), is unitary, and its first column sweeps all pure states
+    (up to global phase) as the 6 angles vary.  The first state is that
+    column; the second is F's other three columns weighted by
+    (cos psi1, sin psi1 cos psi2 exp(j chi1), sin psi1 sin psi2 exp(j chi2)).
+    Both are written out entry by entry in `_pair`, one point at a time.
+    """
+    a = np.asarray(angles10, dtype=float)
+    if a.ndim == 0 or a.shape[-1] != 10:
         raise ValueError(f"expected 10 angles, got shape {a.shape}")
-    frame = _frame(a[:6])
-    s1 = frame[:, 0]
-    psi1, chi1, psi2, chi2 = a[6:]
-    comp = np.array(
-        [
-            np.cos(psi1),
-            np.sin(psi1) * np.cos(psi2) * np.exp(1j * chi1),
-            np.sin(psi1) * np.sin(psi2) * np.exp(1j * chi2),
-        ]
-    )
-    s2 = frame[:, 1:] @ comp
-    return s1, s2
+    pairs = np.array([_pair(*row) for row in a.reshape(-1, 10).tolist()], dtype=complex)
+    pairs = pairs.reshape(a.shape[:-1] + (2, 4))
+    return pairs[..., 0, :], pairs[..., 1, :]
 
 
 def _difference(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    return np.outer(s1, s1.conj()) - np.outer(s2, s2.conj())
+    """|s1><s1| - |s2><s2| for each pair of a (..., 4) stack."""
+    return s1[..., :, None] * s1[..., None, :].conj() - s2[..., :, None] * s2[..., None, :].conj()
 
 
 def _trace_distances(ops: np.ndarray) -> np.ndarray:
     """Half the trace norm of each Hermitian 4x4 operator of a stack."""
-    return 0.5 * np.abs(np.linalg.eigvalsh(ops)).sum(axis=1)
+    return 0.5 * np.abs(np.linalg.eigvalsh(ops)).sum(axis=-1)
 
 
 def _distance_samples(
@@ -98,24 +109,24 @@ def _distance_samples(
     return _trace_distances(run_collisions(_difference(s1, s2), collisions, taus, p))
 
 
-def _run_end_maps(p: ModelParams, taus: tuple[float, ...], collisions: int) -> np.ndarray:
-    """(2*runs, 16, 16) maps on row-major vec(rho) from tau = 0 to the first
-    and the last sample of each maximal run of samples over which Lambda
-    rises, in that order.  The sample at taus[j] of collision m + 1 is
-    stack[j] after T**m, with T = stack[-1] one full collision."""
-    stack = transfer_stack(p, taus)
+def _run_end_damping(p: ModelParams, taus: tuple[float, ...], collisions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-free GAD_Lambda at the first and the last sample of each
+    maximal run of samples over which Lambda rises, in that order, as two
+    (2*runs, 1, 2, 1, 2) weights (a, b) over an operator's axes
+    (q1, q2, q1', q2'): x goes to a*x + b*r, where r[q1, q1'] sums x's
+    qubit-2 populations.  Qubit 2's coherences keep the fraction
+    sqrt(Lambda), and its populations the fraction Lambda of their offset
+    from the bath's (p0, p1) share of r.  The sample at taus[j] of
+    collision m + 1 has Lambda = lambda(delta_t)**m * lambda(taus[j])."""
     lam = _qubit2(p, np.array(taus))[0]
     # cumprod keeps Lambda at a collision's last sample equal to the next power
     powers = np.cumprod(np.concatenate([[1.0], np.full(collisions - 1, lam[-1])]))
-    rising = np.diff(np.outer(powers, lam).ravel()) > 0.0  # lambda <= 1, so no run starts at tau = 0
-    ends = np.flatnonzero(np.diff(np.concatenate([[False], rising, [False]])))
-    maps = np.empty((len(ends), 16, 16), dtype=complex)
-    power, done = np.eye(16, dtype=complex), 0
-    for i, (m, j) in enumerate(zip(*np.divmod(ends, len(taus)))):  # m ascends, so T**m only grows
-        if m > done:
-            power, done = np.linalg.matrix_power(stack[-1], m - done) @ power, m
-        maps[i] = stack[j] @ power
-    return maps
+    samples = np.outer(powers, lam).ravel()
+    rising = np.diff(samples) > 0.0  # lambda <= 1, so no run starts at tau = 0
+    ends = samples[np.flatnonzero(np.diff(np.concatenate([[False], rising, [False]])))][:, None, None]
+    a = np.where(np.eye(2, dtype=bool), ends, np.sqrt(ends))
+    b = (1.0 - ends) * np.diag([p.p0, p.p1])
+    return a[:, None, :, None, :], b[:, None, :, None, :]
 
 
 @dataclass(frozen=True)
@@ -148,11 +159,14 @@ def blp_measure(
     times = np.arange(collisions * grid_points + 1) * (delta_t / grid_points)
     taus = tuple(times[1 : grid_points + 1].tolist())
 
-    maps = _run_end_maps(p, taus, collisions)
+    a, b = _run_end_damping(p, taus, collisions)
 
-    def objective(angles):
-        d = _trace_distances((maps @ _difference(*pair_from_angles(angles)).reshape(16)).reshape(-1, 4, 4))
-        return float(np.maximum(d[1::2] - d[::2], 0.0).sum())
+    def objective(angles):  # (..., 10) angles, one value per point
+        x = _difference(*pair_from_angles(angles))
+        x = x.reshape(x.shape[:-2] + (1, 2, 2, 2, 2))  # one axis for the run ends
+        ends = a * x + b * (x[..., :1, :, :1] + x[..., 1:, :, 1:])
+        d = _trace_distances(ends.reshape(ends.shape[:-4] + (4, 4)))
+        return np.maximum(d[..., 1::2] - d[..., ::2], 0.0).sum(axis=-1)
 
     best_angles, q_n, report = multistart_maximize(objective, 10, settings)
     s1, s2 = pair_from_angles(best_angles)

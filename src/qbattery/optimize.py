@@ -17,12 +17,23 @@ so it reproduces scipy's draw for the same seed bit for bit without
 importing scipy.stats, which would add about 0.4 s to every command's start.
 
 The simplex search is Nelder & Mead's (Comput. J. 7, 308, 1965), written out
-in `_nelder_mead` step for step as scipy 1.17's
+in `_simplex_search` step for step as scipy 1.17's
 minimize(method="Nelder-Mead") runs it with the options used here, so it
 returns the same point, value and evaluation count bit for bit.  It keeps
 the simplex as Python floats, which costs less per step than scipy's
 wrapper and small arrays, and it keeps scipy.optimize (about 0.65 s) out
 of every command's start.
+
+The starts' searches run in lock-step rounds.  Each search is a generator
+that yields the next point it wants evaluated and is sent its value back,
+so in one round `_nelder_mead` sends the waiting point of every unfinished
+search to the objective in a single call, as a (k, dim) array.  An
+objective therefore broadcasts over leading axes: a (k, dim) batch gives k
+values, a (dim,) point one value, and row i of a batch is bit for bit the
+value of that point alone.  So every search takes the steps it would take
+on its own, and only the number of objective calls, each with its fixed
+numpy overhead, falls: from the sum of the searches' evaluations to the
+largest of them.
 """
 
 from __future__ import annotations
@@ -107,8 +118,10 @@ class _OutOfEvaluations(Exception):
     pass
 
 
-def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float, int]:
-    """Minimize fun from x0; returns (x, fun(x), evaluations).
+def _simplex_search(x0: np.ndarray, max_evals: int):
+    """Minimize from x0, as a generator: it yields each point it wants
+    evaluated, as a list of floats, is sent that point's value back, and
+    returns (x, value at x, evaluations).
 
     The same steps, in the same float operations, as scipy 1.17's
     minimize(fun, x0, method="Nelder-Mead", options={"maxfev": max_evals,
@@ -116,7 +129,7 @@ def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float
     coordinate by 5% and each zero one to 0.00025; reflection, expansion,
     contraction and shrink take scipy's coefficients 1, 2, 0.5 and 0.5; and
     the vertices are ordered by np.argsort, which does not keep ties in
-    place.  fun is never called past max_evals, so a step cut off there
+    place.  No point is yielded past max_evals, so a step cut off there
     keeps what it had done: a shrink has already moved its vertices.
     """
     n = len(x0)
@@ -127,7 +140,7 @@ def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float
         if evals >= max_evals:
             raise _OutOfEvaluations
         evals += 1
-        return float(fun(np.array(x)))
+        return (yield x)
 
     def ordered():
         order = np.array(fsim).argsort().tolist()
@@ -141,7 +154,7 @@ def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float
     fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _OutOfEvaluations:
         pass
     sim, fsim = ordered()
@@ -155,32 +168,65 @@ def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float
             xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]  # in order from +0.0, as np.add.reduce
             worst = sim[-1]
             xr = [2 * a - b for a, b in zip(xbar, worst)]  # reflection
-            fxr = f(xr)
+            fxr = yield from f(xr)
             if fxr < fsim[0]:
                 xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]  # expansion
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
                         sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
-                        fsim[j] = f(sim[j])
+                        fsim[j] = yield from f(sim[j])
         except _OutOfEvaluations:
             pass
         sim, fsim = ordered()
     return np.array(sim[0]), float(np.min(fsim)), evals
+
+
+def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize fun from each start x0[..., :] by `_simplex_search`, every
+    search in lock-step; returns (x, fun(x), evaluations) with x0's leading
+    shape.
+
+    Each round sends the next point of every unfinished search to fun in
+    one call, as a (searches, dim) array, and fun returns one value per row.
+    So each search makes the points, and reads the values, that it would
+    make alone, and fun is called once per round: as many times as the
+    longest search evaluates.
+    """
+    starts = np.asarray(x0, dtype=float)
+    searches = [_simplex_search(x, max_evals) for x in starts.reshape(-1, starts.shape[-1])]
+    results = [None] * len(searches)
+    waiting = {}  # search index -> the point it waits on, in start order
+
+    def advance(i, value):
+        try:
+            waiting[i] = searches[i].send(value)
+        except StopIteration as stop:
+            results[i] = stop.value
+            waiting.pop(i, None)
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while waiting:
+        rows = list(waiting)
+        for i, value in zip(rows, fun(np.array([waiting[i] for i in rows])).tolist()):
+            advance(i, value)
+    x, values, evals = zip(*results)
+    return np.reshape(x, starts.shape), np.reshape(values, starts.shape[:-1]), np.reshape(evals, starts.shape[:-1])
 
 
 def multistart_maximize(
@@ -190,24 +236,23 @@ def multistart_maximize(
 ) -> tuple[np.ndarray, float, OptimizerReport]:
     """Maximize objective(x) for x in R^dim from multiple seeded starts.
 
-    Returns (best_x, best_value, report); the report flags non-convergence
-    (no second start agreeing with the best within AGREE_TOL) instead of
-    raising.
+    objective takes a (k, dim) batch of points and returns their k values;
+    the starts' searches run in lock-step (`_nelder_mead`).  Returns
+    (best_x, best_value, report); the report counts evaluations in points
+    and flags non-convergence (no second start agreeing with the best
+    within AGREE_TOL) instead of raising.
     """
     settings = settings or OptimizerSettings()
-    values = np.empty(settings.starts)
-    solutions = np.empty((settings.starts, dim))
-    evaluations = 0
-    for i, x0 in enumerate(start_points(dim, settings)):
-        solutions[i], value, nfev = _nelder_mead(lambda x: -objective(x), x0, settings.max_evals)
-        values[i] = -value
-        evaluations += nfev
+    solutions, values, evaluations = _nelder_mead(
+        lambda x: -objective(x), start_points(dim, settings), settings.max_evals
+    )
+    values = -values
     best = int(np.argmax(values))
     agree = int(np.sum(values >= values[best] - AGREE_TOL))
     report = OptimizerReport(
         best_start=best,
         spread=float(values.max() - values.min()),
         converged=settings.starts == 1 or agree >= 2,
-        evaluations=evaluations,
+        evaluations=int(evaluations.sum()),
     )
     return solutions[best], float(values[best]), report

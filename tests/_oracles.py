@@ -142,7 +142,7 @@ def local_ergotropy_numeric(
         u = np.einsum("ij,kl->ikjl", u1, u2).reshape(4, 4)  # u1 (x) u2
         return e_in - float(np.trace(u @ r @ u.conj().T @ h12).real)
 
-    return multistart_maximize(extracted, 6, settings)[1]
+    return multistart_maximize(lambda xs: np.array([extracted(x) for x in xs]), 6, settings)[1]
 
 
 def marginal_local_work(r, p: ModelParams) -> np.ndarray:
@@ -297,7 +297,7 @@ def six_angle_max_work(
         c = kron_fixed_entanglement_state(entanglement, angles)
         return work((power @ np.outer(c, c.conj()).reshape(16)).reshape(4, 4))
 
-    return multistart_maximize(objective, 6, settings)[1]
+    return multistart_maximize(lambda xs: np.array([objective(x) for x in xs]), 6, settings)[1]
 
 
 def scipy_start_points(dim: int, settings: OptimizerSettings) -> np.ndarray:

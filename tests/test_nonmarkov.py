@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +274,20 @@ class TestBlpMeasure:
             blp_measure(0.4, P, grid_points=1)
         with pytest.raises(ValueError):
             blp_measure(0.4, P, collisions=0)
+
+    def test_many_run_ends_take_little_memory(self):
+        """20,000 collisions on a 2-point grid give 40,000 run ends; a 16x16
+        map for each took 160 MB, and GAD_Lambda on the difference needs no
+        map."""
+        settings = OptimizerSettings(starts=1, seed=1, max_evals=5)
+        tracemalloc.start()
+        try:
+            res = blp_measure(1.6, P, settings, grid_points=2, collisions=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.q_n > 0.0
+        assert peak < 48 * 2**20
 
     def test_multi_collision_extension(self):
         settings = OptimizerSettings(starts=4, seed=3, max_evals=600)

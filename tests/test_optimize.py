@@ -13,7 +13,7 @@ import pytest
 import qbattery.ergotropy as ergotropy
 import qbattery.nonmarkov as nonmarkov
 from qbattery.model import ModelParams
-from qbattery.optimize import MAX_STARTS, OptimizerSettings, _nelder_mead, start_points
+from qbattery.optimize import MAX_STARTS, OptimizerSettings, _nelder_mead, multistart_maximize, start_points
 
 from _oracles import scipy_nelder_mead, scipy_start_points
 
@@ -119,6 +119,52 @@ class TestNelderMead:
         assert not np.array_equal(np.argsort(first), np.argsort(first, kind="stable"))
         for cap in (11, 12, 300, 2000):
             assert _same(_nelder_mead(fun, x0, cap), scipy_nelder_mead(fun, x0, cap)), cap
+
+
+class TestLockStep:
+    """multistart_maximize runs every start's search in lock-step, one
+    batched objective call per round (the optimize module docstring)."""
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_batch_rows_equal_single_points(self, name):
+        dim, make, _ = OBJECTIVES[name]
+        fun = make()
+        gen = np.random.default_rng(17)
+        assert np.ndim(fun(np.zeros(dim))) == 0  # one point, one value, as perfbench times it
+        for size in [*range(1, 13), *gen.integers(1, 13, 28)]:
+            points = gen.uniform(-2 * np.pi, 4 * np.pi, (size, dim))
+            if size % 5 == 0:
+                points[0] = 0.0  # the zero start
+            batch = fun(points)
+            assert batch.shape == (size,)
+            for row, value in zip(points, batch):
+                single = fun(row)
+                assert np.ndim(single) == 0 and np.float64(single).tobytes() == value.tobytes(), (size, row)
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_equal_to_each_start_alone(self, name):
+        """The same best point, value, best start and evaluation count as
+        every start's own search run one after another, bit for bit, with
+        one objective call per round: as many as the longest search takes."""
+        dim, make, cap = OBJECTIVES[name]
+        fun = make()
+        for seed in range(50):
+            settings = OptimizerSettings(starts=9, seed=seed, max_evals=(cap, 25, 60, 11 + 7 * seed)[seed % 4])
+            alone = [_nelder_mead(fun, x0, settings.max_evals) for x0 in start_points(dim, settings)]
+            values = np.array([-value for _, value, _ in alone])
+            best = int(np.argmax(values))
+            calls = []
+
+            def objective(x):
+                calls.append(len(x))
+                return -fun(x)
+
+            x, value, report = multistart_maximize(objective, dim, settings)
+            assert x.tobytes() == alone[best][0].tobytes(), seed
+            assert np.float64(value).tobytes() == values[best].tobytes(), seed
+            assert report.best_start == best, seed
+            assert report.evaluations == sum(int(evals) for *_, evals in alone) == sum(calls), seed
+            assert len(calls) == max(int(evals) for *_, evals in alone), seed
 
 
 class TestImportCost:
