@@ -246,9 +246,9 @@ def cmd_sweep(args, cfg: dict) -> None:
     for idx, (e, n, p) in enumerate(grid):
         record = max_work_fixed_entanglement(e, n, p, quantity, settings=base_settings.for_grid_index(idx))
         rep = record.report
-        search = (base_settings.starts, rep.best_start, rep.converged) if rep else (0, 0, True)
+        search = (base_settings.starts, rep.converged) if rep else (0, True)
         rows.append((quantity, e, n, p.k, p.delta_t, record.value, *search))
-    header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "best_start", "converged"]
+    header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "converged"]
     write_csv(args.output, header, rows)
 
 

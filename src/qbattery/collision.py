@@ -8,11 +8,13 @@ W = hypot(e2 - h, 2k), qubit 2 keeps the fraction
 lambda(tau) = 1 - (2k*sin(W*tau)/W)**2 of its population offset from
 (p0, p1), its coherence is multiplied by
 g(tau) = exp(-j*(e2 + h)*tau)*(cos(W*tau) - j*((e2 - h)/W)*sin(W*tau)),
-|g|**2 = lambda, and qubit 1's coherence by exp(-2j*e1*tau).  Fresh spins
-carry no memory, so n full collisions raise lambda, g and that phase to the
-n-th power (`collision_power`).  `run_collisions`, the only loop over
-collisions, samples inside each collision from its initial boundary state,
-which keeps the intra-collision spin-battery correlations exact.
+|g|**2 = lambda, and qubit 1's coherence by exp(-2j*e1*tau).  The channel
+is written once, as elementwise weights on a 4x4 operator
+(`channel_weights`).  Fresh spins carry no memory, so n full collisions
+raise lambda, g and that phase to the n-th power (`collision_power`).
+`run_collisions`, the only loop over collisions, samples inside each
+collision from its initial boundary state, which keeps the intra-collision
+spin-battery correlations exact.
 """
 
 from __future__ import annotations
@@ -61,31 +63,30 @@ def collision_propagator(p: ModelParams, tau: float | None = None) -> np.ndarray
     return u
 
 
-def _channel(p: ModelParams, lam, g, rot) -> np.ndarray:
-    """(len(lam), 16, 16) maps on row-major vec(rho): qubit 2 keeps the
-    fraction lam of its population offset from (p0, p1) and its coherence is
-    multiplied by g, qubit 1's coherence by rot."""
-    gamma = 1.0 - lam  # lam = 1 gives the identity exactly
-    two = np.zeros((len(lam), 2, 2, 2, 2), dtype=complex)  # qubit 2: (out q2, q2'; in q2, q2')
-    two[:, 0, 0, 0, 0], two[:, 0, 0, 1, 1] = 1.0 - p.p1 * gamma, p.p0 * gamma
-    two[:, 1, 1, 0, 0], two[:, 1, 1, 1, 1] = p.p1 * gamma, 1.0 - p.p0 * gamma
-    two[:, 0, 1, 0, 1], two[:, 1, 0, 1, 0] = g, np.conj(g)
-    one = np.zeros_like(two)  # qubit 1, the same layout
-    one[:, 0, 0, 0, 0] = one[:, 1, 1, 1, 1] = 1.0
-    one[:, 0, 1, 0, 1], one[:, 1, 0, 1, 0] = rot, np.conj(rot)
-    # vec(rho) runs over (q1, q2, q1', q2'), so the two factors interleave
-    return (one[:, :, None, :, None, :, None, :, None] * two[:, None, :, None, :, None, :, None, :]).reshape(-1, 16, 16)
+def _qubit(d0, c, d1) -> np.ndarray:
+    """(..., 2, 2) matrices [[d0, c], [conj(c), d1]] over the arguments' leading axes."""
+    m = np.empty(np.broadcast(d0, c, d1).shape + (2, 2), dtype=np.result_type(d0, c, d1))
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = d0, c, np.conj(c), d1
+    return m
 
 
-@lru_cache(maxsize=64)
-def transfer_stack(p: ModelParams, taus: tuple[float, ...]) -> np.ndarray:
-    """(len(taus), 16, 16) stack of the maps of partial collisions of duration
-    taus[i] on row-major vec(rho).  Results are cached; treat the returned
-    array as read-only."""
-    t = np.array(taus, dtype=float)
-    stack = _channel(p, *_qubit2(p, t), np.exp(-2j * p.e1 * t))
-    stack.flags.writeable = False
-    return stack
+def channel_weights(p: ModelParams, lam, g, rot) -> tuple[np.ndarray, np.ndarray]:
+    """The channel with parameters lam, g and rot (module docstring), as
+    weights (a, b) over an operator's (q1, q2, q1', q2') axes, one pair per
+    leading index of the arguments; `apply_channel` applies them.  Qubit 2's
+    populations keep 1 - p_other*(1 - lam) and take p*(1 - lam) of the other
+    population, its coherences are multiplied by g, qubit 1's by rot."""
+    gamma = 1.0 - np.asarray(lam)  # lam = 1 gives the identity exactly
+    one = _qubit(1.0, rot, 1.0)[..., :, None, :, None]
+    a = one * _qubit(1.0 - p.p1 * gamma, g, 1.0 - p.p0 * gamma)[..., None, :, None, :]
+    return a, one * _qubit(p.p0 * gamma, 0.0, p.p1 * gamma)[..., None, :, None, :]
+
+
+def apply_channel(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """a*x + b*x', x' being x with both qubit-2 indices flipped, for
+    channel_weights (a, b) and operators x over (..., q1, q2, q1', q2')."""
+    a, b = weights
+    return a * x + b * x[..., :, ::-1, :, ::-1]
 
 
 def _times(phase: float, n: int) -> float:
@@ -102,7 +103,9 @@ def collision_power(p: ModelParams, n: int) -> np.ndarray:
     lam, g = _qubit2(p, p.delta_t)
     lam_n = lam ** float(n)
     g_n = np.sqrt(lam_n) * np.exp(1j * _times(float(np.angle(g)), n))
-    return _channel(p, np.atleast_1d(lam_n), g_n, np.exp(-1j * _times(2.0 * p.e1 * p.delta_t, n)))[0]
+    weights = channel_weights(p, lam_n, g_n, np.exp(-1j * _times(2.0 * p.e1 * p.delta_t, n)))
+    # row j is the image of the j-th basis operator; T**n is the transpose, kept C-ordered
+    return apply_channel(weights, np.eye(16).reshape(16, 2, 2, 2, 2)).reshape(16, 16).T.copy()
 
 
 def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
@@ -113,12 +116,13 @@ def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
     any 4x4 operator, such as the traceless difference of two states.
     Returns an (n*len(taus) + 1, 4, 4) array.
     """
-    stack = transfer_stack(p, tuple(taus))
-    m = len(stack)
-    out = np.empty((n * m + 1, 16), dtype=complex)
-    out[0] = np.reshape(rho0, 16)
+    t = np.array(taus, dtype=float)
+    weights = channel_weights(p, *_qubit2(p, t), np.exp(-2j * p.e1 * t))
+    m = len(t)
+    out = np.empty((n * m + 1, 2, 2, 2, 2), dtype=complex)
+    out[0] = np.reshape(rho0, (2, 2, 2, 2))
     for c in range(n):
-        out[c * m + 1 : (c + 1) * m + 1] = stack @ out[c * m]
+        out[c * m + 1 : (c + 1) * m + 1] = apply_channel(weights, out[c * m])
     return out.reshape(-1, 4, 4)
 
 

@@ -22,17 +22,14 @@ f non-decreasing (Breuer, Laine & Piilo, PRL 103, 210401 (2009), make the
 same step for amplitude damping).  D therefore rises only where Lambda
 rises, and its positive increments over a maximal rising run of Lambda
 telescope to D(last sample) - D(first sample).  Only Lambda at the two
-ends of each run is kept, once per delta_t.  An evaluation applies the
-phase-free GAD_Lambda (qubit 2's populations keep the fraction Lambda of
-their offset from the bath's, its coherences the fraction sqrt(Lambda)) to
-the pair's difference at every run end, with no 16x16 map, so it costs a
-pair, a few elementwise products and one batched 4x4 eigvalsh on 2*runs
-matrices.  At delta_t = 1.0 that is about 28 us for one point alone and
-9 us per point in a batch of 9, the lock-step round of a 9-start search,
-where the 16x16 run-end maps took 46 us per point (a 2-core VM, best of
-five rounds).  A run end takes 256 B per point evaluated, where its map
-took 4 KB.  The reported trace of the best pair is still sampled on the
-whole grid.
+ends of each run is kept, once per delta_t, as the weights of the
+phase-free GAD_Lambda (`collision.channel_weights` with g = sqrt(Lambda)
+and no qubit-1 phase): qubit 2's populations keep the fraction Lambda of
+their offset from the bath's, its coherences the fraction sqrt(Lambda).  An
+evaluation applies them to the pair's difference, so it costs a pair, a few
+elementwise products and one batched 4x4 eigvalsh on 2*runs matrices, and a
+run end takes 256 B per point evaluated.  The reported trace of the best
+pair is still sampled on the whole grid.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import _qubit2, run_collisions
+from .collision import _qubit2, apply_channel, channel_weights, run_collisions
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 
@@ -110,23 +107,18 @@ def _distance_samples(
 
 
 def _run_end_damping(p: ModelParams, taus: tuple[float, ...], collisions: int) -> tuple[np.ndarray, np.ndarray]:
-    """The phase-free GAD_Lambda at the first and the last sample of each
-    maximal run of samples over which Lambda rises, in that order, as two
-    (2*runs, 1, 2, 1, 2) weights (a, b) over an operator's axes
-    (q1, q2, q1', q2'): x goes to a*x + b*r, where r[q1, q1'] sums x's
-    qubit-2 populations.  Qubit 2's coherences keep the fraction
-    sqrt(Lambda), and its populations the fraction Lambda of their offset
-    from the bath's (p0, p1) share of r.  The sample at taus[j] of
-    collision m + 1 has Lambda = lambda(delta_t)**m * lambda(taus[j])."""
+    """`channel_weights` of the phase-free GAD_Lambda (g = sqrt(Lambda),
+    rot = 1) at the first and the last sample of each maximal run of samples
+    over which Lambda rises, in that order.  No weight then depends on
+    qubit 1, so each is kept as a (2*runs, 1, 2, 1, 2) array.  The sample
+    at taus[j] of collision m + 1 has Lambda = lambda(delta_t)**m * lambda(taus[j])."""
     lam = _qubit2(p, np.array(taus))[0]
     # cumprod keeps Lambda at a collision's last sample equal to the next power
     powers = np.cumprod(np.concatenate([[1.0], np.full(collisions - 1, lam[-1])]))
     samples = np.outer(powers, lam).ravel()
     rising = np.diff(samples) > 0.0  # lambda <= 1, so no run starts at tau = 0
-    ends = samples[np.flatnonzero(np.diff(np.concatenate([[False], rising, [False]])))][:, None, None]
-    a = np.where(np.eye(2, dtype=bool), ends, np.sqrt(ends))
-    b = (1.0 - ends) * np.diag([p.p0, p.p1])
-    return a[:, None, :, None, :], b[:, None, :, None, :]
+    ends = samples[np.flatnonzero(np.diff(np.concatenate([[False], rising, [False]])))]
+    return tuple(w[:, :1, :, :1].copy() for w in channel_weights(p, ends, np.sqrt(ends), 1.0))
 
 
 @dataclass(frozen=True)
@@ -159,12 +151,12 @@ def blp_measure(
     times = np.arange(collisions * grid_points + 1) * (delta_t / grid_points)
     taus = tuple(times[1 : grid_points + 1].tolist())
 
-    a, b = _run_end_damping(p, taus, collisions)
+    weights = _run_end_damping(p, taus, collisions)
 
     def objective(angles):  # (..., 10) angles, one value per point
         x = _difference(*pair_from_angles(angles))
         x = x.reshape(x.shape[:-2] + (1, 2, 2, 2, 2))  # one axis for the run ends
-        ends = a * x + b * (x[..., :1, :, :1] + x[..., 1:, :, 1:])
+        ends = apply_channel(weights, x)
         d = _trace_distances(ends.reshape(ends.shape[:-4] + (4, 4)))
         return np.maximum(d[..., 1::2] - d[..., ::2], 0.0).sum(axis=-1)
 

@@ -73,7 +73,6 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    best_start: int
     spread: float
     converged: bool
     evaluations: int
@@ -250,7 +249,6 @@ def multistart_maximize(
     best = int(np.argmax(values))
     agree = int(np.sum(values >= values[best] - AGREE_TOL))
     report = OptimizerReport(
-        best_start=best,
         spread=float(values.max() - values.min()),
         converged=settings.starts == 1 or agree >= 2,
         evaluations=int(evaluations.sum()),

@@ -186,8 +186,9 @@ def _battery_maps(p: ModelParams, unitaries) -> np.ndarray:
 
 
 def propagator_stack(p: ModelParams, taus) -> np.ndarray:
-    """Reference for qbattery.collision.transfer_stack: the contraction over
-    the dense unitaries exp(-j*tau*H_total), from one eigendecomposition."""
+    """Reference for the maps qbattery.collision.run_collisions applies: the
+    contraction over the dense unitaries exp(-j*tau*H_total), from one
+    eigendecomposition."""
     return _battery_maps(p, unitary_from_hamiltonian(total_collision_hamiltonian(p), np.asarray(taus, dtype=float)))
 
 
@@ -210,9 +211,9 @@ def closed_form_collision_unitary(p: ModelParams, tau: float) -> np.ndarray:
 
 
 def closed_form_stack(p: ModelParams, taus) -> np.ndarray:
-    """Reference for qbattery.collision.transfer_stack that shares no code with
-    unitary_from_hamiltonian: the closed-form unitary per tau, contracted with
-    the spin as the dense path does."""
+    """Reference for the maps qbattery.collision.run_collisions applies that
+    shares no code with unitary_from_hamiltonian: the closed-form unitary per
+    tau, contracted with the spin as the dense path does."""
     return _battery_maps(p, [closed_form_collision_unitary(p, tau) for tau in taus])
 
 

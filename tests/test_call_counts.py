@@ -1,11 +1,11 @@
 """Counts of the calls that rebuild constants, as a deterministic guard.
 
-A transfer stack over a whole tau grid and the n-collision map T**n are
-the collision channel in closed form, with no eigendecomposition, einsum or
-matrix power, and an objective evaluation of the G/L search
-diagonalises only the evolved state for G and nothing for L, whose marginal
-ergotropies are read off the state in closed form; the battery spectrum and
-the n-collision map T**n are taken once per search.  Counts, not timings, so
+The weights run_collisions applies over a whole tau grid and the
+n-collision map T**n are the collision channel in closed form, with no
+eigendecomposition, einsum or matrix power, and an objective evaluation of
+the G/L search diagonalises only the evolved state for G and nothing for L,
+whose marginal ergotropies are read off the state in closed form; the
+battery spectrum and the n-collision map T**n are taken once per search.  Counts, not timings, so
 the guard does not depend on the host's speed.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from qbattery import collision, ergotropy, nonmarkov
 from qbattery.model import ModelParams
 from test_nonmarkov import search_objective
+from test_transfer import applied_maps
 
 
 def counted(monkeypatch, owner, name) -> list:
@@ -33,11 +34,10 @@ def counted(monkeypatch, owner, name) -> list:
 def test_channel_build_takes_no_decomposition_or_power(monkeypatch):
     p = ModelParams(k=0.7, delta_t=0.9)
     taus = tuple((s * p.delta_t) / 30 for s in range(1, 31))
-    collision.transfer_stack.cache_clear()
     eigh = counted(monkeypatch, np.linalg, "eigh")
     einsum = counted(monkeypatch, np, "einsum")
     powers = counted(monkeypatch, np.linalg, "matrix_power")
-    assert collision.transfer_stack(p, taus).shape == (30, 16, 16)
+    assert applied_maps(p, taus).shape == (30, 16, 16)
     assert collision.collision_power(p, 30).shape == (16, 16)
     assert (len(eigh), len(einsum), len(powers)) == (0, 0, 0)
 
@@ -56,7 +56,7 @@ def test_objective_evaluation(monkeypatch, quantity, spectra, n):
     ((objective, dim),) = objectives
     assert dim == 3
     angles = np.linspace(0.2, 1.7, dim)
-    first = objective(angles)  # builds the transfer stack the search shares
+    first = objective(angles)
     kron = counted(monkeypatch, np, "kron")
     eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
     assert objective(angles) == first

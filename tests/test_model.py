@@ -135,7 +135,7 @@ class TestTotalHamiltonian:
 
     def test_closed_forms_equal_the_pauli_assembly_bit_for_bit(self):
         """The closed forms give the Pauli products' own floats, signs of
-        zeros included, so no transfer stack or search can move."""
+        zeros included, so no collision map or search can move."""
         gen = np.random.default_rng(15)
         for i in range(300):
             e2 = gen.uniform(1e-3, 5.0)

@@ -5,13 +5,14 @@ checked against the same oracle, against the collision-by-collision loop and
 against its n -> infinity limit."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.collision import collision_power, collision_propagator, run_collisions, transfer_stack
+from qbattery.collision import collision_power, collision_propagator, run_collisions
 from qbattery.ergotropy import ergotropy_after_collisions, global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.states import locally_passive_state, projector
@@ -47,6 +48,13 @@ def grid(p: ModelParams, substeps: int) -> list[float]:
     return [(s * p.delta_t) / substeps for s in range(1, substeps + 1)]
 
 
+def applied_maps(p: ModelParams, taus) -> np.ndarray:
+    """(len(taus), 16, 16) maps on row-major vec(rho) that run_collisions
+    applies in one collision, read off its samples from the 16 basis operators."""
+    basis = np.eye(16).reshape(16, 4, 4)
+    return np.stack([run_collisions(e, 1, taus, p)[1:].reshape(-1, 16) for e in basis], axis=-1)
+
+
 class TestDenseOracle:
     def test_states_match(self):
         gen = rng(701)
@@ -80,7 +88,7 @@ class TestDenseOracle:
             p = random_params(gen)
             p = replace(p, k=0.0 if case % 5 == 0 else p.k, h=p.e2 if case % 7 == 0 else p.h)
             taus = tuple(gen.uniform(0.0, 3.0, size=9).tolist()) + (p.delta_t,)
-            assert np.abs(transfer_stack(p, taus) - propagator_stack(p, taus)).max() <= 1e-13
+            assert np.abs(applied_maps(p, taus) - propagator_stack(p, taus)).max() <= 1e-13
             dense_u = unitary_from_hamiltonian(total_collision_hamiltonian(p), taus[0])
             assert np.abs(collision_propagator(p, taus[0]) - dense_u).max() <= 1e-13
             one, power = propagator_stack(p, (p.delta_t,))[0], np.eye(16, dtype=complex)
@@ -88,6 +96,20 @@ class TestDenseOracle:
                 if n in counts:
                     assert np.abs(collision_power(p, n) - power).max() <= 1e-11
                 power = one @ power
+
+    def test_memory_is_the_output(self):
+        """2,000 collisions of 200 samples: the loop holds one collision's
+        weights and products beside the (400,001, 4, 4) output, and no
+        per-sample array of its own."""
+        p = ModelParams(delta_t=1.0)
+        tracemalloc.start()
+        try:
+            out = run_collisions(np.eye(4) / 4, 2000, grid(p, 200), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (400_001, 4, 4)
+        assert peak <= 1.1 * out.nbytes
 
     def test_first_sample_is_input(self):
         rho = random_density_matrix(rng(705), 4)
@@ -159,21 +181,20 @@ class TestClosedFormOracle:
                 p = replace(p, k=0.0)
             taus = grid(p, int(gen.integers(1, 31))) if case % 2 else gen.uniform(0.0, 3.0, size=9)
             taus = tuple(float(t) for t in taus)
-            assert np.abs(transfer_stack(p, taus) - closed_form_stack(p, taus)).max() <= 1e-12
+            assert np.abs(applied_maps(p, taus) - closed_form_stack(p, taus)).max() <= 1e-12
 
     def test_resonant_uncoupled_limit(self):
         # e2 = h and k = 0: the exchange block's frequency W is 0
         p = ModelParams(k=0.0)
         taus = tuple(grid(p, 5))
-        assert np.abs(transfer_stack(p, taus) - closed_form_stack(p, taus)).max() <= 1e-12
+        assert np.abs(applied_maps(p, taus) - closed_form_stack(p, taus)).max() <= 1e-12
 
 
 class TestTransferProperties:
     @PROPERTY
     @given(params_st, substeps_st)
     def test_choi_is_psd_with_unit_partial_trace(self, p, substeps):
-        stack = transfer_stack(p, tuple(grid(p, substeps)))
-        assert not stack.flags.writeable
+        stack = applied_maps(p, grid(p, substeps))
         # Choi[(j, i), (m, k)] = T[(i, k), (j, m)] = <i| Phi(|j><m|) |k>
         choi = stack.reshape(-1, 4, 4, 4, 4).transpose(0, 3, 1, 4, 2).reshape(-1, 16, 16)
         assert np.abs(choi - choi.conj().transpose(0, 2, 1)).max() <= 1e-12
