@@ -16,8 +16,8 @@ manifest recording the resolved configuration, so identical config + seed
 reproduce byte-identical data files.  Grid points run one after another,
 each with its own seed derived from the base seed and the point's index.
 
-Exit codes: 0 success, 2 usage or configuration error (or out of memory,
-or scipy missing for fit), 3 numerical contract violation.
+Exit codes: 0 success, 2 usage or configuration error (or out of memory),
+3 numerical contract violation.
 """
 
 from __future__ import annotations
@@ -484,9 +484,6 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory: the run is too large for the memory available", file=sys.stderr)
-        return 2
-    except ImportError as exc:  # fit's scipy, which only that command loads
-        print(f"error: {args.command} needs a module that cannot be imported: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,16 +70,20 @@ def _qubit(d0, c, d1) -> np.ndarray:
     return m
 
 
-def channel_weights(p: ModelParams, lam, g, rot) -> tuple[np.ndarray, np.ndarray]:
+def channel_weights(p: ModelParams, lam, g, rot=None) -> tuple[np.ndarray, np.ndarray]:
     """The channel with parameters lam, g and rot (module docstring), as
     weights (a, b) over an operator's (q1, q2, q1', q2') axes, one pair per
     leading index of the arguments; `apply_channel` applies them.  Qubit 2's
     populations keep 1 - p_other*(1 - lam) and take p*(1 - lam) of the other
-    population, its coherences are multiplied by g, qubit 1's by rot."""
+    population, its coherences are multiplied by g, qubit 1's by rot.  With
+    no rot, qubit 1 is left alone and its two axes have size 1."""
     gamma = 1.0 - np.asarray(lam)  # lam = 1 gives the identity exactly
+    a = _qubit(1.0 - p.p1 * gamma, g, 1.0 - p.p0 * gamma)[..., None, :, None, :]
+    b = _qubit(p.p0 * gamma, 0.0, p.p1 * gamma)[..., None, :, None, :]
+    if rot is None:
+        return a, b
     one = _qubit(1.0, rot, 1.0)[..., :, None, :, None]
-    a = one * _qubit(1.0 - p.p1 * gamma, g, 1.0 - p.p0 * gamma)[..., None, :, None, :]
-    return a, one * _qubit(p.p0 * gamma, 0.0, p.p1 * gamma)[..., None, :, None, :]
+    return one * a, one * b
 
 
 def apply_channel(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:

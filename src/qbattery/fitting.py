@@ -27,6 +27,14 @@ point to about 1e-12.  No rate outside [-8, 8] is reached: a search that
 stops at the scan's edge is reported as not converged, in a message that
 names the edge, and a flat profile (say all-zero data) as an undetermined rate.
 
+A solve takes all its rows at once, the fit's one row or every bootstrap
+draw: one matrix product per chunk of rows gives their scans, and Brent's
+method runs on all rows in lock-step (`_brent_roots`, scipy's brentq
+transcribed over lanes), with one call of the slope kernel per round for
+the rows still searching.  The kernel takes one BLAS dot per row, so a
+row's slope does not depend on the other rows and equals the one-row
+slope's bit for bit.  Nothing here imports scipy.
+
 The 95% confidence half-widths come from the linearized covariance at the
 optimum, scaled by the residual variance and the two-sided 95% normal
 quantile, or with ``bootstrap`` from the percentiles of seeded
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +56,10 @@ from .states import schmidt_gap
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 RATE_GRID = np.linspace(-8.0, 8.0, 1601)  # profile scan of a (M2, M4) or r (M3)
+# rows x rates x points per scan product: OpenBLAS runs a gemm of up to 2**18
+# multiply-adds on one thread, so the scan never wakes a second core
+SCAN_SIZE = 2**18
+BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER = 2e-12, 4 * np.finfo(float).eps, 100  # scipy brentq's defaults
 
 
 @dataclass(frozen=True)
@@ -55,13 +68,14 @@ class FitModel:
     param_names: tuple[str, ...]
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]  # d predict / d params
-    # (E, values (rows, n), init or None) -> parameters (rows, n_par), and per
-    # row Brent's iterations and a note that is empty where the rate was bracketed
-    solve: Callable[..., tuple[np.ndarray, Sequence[int], Sequence[str]]]
+    # E -> a solve of (values (rows, n), init or None) giving parameters (rows,
+    # n_par), and per row Brent's iterations and a note that is empty where the
+    # rate was bracketed
+    solver: Callable[[np.ndarray], Callable[..., tuple[np.ndarray, Sequence[int], Sequence[str]]]]
 
     def start(self, e, y) -> np.ndarray:
         """The global least-squares parameters: the best over the whole rate scan."""
-        return self.solve(e, np.asarray(y)[None], None)[0][0]
+        return self.solver(e)(np.asarray(y)[None], None)[0][0]
 
 
 def _over(num, den):
@@ -75,57 +89,135 @@ def _perp(z, base, bb):
     return z - np.outer(_over(z @ base, bb), base)
 
 
+def _dots(a, b):
+    """The dot product of each row of a with b's.  The stacked matmul runs
+    one BLAS dot per row, so a row's value equals a[i] @ b[i] bit for bit
+    and does not depend on the other rows."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _project(k, base, t, y_perp, bb):
-    """exp(k*t), its part x_perp orthogonal to base, and y_perp's weight v on
-    x_perp.  _perp and _over for one row, in scalar form for speed in Brent."""
-    x = np.exp(k * t)
-    x_perp = x - base * (x @ base / bb if bb > 0 else 0.0)
-    xx = x_perp @ x_perp
-    return x, x_perp, (x_perp @ y_perp / xx if xx > 0 else 0.0)
+    """exp(k*t) for each row's rate k (rows,), its part x_perp orthogonal to
+    base, and y_perp's weight v on x_perp."""
+    x = np.exp(k[:, None] * t)
+    x_perp = x - _over(_dots(x, base), bb)[:, None] * base
+    v = _over(_dots(x_perp, y_perp), _dots(x_perp, x_perp))
+    return x, x_perp, v
 
 
-def _slope(k, base, t, y_perp, bb):
-    """dSSE/dk = -2*v*r.(t*exp(k*t)) of one row: r is orthogonal to both columns."""
+def _slopes(k, base, t, y_perp, bb):
+    """dSSE/dk = -2*v*r.(t*exp(k*t)) of each row: r is orthogonal to both columns."""
     x, x_perp, v = _project(k, base, t, y_perp, bb)
-    return -2.0 * v * ((y_perp - v * x_perp) @ (t * x))
+    return -2.0 * v * _dots(y_perp - v[:, None] * x_perp, t * x)
 
 
-def _profile_solve(base, t, y, init_rate):
-    """(k, v, u) minimising |y - u*base - v*exp(k*t)| for each row of y, with
-    Brent's iterations and a note that is empty where it bracketed k."""
-    from scipy.optimize import brentq  # here, so that only a fit pays scipy.optimize's import
+def _brent_roots(f, lo, hi, f_lo, f_hi):
+    """Brent's root of f in each lane's bracket [lo, hi], with its iterations.
 
+    f maps (rates (m,), lane indices (m,)) to the m function values; f_lo and
+    f_hi are f at the bracket ends and must differ in sign.  Each round
+    evaluates f once for every lane still searching, and lanes finish on
+    their own.  Step for step scipy's brentq (scipy/optimize/Zeros/brentq.c;
+    R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) with xtol 2e-12, rtol 4*eps and 100 iterations, so a lane's root
+    and count equal brentq(f_row, lo, hi, full_output=True)'s bit for bit.
+    A lane with an exact root at a bracket end returns it after 0
+    iterations, where scipy leaves its count unset; a lane still open after
+    100 iterations ends at its last iterate with a count of 100, where
+    scipy raises.
+    """
+    xpre, xcur, fpre, fcur = (np.array(a, dtype=float) for a in (lo, hi, f_lo, f_hi))
+    if np.any((np.signbit(fpre) == np.signbit(fcur)) & (fpre != 0.0) & (fcur != 0.0)):
+        raise ValueError("f must change sign over every bracket")
+    roots = np.where(fpre == 0.0, xpre, xcur)
+    iterations = np.zeros(len(roots), dtype=int)
+    lane = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))  # an exact root at an end ends its lane at once
+    xpre, xcur, fpre, fcur = xpre[lane], xcur[lane], fpre[lane], fcur[lane]
+    xblk, fblk, spre, scur = (np.zeros(len(lane)) for _ in range(4))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for its in range(1, BRENT_MAXITER + 1):
+            new = np.sign(fpre) * np.sign(fcur) < 0.0  # f changed sign: xpre and xcur bracket the root
+            xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+            spre, scur = np.where(new, xcur - xpre, spre), np.where(new, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)  # keep the better end as xcur
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (BRENT_XTOL + BRENT_RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():
+                roots[lane[done]], iterations[lane[done]] = xcur[done], its
+                live = ~done
+                lane, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    a[live] for a in (lane, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+                if not len(lane):
+                    break
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk,
+                            -fcur * (xcur - xpre) / (fcur - fpre),  # secant
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))  # inverse quadratic
+            size, cap = np.abs(spre), 3 * np.abs(sbis) - delta
+            good = (size > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < np.where(size < cap, size, cap))
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)  # else bisect
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))  # sbis is nonzero here
+            fcur = f(xcur, lane)
+    roots[lane], iterations[lane] = xcur, BRENT_MAXITER
+    return roots, iterations
+
+
+def _profile(base, t):
+    """The rate's profile solver for one design: for rows y (rows, n) and an
+    init rate or None, (k, v, u) minimising |y - u*base - v*exp(k*t)| per
+    row, with Brent's iterations and a note that is empty where it bracketed
+    k.  The scan's columns are orthogonalised here, once for a fit and all
+    its bootstrap draws."""
     bb = base @ base
     grid_perp = _perp(np.exp(np.multiply.outer(RATE_GRID, t)), base, bb)
     grid_inv = _over(1.0, np.einsum("ij,ij->i", grid_perp, grid_perp))
-    near = None if init_rate is None else np.argmin(np.abs(RATE_GRID - init_rate))
-    last = len(RATE_GRID) - 1
-    solved = []
-    for row, row_perp in zip(y, _perp(y, base, bb)):  # scan row by row: memory stays O(grid)
-        c = grid_perp @ row_perp  # SSE(k) = |y_perp|**2 - c**2/|x_perp|**2 on the scan
-        s = row_perp @ row_perp - c * c * grid_inv
-        j = int(np.argmin(s) if near is None else near)
-        while j < last and s[j + 1] < s[j]:  # downhill to a local minimum of the scan
-            j += 1
-        while j > 0 and s[j - 1] < s[j]:
-            j -= 1
-        args = (base, t, row_perp, bb)
-        lo, hi = RATE_GRID[max(j - 1, 0)], RATE_GRID[min(j + 1, last)]
-        down, up = _slope(lo, *args), _slope(hi, *args)
-        k, its, note = RATE_GRID[j], 0, ""
-        if down < 0.0 < up:
-            k, info = brentq(_slope, lo, hi, args=args, full_output=True)
-            its = info.iterations
-        elif down == up == 0.0 or np.ptp(s) == 0.0:
-            note = "the rate is undetermined (flat profile)"
-        elif j in (0, last):
-            note = f"rate stopped at {k:g}, the edge of the scan [-8, 8]"
-        else:
-            note = f"the profile slope does not change sign about rate {k:g}"
-        x, _, v = _project(k, *args)
-        solved.append(((k, v, (row - v * x) @ base / bb if bb > 0 else 0.0), its, note))
-    kvu, iterations, notes = zip(*solved)
-    return np.array(kvu), iterations, notes
+    last, chunk = len(RATE_GRID) - 1, max(1, SCAN_SIZE // grid_perp.size)
+
+    def solve(y, init_rate):
+        y_perp = _perp(y, base, bb)
+        near = None if init_rate is None else int(np.argmin(np.abs(RATE_GRID - init_rate)))
+        j, flat = np.empty(len(y), dtype=int), np.empty(len(y), dtype=bool)
+        for at in range(0, len(y), chunk):  # a chunk of rows at a time: memory stays O(chunk*grid)
+            rows = y_perp[at : at + chunk]
+            s = rows @ grid_perp.T  # c, and SSE(k) = |y_perp|**2 - c**2/|x_perp|**2 on the scan
+            s *= s
+            s *= grid_inv
+            s = np.subtract((rows * rows).sum(-1)[:, None], s, out=s)
+            flat[at : at + len(s)] = s.max(-1) == s.min(-1)
+            starts = s.argmin(-1).tolist() if near is None else [near] * len(s)
+            for i, (row, jj) in enumerate(zip(s, starts)):
+                while jj < last and row[jj + 1] < row[jj]:  # downhill to a local minimum of the scan
+                    jj += 1
+                while jj > 0 and row[jj - 1] < row[jj]:
+                    jj -= 1
+                j[at + i] = jj
+        lo, hi = RATE_GRID[np.maximum(j - 1, 0)], RATE_GRID[np.minimum(j + 1, last)]
+        down, up = _slopes(lo, base, t, y_perp, bb), _slopes(hi, base, t, y_perp, bb)
+        k, iterations = RATE_GRID[j], np.zeros(len(y), dtype=int)
+        lanes = np.flatnonzero((down < 0.0) & (up > 0.0))
+        if len(lanes):
+            k[lanes], iterations[lanes] = _brent_roots(
+                lambda rate, lane: _slopes(rate, base, t, y_perp[lanes[lane]], bb),
+                lo[lanes], hi[lanes], down[lanes], up[lanes])
+        notes = [
+            f"Brent's method did not converge in {BRENT_MAXITER} iterations" if its == BRENT_MAXITER
+            else "" if d < 0.0 < u
+            else "the rate is undetermined (flat profile)" if d == u == 0.0 or f
+            else f"rate stopped at {r:g}, the edge of the scan [-8, 8]" if jj in (0, last)
+            else f"the profile slope does not change sign about rate {r:g}"
+            for d, u, f, r, jj, its in zip(down.tolist(), up.tolist(), flat.tolist(), k.tolist(), j.tolist(),
+                                           iterations.tolist())
+        ]
+        x, _, v = _project(k, base, t, y_perp, bb)
+        u = _over(_dots(y - v[:, None] * x, base), bb)
+        return np.column_stack([k, v, u]), iterations.tolist(), notes
+
+    return solve
 
 
 def _m1(e, p):
@@ -166,12 +258,16 @@ def _separable(name, names, scale, shape, phi, order) -> FitModel:
         x = np.exp(k * t)
         return np.column_stack([v * t * x, x, scale * shape(e)])[:, order]
 
-    def solve(e, y, init=None):
-        rate = None if init is None else init[where[0]]
-        kvu, iterations, notes = _profile_solve(scale * shape(e), phi(e), y, rate)
-        return kvu[:, order], iterations, notes
+    def solver(e):
+        profile = _profile(scale * shape(e), phi(e))
 
-    return FitModel(name, names, predict, jacobian, solve)
+        def solve(y, init=None):
+            kvu, iterations, notes = profile(y, None if init is None else init[where[0]])
+            return kvu[:, order], iterations, notes
+
+        return solve
+
+    return FitModel(name, names, predict, jacobian, solver)
 
 
 def _one_plus_gap(e):
@@ -179,7 +275,7 @@ def _one_plus_gap(e):
 
 
 MODELS: dict[str, FitModel] = {
-    "M1": FitModel("M1", ("c", "a"), _m1, _m1_jacobian, _m1_solve),
+    "M1": FitModel("M1", ("c", "a"), _m1, _m1_jacobian, lambda e: partial(_m1_solve, e)),
     "M2": _separable("M2", ("a", "b", "c"), 3.0, _one_plus_gap, lambda e: e, [0, 1, 2]),
     "M3": _separable("M3", ("p", "q", "r"), 3.0, _one_plus_gap, lambda e: e**3, [2, 1, 0]),
     "M4": _separable("M4", ("a", "b", "c"), 6.0, schmidt_gap, lambda e: e, [0, 1, 2]),
@@ -246,7 +342,8 @@ def fit_curve(model, data, init=None, bootstrap: int = 0, bootstrap_seed: int = 
         if init.shape != (n_par,):
             raise ValueError(f"init must have {n_par} entries, got {init.shape}")
 
-    fitted, iterations, note = (out[0] for out in mdl.solve(e, y[None], init))
+    solve = mdl.solver(e)
+    fitted, iterations, note = (out[0] for out in solve(y[None], init))
     problems = [note] if note else []
     base = mdl.predict(e, fitted)
     sse = float((base - y) @ (base - y))
@@ -264,7 +361,7 @@ def fit_curve(model, data, init=None, bootstrap: int = 0, bootstrap_seed: int = 
     if bootstrap > 0:  # every draw refitted by the same solve, from the fitted rate
         gen = np.random.default_rng(bootstrap_seed)
         y_star = base + gen.choice(y - base, size=(bootstrap, len(e)), replace=True)
-        refits, _, notes = mdl.solve(e, y_star, fitted)
+        refits, _, notes = solve(y_star, fitted)
         lo, hi = np.percentile(refits, [2.5, 97.5], axis=0)
         half = 0.5 * (hi - lo)
         problems += [f"{count} of {bootstrap} bootstrap draws: {note}"

@@ -28,8 +28,10 @@ and no qubit-1 phase): qubit 2's populations keep the fraction Lambda of
 their offset from the bath's, its coherences the fraction sqrt(Lambda).  An
 evaluation applies them to the pair's difference, so it costs a pair, a few
 elementwise products and one batched 4x4 eigvalsh on 2*runs matrices, and a
-run end takes 256 B per point evaluated.  The reported trace of the best
-pair is still sampled on the whole grid.
+run end takes 256 B per point evaluated.  A search round's points are taken
+BLP_CHUNK (point, run) pairs at a time, so memory does not grow with the
+number of starts.  The reported trace of the best pair is still sampled on
+the whole grid.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ import numpy as np
 from .collision import _qubit2, apply_channel, channel_weights, run_collisions
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
+
+BLP_CHUNK = 4096  # (point, rising run) pairs per step of the BLP objective
 
 
 def _pair(t1, p1, t2, p2, t3, p3, psi1, chi1, psi2, chi2) -> tuple[complex, ...]:
@@ -108,17 +112,26 @@ def _distance_samples(
 
 def _run_end_damping(p: ModelParams, taus: tuple[float, ...], collisions: int) -> tuple[np.ndarray, np.ndarray]:
     """`channel_weights` of the phase-free GAD_Lambda (g = sqrt(Lambda),
-    rot = 1) at the first and the last sample of each maximal run of samples
-    over which Lambda rises, in that order.  No weight then depends on
-    qubit 1, so each is kept as a (2*runs, 1, 2, 1, 2) array.  The sample
-    at taus[j] of collision m + 1 has Lambda = lambda(delta_t)**m * lambda(taus[j])."""
+    qubit 1 left alone) at the first and the last sample of each maximal run
+    of samples over which Lambda rises, in that order, as two (2*runs, 1, 2,
+    1, 2) arrays.  The sample at taus[j] of collision m + 1 has
+    Lambda = lambda(delta_t)**m * lambda(taus[j])."""
     lam = _qubit2(p, np.array(taus))[0]
     # cumprod keeps Lambda at a collision's last sample equal to the next power
     powers = np.cumprod(np.concatenate([[1.0], np.full(collisions - 1, lam[-1])]))
     samples = np.outer(powers, lam).ravel()
     rising = np.diff(samples) > 0.0  # lambda <= 1, so no run starts at tau = 0
     ends = samples[np.flatnonzero(np.diff(np.concatenate([[False], rising, [False]])))]
-    return tuple(w[:, :1, :, :1].copy() for w in channel_weights(p, ends, np.sqrt(ends), 1.0))
+    return channel_weights(p, ends, np.sqrt(ends))
+
+
+def _rises(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """D at the last minus D at the first end of each rising run, or 0, as
+    (rows, runs), for the pair differences x (rows, 1, 2, 2, 2, 2) and the
+    run-end weights."""
+    ends = apply_channel(weights, x)
+    d = _trace_distances(ends.reshape(-1, 4, 4)).reshape(len(x), -1)
+    return np.maximum(d[:, 1::2] - d[:, ::2], 0.0)
 
 
 @dataclass(frozen=True)
@@ -152,13 +165,20 @@ def blp_measure(
     taus = tuple(times[1 : grid_points + 1].tolist())
 
     weights = _run_end_damping(p, taus, collisions)
+    runs = len(weights[0]) // 2
+    span = min(max(runs, 1), BLP_CHUNK)  # runs per step
+    rows = BLP_CHUNK // span  # points per step: a step takes at most BLP_CHUNK (point, run) pairs
+    parts = [(c, tuple(w[2 * c : 2 * (c + span)] for w in weights)) for c in range(0, runs, span)]
 
     def objective(angles):  # (..., 10) angles, one value per point
         x = _difference(*pair_from_angles(angles))
-        x = x.reshape(x.shape[:-2] + (1, 2, 2, 2, 2))  # one axis for the run ends
-        ends = apply_channel(weights, x)
-        d = _trace_distances(ends.reshape(ends.shape[:-4] + (4, 4)))
-        return np.maximum(d[..., 1::2] - d[..., ::2], 0.0).sum(axis=-1)
+        lead = x.shape[:-2]
+        x = x.reshape(-1, 1, 2, 2, 2, 2)  # one axis for the run ends
+        rises = np.empty((len(x), runs))
+        for r in range(0, len(x), rows):
+            for c, part in parts:
+                rises[r : r + rows, c : c + span] = _rises(part, x[r : r + rows])
+        return rises.sum(axis=-1).reshape(lead)[()]  # [()]: a scalar for one point
 
     best_angles, q_n, report = multistart_maximize(objective, 10, settings)
     s1, s2 = pair_from_angles(best_angles)

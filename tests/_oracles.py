@@ -9,8 +9,8 @@ The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
 The G/L search over all six Euler angles, the csv.writer path, scipy's
-scrambled Halton sampler and scipy's Nelder-Mead are references for package
-code that reaches the same result with less work.
+scrambled Halton sampler, scipy's Nelder-Mead and scipy's brentq are
+references for package code that reaches the same result with less work.
 The backflow oracles deliberately avoid the package's optimizer,
 orthogonal-pair parametrization and transfer-matrix core: pairs are two
 *independent* pure states from a plain spherical chart, sampled with a
@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.stats import qmc
 
 from qbattery.collision import collision_power
@@ -337,6 +337,13 @@ def scipy_nelder_mead(fun, x0, max_evals: int) -> tuple[np.ndarray, float, int, 
         steps.append((start, kind))
         start = end
     return res.x, res.fun, res.nfev, steps
+
+
+def scipy_brent_root(f, lo: float, hi: float) -> tuple[float, int]:
+    """Reference for one lane of qbattery.fitting._brent_roots: scipy's
+    brentq with its default tolerances, as (root, iterations)."""
+    root, info = brentq(f, lo, hi, full_output=True)
+    return root, info.iterations
 
 
 def _csv_cell(value) -> str:

@@ -1,4 +1,4 @@
-"""The global start and the analytic Jacobians of the fit families."""
+"""The global start, the analytic Jacobians and the rate solver of the fit families."""
 
 import tracemalloc
 import warnings
@@ -6,8 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qbattery.fitting import MODELS, RATE_GRID, fit_curve
+from qbattery import fitting
+from qbattery.fitting import MODELS, RATE_GRID, _brent_roots, _perp, _slopes, fit_curve
 from qbattery.states import schmidt_gap
+
+from _oracles import scipy_brent_root
 
 E_GRID = np.linspace(0.0, 1.0, 21)
 TRUTHS = {
@@ -191,3 +194,107 @@ def test_bootstrap_memory_does_not_scale_with_the_scan():
     finally:
         tracemalloc.stop()
     assert peak < 5e6, peak
+
+
+# (scale*shape(E), phi(E)) of M3 and M4, the two kinds of rate column
+DESIGNS = {"M3": (3.0 * (1.0 + schmidt_gap(E_GRID)), E_GRID**3), "M4": (6.0 * schmidt_gap(E_GRID), E_GRID)}
+
+
+def noisy_rows(model, gen, count):
+    """Curves of truths scaled by -2 to 2, with noise of 1e-4 to 1e-1."""
+    truths = np.asarray(TRUTHS[model]) * gen.uniform(-2.0, 2.0, size=(count, 3))
+    y = np.array([MODELS[model].predict(E_GRID, p) for p in truths])
+    return y + gen.normal(size=y.shape) * 10.0 ** gen.uniform(-4.0, -1.0, size=(count, 1))
+
+
+@pytest.mark.parametrize("model", sorted(DESIGNS))
+def test_slope_rows_equal_single_rows(model):
+    base, t = DESIGNS[model]
+    bb = base @ base
+    gen = np.random.default_rng(4)
+    y_perp = _perp(noisy_rows(model, gen, 50), base, bb)
+    k = gen.uniform(-8.0, 8.0, size=50)
+    alone = [_slopes(k[i : i + 1], base, t, y_perp[i : i + 1], bb)[0] for i in range(50)]
+    assert np.array_equal(_slopes(k, base, t, y_perp, bb), alone)
+    assert alone == [one_row_slope(k[i], base, t, y_perp[i], bb) for i in range(50)]
+
+
+def one_row_slope(k, base, t, y_perp, bb):
+    """dSSE/dk of one row written with 1-D ``@`` products."""
+    x = np.exp(k * t)
+    x_perp = x - base * (x @ base / bb)
+    v = x_perp @ y_perp / (x_perp @ x_perp)
+    return -2.0 * v * ((y_perp - v * x_perp) @ (t * x))
+
+
+def test_lock_step_brent_equals_scipy_brentq():
+    # Brackets of 1 to 8 steps of 0.4 about a sign change of each row's slope,
+    # so lanes finish in different rounds; row 0 is zero, its slope is -0.0
+    # everywhere, and its lower bracket end is an exact root, returned after
+    # 0 iterations (brentq leaves its count unset there).
+    base, t = DESIGNS["M4"]
+    bb = base @ base
+    gen = np.random.default_rng(2)
+    y = noisy_rows("M4", gen, 1200)
+    y[0] = 0.0
+    y_perp = _perp(y, base, bb)
+    coarse = RATE_GRID[::40]
+    negative = np.signbit([_slopes(np.full(len(y), k), base, t, y_perp, bb) for k in coarse])
+    rows, lo, hi = [0], [coarse[0]], [coarse[1]]
+    for i in range(1, len(y)):
+        changes = np.flatnonzero(negative[1:, i] != negative[:-1, i])
+        if changes.size:
+            c = gen.choice(changes)
+            a, b = gen.integers(max(c - 3, 0), c + 1), gen.integers(c + 1, min(c + 5, len(coarse)))
+            a, b = (a, b) if negative[a, i] != negative[b, i] else (c, c + 1)
+            rows, lo, hi = rows + [i], lo + [coarse[a]], hi + [coarse[b]]
+    rows, lo, hi = np.array(rows), np.array(lo), np.array(hi)
+    assert len(rows) >= 1000
+
+    def f(rate, lane):
+        return _slopes(rate, base, t, y_perp[rows[lane]], bb)
+
+    lanes = np.arange(len(rows))
+    roots, iterations = _brent_roots(f, lo, hi, f(lo, lanes), f(hi, lanes))
+    expected = [scipy_brent_root(lambda k: f(np.array([k]), lane[None])[0], lo[lane], hi[lane]) for lane in lanes]
+    assert roots.tolist() == [root for root, _ in expected]
+    assert iterations[1:].tolist() == [its for _, its in expected[1:]]
+    assert (roots[0], iterations[0]) == (lo[0], 0)
+    assert len(set(iterations.tolist())) >= 5
+
+
+def test_lock_step_brent_root_at_either_bracket_end():
+    # f(x) = x - c[lane]: exact roots at the lower end, the upper end and inside
+    c = np.array([0.0, 1.0, 0.3, -2.5, 7.0])
+    lo, hi = np.array([0.0, 0.0, 0.0, -3.0, 7.0]), np.array([1.0, 1.0, 1.0, -2.5, 8.0])
+    roots, iterations = _brent_roots(lambda x, lane: x - c[lane], lo, hi, lo - c, hi - c)
+    expected = [scipy_brent_root(lambda x: x - c[i], lo[i], hi[i]) for i in range(len(c))]
+    assert roots.tolist() == [root for root, _ in expected] == c.tolist()
+    assert iterations.tolist() == [0, 0, expected[2][1], 0, 0]
+    with pytest.raises(ValueError, match="change sign"):
+        _brent_roots(lambda x, lane: x, lo[:1] + 1.0, hi[:1] + 1.0, lo[:1] + 1.0, hi[:1] + 1.0)
+
+
+def test_lock_step_brent_lane_at_the_iteration_cap():
+    # A step slope over [-1, 1e300] needs about 1,000 bisections to reach
+    # 2e-12: the lane stops at the cap, with the iterate where brentq raises.
+    def step(x):
+        return np.where(x < 0.1, -1.0, 1.0)
+
+    roots, iterations = _brent_roots(lambda x, lane: step(x), np.array([-1.0]), np.array([1e300]),
+                                     step(np.array([-1.0])), step(np.array([1e300])))
+    assert iterations.tolist() == [fitting.BRENT_MAXITER]
+    with pytest.raises(RuntimeError, match="converge"):
+        scipy_brent_root(lambda x: float(step(x)), -1.0, 1e300)
+
+
+def test_unconverged_brent_is_reported(monkeypatch):
+    # a cap of 2 iterations stops every lane of these fits early
+    monkeypatch.setattr(fitting, "BRENT_MAXITER", 2)
+    truth, data = jittered("M4", 0)
+    res = fit_curve("M4", data)
+    assert (res.iterations, res.converged) == (2, False)
+    assert res.message == "Brent's method did not converge in 2 iterations"
+    res = fit_curve("M4", data, init=truth, bootstrap=5)
+    assert not res.converged
+    assert res.message.endswith("5 of 5 bootstrap draws: Brent's method did not converge in 2 iterations")

@@ -289,6 +289,31 @@ class TestBlpMeasure:
         assert res.q_n > 0.0
         assert peak < 48 * 2**20
 
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_objective_values_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        # 3 collisions on a 40-point grid at delta_t 1.6 give 3 rising runs;
+        # a chunk of 1, 5 or 64 (point, run) pairs splits the runs, the rows, or neither
+        angles = np.random.default_rng(6).uniform(-3.0, 3.0, size=(7, 10))
+        whole = search_objective(1.6, replace(P, beta=0.7), 40, 3)(angles)
+        monkeypatch.setattr(nonmarkov, "BLP_CHUNK", chunk)
+        objective = search_objective(1.6, replace(P, beta=0.7), 40, 3)
+        assert objective(angles).tobytes() == whole.tobytes()
+        assert [objective(a).tobytes() for a in angles] == [v.tobytes() for v in whole]
+
+    def test_memory_does_not_grow_with_starts(self):
+        """Every round damps and diagonalises at most BLP_CHUNK (point, run)
+        pairs, so 9 starts over 5,000 rising runs take about the memory of one."""
+        peaks = []
+        for starts in (1, 9):
+            tracemalloc.start()
+            try:
+                blp_measure(1.6, P, OptimizerSettings(starts=starts, seed=1, max_evals=5),
+                            grid_points=2, collisions=5_000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     def test_multi_collision_extension(self):
         settings = OptimizerSettings(starts=4, seed=3, max_evals=600)
         single = blp_measure(1.0, P, settings)

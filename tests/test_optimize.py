@@ -1,7 +1,8 @@
 """Start points, settings and simplex search of the multi-start search, and
-the import cost they no longer carry."""
+the import cost the package no longer carries."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -192,50 +193,28 @@ class TestImportCost:
         assert self._child(code, cwd=tmp_path) == "[0, 0, 0]"
         assert all((tmp_path / name).stat().st_size > 0 for name in ("s.csv", "t.csv", "b.csv"))
 
-    def test_fit_without_scipy_exits_2(self, tmp_path):
-        """fit, the one command that needs scipy, exits 2 with one line where
-        importing it fails, and writes neither its output nor a manifest."""
+    def test_fit_runs_without_scipy(self, tmp_path):
+        """fit, Brent's method included, needs no scipy either: it exits 0
+        where importing scipy fails and writes its result and manifest."""
         code = (
             "import sys; sys.modules['scipy'] = None\n"
             "from qbattery.cli import main\n"
             "print([main(argv.split()) for argv in [\n"
             "    'sweep --seed 1 --quantity G_p --entanglements 0:1:0.25 --collisions 3 --output g.csv',\n"
-            "    'fit --model M4 --input g.csv --n 3 --output f.json',\n"
+            "    'fit --model M4 --input g.csv --n 3 --bootstrap 10 --output f.json',\n"
             "]])"
         )
-        run = subprocess.run([sys.executable, "-c", code], env=self.ENV, cwd=tmp_path,
-                             capture_output=True, text=True, check=True)
-        assert run.stdout.strip() == "[0, 2]"
-        assert len(run.stderr.splitlines()) == 1 and "scipy" in run.stderr
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["g.csv", "g.csv.manifest.json"]
+        assert self._child(code, cwd=tmp_path) == "[0, 0]"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "f.json", "f.json.manifest.json", "g.csv", "g.csv.manifest.json"]
+        assert set(json.loads((tmp_path / "f.json").read_text())["params"]) == {"a", "b", "c"}
 
-    def test_package_source_imports_no_scipy_stats(self):
+    def test_package_source_imports_no_scipy(self):
+        """No source file under src/ imports scipy, at module level or in a
+        function body, so no command loads it."""
         found = []
-        for path in sorted(PACKAGE.glob("*.py")):
+        for path in sorted(PACKAGE.parent.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
-                else:
-                    continue
-                found += [f"{path.name}:{node.lineno}" for name in names
-                          if name == "scipy.stats" or name.startswith("scipy.stats.")]
-        assert found == []
-
-    def test_package_source_imports_no_scipy_at_module_level(self):
-        """Only function bodies may import scipy (fitting's brentq), so no
-        command but fit loads it."""
-
-        def run_on_import(node):  # every node but those inside a function body
-            for child in ast.iter_child_nodes(node):
-                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield child
-                    yield from run_on_import(child)
-
-        found = []
-        for path in sorted(PACKAGE.glob("*.py")):
-            for node in run_on_import(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.module:
