@@ -31,6 +31,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from decimal import Decimal
+from functools import cache
 
 import numpy as np
 
@@ -331,7 +332,9 @@ def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, fl
                     raise UsageError(f"input CSV has no {column!r} column for --{column} to filter on")
             for row in reader:
                 try:
-                    if n_filter is not None and int(float(row["n"])) != n_filter:
+                    if n_filter is not None and (n := float(row["n"])) != n_filter:
+                        if not n.is_integer():  # inf, nan or a fraction is no collision count
+                            raise ValueError(n)
                         continue
                     if quantity_filter is not None and row["quantity"] != quantity_filter:
                         continue
@@ -362,6 +365,7 @@ def cmd_fit(args, cfg: None) -> dict:
 # argument parsing
 
 
+@cache  # one tree per process: argparse takes about 1 ms to build it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qbattery",

@@ -20,20 +20,21 @@ from a linear least-squares solve, which leaves a one-dimensional profile
 SSE(k), scanned on RATE_GRID: k in [-8, 8] in steps of 0.01.  The search
 takes the best grid point, the global minimum over the scan, or with
 ``init`` the local minimum reached downhill from the grid point nearest
-init's rate.  Brent's method then finds the root of the profile's analytic
-slope dSSE/dk between that point's two neighbours; the slope, unlike
-differences of SSE, is not lost in rounding, so the rate is the stationary
-point to about 1e-12.  No rate outside [-8, 8] is reached: a search that
+init's rate.  A root search (`_roots`, regula falsi with the Illinois
+modification) then finds the zero of the profile's analytic slope dSSE/dk
+between that point's two neighbours; the slope, unlike differences of SSE,
+is not lost in rounding, so the rate is the stationary point to about
+1e-12.  No rate outside [-8, 8] is reached: a search that
 stops at the scan's edge is reported as not converged, in a message that
 names the edge, and a flat profile (say all-zero data) as an undetermined rate.
 
 A solve takes all its rows at once, the fit's one row or every bootstrap
-draw: one matrix product per chunk of rows gives their scans, and Brent's
-method runs on all rows in lock-step (`_brent_roots`, scipy's brentq
-transcribed over lanes), with one call of the slope kernel per round for
-the rows still searching.  The kernel takes one BLAS dot per row, so a
-row's slope does not depend on the other rows and equals the one-row
-slope's bit for bit.  Nothing here imports scipy.
+draw: one matrix product per chunk of rows gives their scans, and the root
+search runs on all rows in lock-step, with one call of the slope kernel per
+round for the rows still searching.  The kernel takes one BLAS dot per row,
+and the search's steps are elementwise, so a row's rate does not depend on
+the other rows and equals the one-row fit's bit for bit.  Nothing here
+imports scipy.
 
 The 95% confidence half-widths come from the linearized covariance at the
 optimum, scaled by the residual variance and the two-sided 95% normal
@@ -59,7 +60,7 @@ RATE_GRID = np.linspace(-8.0, 8.0, 1601)  # profile scan of a (M2, M4) or r (M3)
 # rows x rates x points per scan product: OpenBLAS runs a gemm of up to 2**18
 # multiply-adds on one thread, so the scan never wakes a second core
 SCAN_SIZE = 2**18
-BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER = 2e-12, 4 * np.finfo(float).eps, 100  # scipy brentq's defaults
+ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 2e-12, 4 * np.finfo(float).eps, 100  # the rate's root search
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,9 @@ class FitModel:
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]  # d predict / d params
     # E -> a solve of (values (rows, n), init or None) giving parameters (rows,
-    # n_par), and per row Brent's iterations and a note that is empty where the
-    # rate was bracketed
+    # n_par), and per row the root search's rounds and a note that is empty
+    # where the rate was bracketed
     solver: Callable[[np.ndarray], Callable[..., tuple[np.ndarray, Sequence[int], Sequence[str]]]]
-
-    def start(self, e, y) -> np.ndarray:
-        """The global least-squares parameters: the best over the whole rate scan."""
-        return self.solver(e)(np.asarray(y)[None], None)[0][0]
 
 
 def _over(num, den):
@@ -111,66 +108,32 @@ def _slopes(k, base, t, y_perp, bb):
     return -2.0 * v * _dots(y_perp - v[:, None] * x_perp, t * x)
 
 
-def _brent_roots(f, lo, hi, f_lo, f_hi):
-    """Brent's root of f in each lane's bracket [lo, hi], with its iterations.
-
-    f maps (rates (m,), lane indices (m,)) to the m function values; f_lo and
-    f_hi are f at the bracket ends and must differ in sign.  Each round
-    evaluates f once for every lane still searching, and lanes finish on
-    their own.  Step for step scipy's brentq (scipy/optimize/Zeros/brentq.c;
-    R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) with xtol 2e-12, rtol 4*eps and 100 iterations, so a lane's root
-    and count equal brentq(f_row, lo, hi, full_output=True)'s bit for bit.
-    A lane with an exact root at a bracket end returns it after 0
-    iterations, where scipy leaves its count unset; a lane still open after
-    100 iterations ends at its last iterate with a count of 100, where
-    scipy raises.
-    """
-    xpre, xcur, fpre, fcur = (np.array(a, dtype=float) for a in (lo, hi, f_lo, f_hi))
-    if np.any((np.signbit(fpre) == np.signbit(fcur)) & (fpre != 0.0) & (fcur != 0.0)):
-        raise ValueError("f must change sign over every bracket")
-    roots = np.where(fpre == 0.0, xpre, xcur)
-    iterations = np.zeros(len(roots), dtype=int)
-    lane = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))  # an exact root at an end ends its lane at once
-    xpre, xcur, fpre, fcur = xpre[lane], xcur[lane], fpre[lane], fcur[lane]
-    xblk, fblk, spre, scur = (np.zeros(len(lane)) for _ in range(4))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for its in range(1, BRENT_MAXITER + 1):
-            new = np.sign(fpre) * np.sign(fcur) < 0.0  # f changed sign: xpre and xcur bracket the root
-            xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
-            spre, scur = np.where(new, xcur - xpre, spre), np.where(new, xcur - xpre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)  # keep the better end as xcur
-            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            delta = (BRENT_XTOL + BRENT_RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            if done.any():
-                roots[lane[done]], iterations[lane[done]] = xcur[done], its
-                live = ~done
-                lane, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                    a[live] for a in (lane, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
-                if not len(lane):
-                    break
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk,
-                            -fcur * (xcur - xpre) / (fcur - fpre),  # secant
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))  # inverse quadratic
-            size, cap = np.abs(spre), 3 * np.abs(sbis) - delta
-            good = (size > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < np.where(size < cap, size, cap))
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)  # else bisect
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))  # sbis is nonzero here
-            fcur = f(xcur, lane)
-    roots[lane], iterations[lane] = xcur, BRENT_MAXITER
-    return roots, iterations
+def _roots(f, lo, hi, f_lo, f_hi):
+    """The root of f between each lane's ends lo and hi, where f_lo < 0 < f_hi,
+    and its rounds: regula falsi with the Illinois modification (Dowell &
+    Jarratt, BIT 11, 168 (1971)).  f maps (rates (m,), lane indices (m,)) to
+    the m values, and each round calls it once for the lanes still open.  A
+    lane ends when f is 0 or its bracket is narrower than ROOT_XTOL +
+    ROOT_RTOL*|root|, or else at its last iterate after ROOT_MAXITER rounds."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    roots, rounds, lane = b.copy(), np.full(len(b), ROOT_MAXITER), np.arange(len(b))
+    for its in range(1, ROOT_MAXITER + 1):
+        if not len(lane):
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c, lane)
+        stale = np.signbit(fc) == np.signbit(fb)  # c is on b's side, so a stays: halve its value
+        a, fa, b, fb = np.where(stale, a, b), np.where(stale, 0.5 * fa, fb), c, fc
+        done = (fc == 0.0) | (np.abs(b - a) < ROOT_XTOL + ROOT_RTOL * np.abs(b))
+        roots[lane], rounds[lane[done]] = b, its
+        lane, a, b, fa, fb = (v[~done] for v in (lane, a, b, fa, fb))
+    return roots, rounds
 
 
 def _profile(base, t):
     """The rate's profile solver for one design: for rows y (rows, n) and an
     init rate or None, (k, v, u) minimising |y - u*base - v*exp(k*t)| per
-    row, with Brent's iterations and a note that is empty where it bracketed
+    row, with the root search's rounds and a note that is empty where it bracketed
     k.  The scan's columns are orthogonalised here, once for a fit and all
     its bootstrap draws."""
     bb = base @ base
@@ -200,12 +163,10 @@ def _profile(base, t):
         down, up = _slopes(lo, base, t, y_perp, bb), _slopes(hi, base, t, y_perp, bb)
         k, iterations = RATE_GRID[j], np.zeros(len(y), dtype=int)
         lanes = np.flatnonzero((down < 0.0) & (up > 0.0))
-        if len(lanes):
-            k[lanes], iterations[lanes] = _brent_roots(
-                lambda rate, lane: _slopes(rate, base, t, y_perp[lanes[lane]], bb),
-                lo[lanes], hi[lanes], down[lanes], up[lanes])
+        k[lanes], iterations[lanes] = _roots(lambda rate, lane: _slopes(rate, base, t, y_perp[lanes[lane]], bb),
+                                             lo[lanes], hi[lanes], down[lanes], up[lanes])
         notes = [
-            f"Brent's method did not converge in {BRENT_MAXITER} iterations" if its == BRENT_MAXITER
+            f"the rate's root search did not converge in {ROOT_MAXITER} iterations" if its == ROOT_MAXITER
             else "" if d < 0.0 < u
             else "the rate is undetermined (flat profile)" if d == u == 0.0 or f
             else f"rate stopped at {r:g}, the edge of the scan [-8, 8]" if jj in (0, last)
@@ -322,7 +283,7 @@ def fit_curve(model, data, init=None, bootstrap: int = 0, bootstrap_seed: int = 
 
     Without ``init`` the result is the global minimum over the rate scan;
     with it, the local minimum nearest init's rate.  Never raises on
-    numerical trouble: a rate that Brent's method could not bracket (such
+    numerical trouble: a rate that the root search could not bracket (such
     as one at the scan's edge), in the fit or in any bootstrap draw, and
     singular normal equations are reported through ``converged`` and
     ``message``.  With ``bootstrap > 0`` the confidence half-widths come

@@ -340,8 +340,8 @@ def scipy_nelder_mead(fun, x0, max_evals: int) -> tuple[np.ndarray, float, int, 
 
 
 def scipy_brent_root(f, lo: float, hi: float) -> tuple[float, int]:
-    """Reference for one lane of qbattery.fitting._brent_roots: scipy's
-    brentq with its default tolerances, as (root, iterations)."""
+    """Reference for one lane of qbattery.fitting._roots: scipy's brentq with
+    its default tolerances, as (root, iterations)."""
     root, info = brentq(f, lo, hi, full_output=True)
     return root, info.iterations
 

@@ -1,9 +1,10 @@
-"""Seeded random-object factories shared by the test modules."""
+"""Seeded random-object factories and helpers shared by the test modules."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from qbattery.fitting import MODELS
 from qbattery.model import ModelParams
 
 
@@ -45,3 +46,9 @@ def haar_unitaries(gen: np.random.Generator, count: int, dim: int) -> np.ndarray
     q, r = np.linalg.qr(z)
     phases = np.einsum("nii->ni", r)
     return q * (phases / np.abs(phases))[:, None, :]
+
+
+def global_start(model: str, e, y) -> np.ndarray:
+    """The global least-squares parameters of a fit family: its solve without
+    init, the best over the whole rate scan."""
+    return MODELS[model].solver(np.asarray(e))(np.asarray(y)[None], None)[0][0]

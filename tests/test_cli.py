@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from qbattery.cli import main, parse_number_list, write_csv
+from qbattery.cli import build_parser, main, parse_number_list, write_csv
 from qbattery.states import schmidt_gap
 
 from _oracles import csv_module_write
@@ -337,6 +337,18 @@ class TestFitCommand:
         assert "row 2 of 4 is not finite" in err
         assert not (tmp_path / "f.json").exists()
 
+    @pytest.mark.parametrize("cell", ["inf", "1.5", "nan"])
+    def test_non_integer_collision_count_is_usage_error(self, tmp_path, capsys, cell):
+        # int(float("inf")) raised OverflowError, and 1.5 was truncated to match --n 1
+        bad = tmp_path / "bad_n.csv"
+        bad.write_text(f"E,n,value\n0.0,1,1.0\n0.5,{cell},0.8\n1.0,1,0.2\n0.2,1,0.4\n")
+        code = run("fit", "--model", "M1", "--input", bad, "--n", 1,
+                   "--output", tmp_path / "f.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed CSV value near line 3 of {bad}\n"
+        assert os.listdir(tmp_path) == ["bad_n.csv"]
+
     def test_unknown_model_is_usage_error(self, tmp_path):
         good = tmp_path / "ok.csv"
         good.write_text("E,value\n0.0,1\n0.5,0.8\n1.0,0.2\n")
@@ -354,6 +366,17 @@ class TestFitCommand:
         assert code == 0
         result = json.loads(fit_out.read_text())
         assert all(v >= 0 for v in result["confidence95"].values())
+
+
+class TestParser:
+    def test_one_parser_serves_every_command(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        sweep = parser.parse_args(["sweep", "--seed", "1", "--collisions", "3", "--output", "s.csv"])
+        blp = parser.parse_args(["blp", "--seed", "2", "--output", "b.csv"])
+        assert (sweep.command, getattr(sweep, "sweep.collisions")) == ("sweep", "3")
+        assert (blp.command, getattr(blp, "optimizer.seed"), blp.output) == ("blp", 2, "b.csv")
+        assert not [name for name in vars(blp) if name.startswith("sweep.")]
 
 
 class TestExitCodes:

@@ -4,6 +4,8 @@ import pytest
 from qbattery.fitting import MODELS, fit_curve
 from qbattery.states import schmidt_gap
 
+from qbhelpers import global_start
+
 E_GRID = np.linspace(0.0, 1.0, 21)
 
 
@@ -56,7 +58,7 @@ class TestSyntheticRecovery:
 class TestFitProperties:
     def test_descent_from_default_init(self):
         data = synth("M1", [0.6, 0.97], noise=5e-3, seed=7)
-        init = MODELS["M1"].start(data[:, 0], data[:, 1])
+        init = global_start("M1", data[:, 0], data[:, 1])
         res = fit_curve("M1", data, init=init)
         model = MODELS["M1"]
         sse_init = float(np.sum((model.predict(data[:, 0], init) - data[:, 1]) ** 2))

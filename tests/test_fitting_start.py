@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from qbattery import fitting
-from qbattery.fitting import MODELS, RATE_GRID, _brent_roots, _perp, _slopes, fit_curve
+from qbattery.fitting import MODELS, RATE_GRID, _perp, _roots, _slopes, fit_curve
 from qbattery.states import schmidt_gap
 
 from _oracles import scipy_brent_root
+from qbhelpers import global_start
 
 E_GRID = np.linspace(0.0, 1.0, 21)
 TRUTHS = {
@@ -70,7 +71,7 @@ def test_m2_start_is_the_global_minimum():
     # near a = 2.37; the profile has further local minima near a = -1.89.
     truth = np.array(TRUTHS["M2"])
     data = np.column_stack([E_GRID, MODELS["M2"].predict(E_GRID, truth)])
-    assert np.allclose(MODELS["M2"].start(*data.T), truth, atol=1e-8)
+    assert np.allclose(global_start("M2", *data.T), truth, atol=1e-8)
     wrong = fit_curve("M2", data, init=np.array([2.37, -0.09, 0.70]))
     assert wrong.residual > 1e-3
     assert fit_curve("M2", data).residual <= 1e-20
@@ -80,7 +81,7 @@ def test_m2_start_is_the_global_minimum():
 def test_start_beats_every_grid_point(model):
     _, data = jittered(model, seed=1)
     mdl = MODELS[model]
-    x0 = mdl.start(*data.T)
+    x0 = global_start(model, *data.T)
     sse0 = np.sum((mdl.predict(E_GRID, x0) - data[:, 1]) ** 2)
     rate = {"M2": 0, "M3": 2, "M4": 0}[model]
     for k in RATE_GRID[::40]:
@@ -227,74 +228,77 @@ def one_row_slope(k, base, t, y_perp, bb):
     return -2.0 * v * ((y_perp - v * x_perp) @ (t * x))
 
 
-def test_lock_step_brent_equals_scipy_brentq():
-    # Brackets of 1 to 8 steps of 0.4 about a sign change of each row's slope,
-    # so lanes finish in different rounds; row 0 is zero, its slope is -0.0
-    # everywhere, and its lower bracket end is an exact root, returned after
-    # 0 iterations (brentq leaves its count unset there).
+def slope_brackets(gen, count):
+    """M4 slope lanes over brackets of 1 to 8 steps of 0.4 about a sign change
+    of each row's slope, so that lanes finish in different rounds: the lane
+    function f(rate, lane) and the ends lo, hi with f(lo) < 0 < f(hi), where
+    lo > hi about a maximum of SSE."""
     base, t = DESIGNS["M4"]
     bb = base @ base
-    gen = np.random.default_rng(2)
-    y = noisy_rows("M4", gen, 1200)
-    y[0] = 0.0
-    y_perp = _perp(y, base, bb)
+    y_perp = _perp(noisy_rows("M4", gen, count), base, bb)
     coarse = RATE_GRID[::40]
-    negative = np.signbit([_slopes(np.full(len(y), k), base, t, y_perp, bb) for k in coarse])
-    rows, lo, hi = [0], [coarse[0]], [coarse[1]]
-    for i in range(1, len(y)):
+    negative = np.signbit([_slopes(np.full(count, k), base, t, y_perp, bb) for k in coarse])
+    rows, lo, hi = [], [], []
+    for i in range(count):
         changes = np.flatnonzero(negative[1:, i] != negative[:-1, i])
         if changes.size:
             c = gen.choice(changes)
             a, b = gen.integers(max(c - 3, 0), c + 1), gen.integers(c + 1, min(c + 5, len(coarse)))
             a, b = (a, b) if negative[a, i] != negative[b, i] else (c, c + 1)
+            a, b = (a, b) if negative[a, i] else (b, a)  # f(lo) < 0 < f(hi)
             rows, lo, hi = rows + [i], lo + [coarse[a]], hi + [coarse[b]]
-    rows, lo, hi = np.array(rows), np.array(lo), np.array(hi)
-    assert len(rows) >= 1000
+    rows = np.array(rows)
 
     def f(rate, lane):
         return _slopes(rate, base, t, y_perp[rows[lane]], bb)
 
-    lanes = np.arange(len(rows))
-    roots, iterations = _brent_roots(f, lo, hi, f(lo, lanes), f(hi, lanes))
-    expected = [scipy_brent_root(lambda k: f(np.array([k]), lane[None])[0], lo[lane], hi[lane]) for lane in lanes]
-    assert roots.tolist() == [root for root, _ in expected]
-    assert iterations[1:].tolist() == [its for _, its in expected[1:]]
-    assert (roots[0], iterations[0]) == (lo[0], 0)
-    assert len(set(iterations.tolist())) >= 5
+    return f, np.array(lo), np.array(hi)
 
 
-def test_lock_step_brent_root_at_either_bracket_end():
-    # f(x) = x - c[lane]: exact roots at the lower end, the upper end and inside
-    c = np.array([0.0, 1.0, 0.3, -2.5, 7.0])
-    lo, hi = np.array([0.0, 0.0, 0.0, -3.0, 7.0]), np.array([1.0, 1.0, 1.0, -2.5, 8.0])
-    roots, iterations = _brent_roots(lambda x, lane: x - c[lane], lo, hi, lo - c, hi - c)
-    expected = [scipy_brent_root(lambda x: x - c[i], lo[i], hi[i]) for i in range(len(c))]
-    assert roots.tolist() == [root for root, _ in expected] == c.tolist()
-    assert iterations.tolist() == [0, 0, expected[2][1], 0, 0]
-    with pytest.raises(ValueError, match="change sign"):
-        _brent_roots(lambda x, lane: x, lo[:1] + 1.0, hi[:1] + 1.0, lo[:1] + 1.0, hi[:1] + 1.0)
+def test_root_search_agrees_with_scipy_brentq():
+    f, lo, hi = slope_brackets(np.random.default_rng(2), 1200)
+    lanes = np.arange(len(lo))
+    assert len(lanes) >= 1000
+    roots, rounds = _roots(f, lo, hi, f(lo, lanes), f(hi, lanes))
+    ends = np.sort([lo, hi], axis=0)
+    expected = [scipy_brent_root(lambda k: f(np.array([k]), lane[None])[0], *ends[:, lane])[0] for lane in lanes]
+    assert np.max(np.abs(roots - expected)) <= 1e-11
+    assert len(set(rounds.tolist())) >= 5 and rounds.max() < fitting.ROOT_MAXITER
 
 
-def test_lock_step_brent_lane_at_the_iteration_cap():
-    # A step slope over [-1, 1e300] needs about 1,000 bisections to reach
-    # 2e-12: the lane stops at the cap, with the iterate where brentq raises.
-    def step(x):
-        return np.where(x < 0.1, -1.0, 1.0)
+def test_root_search_rows_equal_single_rows():
+    f, lo, hi = slope_brackets(np.random.default_rng(3), 300)
+    lanes = np.arange(len(lo))
+    roots, rounds = _roots(f, lo, hi, f(lo, lanes), f(hi, lanes))
+    alone = [_roots(lambda x, _: f(x, lane[None]), lo[lane : lane + 1], hi[lane : lane + 1],
+                    f(lo[lane : lane + 1], lane[None]), f(hi[lane : lane + 1], lane[None])) for lane in lanes]
+    assert roots.tolist() == [float(r[0]) for r, _ in alone]
+    assert rounds.tolist() == [int(n[0]) for _, n in alone]
 
-    roots, iterations = _brent_roots(lambda x, lane: step(x), np.array([-1.0]), np.array([1e300]),
-                                     step(np.array([-1.0])), step(np.array([1e300])))
-    assert iterations.tolist() == [fitting.BRENT_MAXITER]
-    with pytest.raises(RuntimeError, match="converge"):
-        scipy_brent_root(lambda x: float(step(x)), -1.0, 1e300)
+
+def test_root_search_lane_at_the_iteration_cap(monkeypatch):
+    # Lane 0 is a step over [-1, 1e300], which takes 82 rounds; with a cap of
+    # 20 it stops at its 20th iterate.  Lane 1 is linear and ends at its root.
+    monkeypatch.setattr(fitting, "ROOT_MAXITER", 20)
+    iterates = []
+
+    def f(x, lane):
+        iterates.append(x[lane == 0])
+        return np.where(lane == 0, np.where(x < 0.1, -1.0, 1.0), x - 0.3)
+
+    lo, hi = np.array([-1.0, 0.0]), np.array([1e300, 1.0])
+    roots, rounds = _roots(f, lo, hi, f(lo, np.arange(2)), f(hi, np.arange(2)))
+    assert rounds[0] == 20 and roots[0] == iterates[-1][0] != 0.1
+    assert rounds[1] < 20 and abs(roots[1] - 0.3) < 1e-15
 
 
 def test_unconverged_brent_is_reported(monkeypatch):
-    # a cap of 2 iterations stops every lane of these fits early
-    monkeypatch.setattr(fitting, "BRENT_MAXITER", 2)
+    # a cap of 2 rounds stops every lane of these fits early
+    monkeypatch.setattr(fitting, "ROOT_MAXITER", 2)
     truth, data = jittered("M4", 0)
     res = fit_curve("M4", data)
     assert (res.iterations, res.converged) == (2, False)
-    assert res.message == "Brent's method did not converge in 2 iterations"
+    assert res.message == "the rate's root search did not converge in 2 iterations"
     res = fit_curve("M4", data, init=truth, bootstrap=5)
     assert not res.converged
-    assert res.message.endswith("5 of 5 bootstrap draws: Brent's method did not converge in 2 iterations")
+    assert res.message.endswith("5 of 5 bootstrap draws: the rate's root search did not converge in 2 iterations")
