@@ -29,7 +29,36 @@ R rho_n R^dagger are rho_n's, marginals included.  Of the six Euler angles of
 U1 (x) U2 = Rz(a1)Ry(b1)Rz(g1) (x) Rz(a2)Ry(b2)Rz(g2), the outer a1 and a2
 are such rotations, and the inner g1, g2 only put the phases
 exp(-+j(g1 + g2)/2) on the Schmidt terms |00> and |11>.  So G and L depend on
-(b1, g1 + g2, b2) alone, and the search runs over those three angles.
+(b1, g1 + g2, b2) alone.
+
+Qubit 1's angles drop out as well, because the yields separate.  A
+collision touches qubit 1 only through a z rotation, so U1 (x) I passes
+through every collision as a unitary on qubit 1 alone: for a fixed U2, the
+spectrum of rho_n and qubit 2's marginal do not depend on U1.  The channel
+keeps qubit 1's trace, so qubit 1's marginal stays
+U1 diag(lambda1, lambda2) U1^dagger, up to a z rotation, whose energy
+against e1*sz is e1*(lambda1 - lambda2)*cos(b1) and whose Bloch vector has
+length lambda1 - lambda2.  So U1 enters G only through that energy and L
+only through qubit 1's marginal ergotropy, and both are largest at b1 = 0,
+where g1 + g2 is a z rotation of qubit 1 that no yield sees.  G and L are
+maxima over b2 alone.
+
+At b1 = 0 the initial state is cos(b2/2) u + sin(b2/2) w, with
+u = (r1, 0, 0, r2), w = (0, r1, -r2, 0) and r_i = sqrt(lambda_i), so
+rho_0(b2) = M0 + cos(b2) M1 + sin(b2) M2 for the real matrices
+M0 = (uu^T + ww^T)/2, M1 = (uu^T - ww^T)/2 and M2 = (uw^T + wu^T)/2.  The
+channel is linear and its phases change no yield, so rho_n(b2) is the same
+form over the M_i damped by the phase-free channel with
+Lambda = lambda(delta_t)**n (`collision.channel_weights` with
+g = sqrt(Lambda)), and its energy Tr(rho_n H) is the same form over theirs.
+
+The yields are even in b2: sz (x) sz, a z rotation of both qubits, maps u
+to u and w to -w, so the state at b2 to the one at -b2.  So b2 = 0 and
+b2 = pi are stationary points of every yield, and a search started on one
+stays there when it is a lower local maximum or the yield is nearly flat.
+The search's angle is therefore x = b2 - pi/2, whose zero start (the
+`optimize` module always makes one) lies between them:
+rho_0 = M0 + cos(x) M2 - sin(x) M1.
 """
 
 from __future__ import annotations
@@ -39,12 +68,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import Trajectory, _require_state, collision_power
+from .collision import Trajectory, _qubit2, _require_state, apply_channel, channel_weights, collision_power
 from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import ModelParams, battery_hamiltonian
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
-from .states import _rotated_schmidt_state, locally_passive_state, projector, schmidt_lambdas_from_entanglement
+from .states import locally_passive_state, projector, schmidt_lambdas_from_entanglement
 from .states import fixed_entanglement_state  # noqa: F401  unused; perfbench wraps it by this module's name
 
 # The work yield each quantity reports: G_p and G the global one, L the local one.
@@ -154,9 +183,12 @@ def max_work_fixed_entanglement(
     quantity "G_p": direct yield of the locally passive initial state (no
     optimization; its free phase cannot change the yield, see the module
     docstring).  "G"/"L": global or local yield maximized over the
-    fixed-entanglement family by seeded multi-start search over the three
-    angles (b1, g1, b2) that the yield depends on (module docstring), with
-    T**n taken once per search.
+    fixed-entanglement family by seeded multi-start search over qubit 2's
+    angle b2 alone, as x = b2 - pi/2: the yields separate, and qubit 1's
+    angles are best at b1 = 0 (module docstring).  The damped M_i and their
+    energies are taken once per search, as the rows of one (3, 17) linear
+    form, so an evaluation is a few elementwise operations and, for G, one
+    real 4x4 eigvalsh.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
@@ -166,16 +198,23 @@ def max_work_fixed_entanglement(
     if quantity == "G_p":
         rho0 = projector(locally_passive_state(entanglement))
         return WorkRecord(ergotropy_after_collisions(rho0, n, p, mode))
-    work = _yield_of(p, mode)
-    roots = [math.sqrt(lam) for lam in schmidt_lambdas_from_entanglement(entanglement)]
-    power = collision_power(p, n)
+    r1, r2 = (math.sqrt(lam) for lam in schmidt_lambdas_from_entanglement(entanglement))
+    u, w = np.array([r1, 0.0, 0.0, r2]), np.array([0.0, r1, -r2, 0.0])
+    uu, ww, uw = np.outer(u, u), np.outer(w, w), np.outer(u, w)
+    terms = 0.5 * np.array([uu + ww, uw + uw.T, ww - uu])  # M0, M2 and -M1: the chart x = b2 - pi/2
+    lam = _qubit2(p, p.delta_t)[0] ** float(n)
+    damped = apply_channel(channel_weights(p, lam, np.sqrt(lam)), terms.reshape(3, 2, 2, 2, 2)).reshape(3, 16)
+    energies = np.diag(battery_hamiltonian(p)).real
+    form = np.concatenate([damped, damped.reshape(3, 4, 4).diagonal(axis1=1, axis2=2) @ energies[:, None]], axis=1)
+    local, levels = _yield_of(p, "local"), np.sort(energies)
 
-    def objective(angles):  # (..., 3) angles, one value per point
-        lead = np.shape(angles)[:-1]
-        c = np.array([_rotated_schmidt_state(*roots, *a) for a in np.reshape(angles, (-1, 3)).tolist()])
-        # (16, 1) columns, so power @ v is power @ vec bit for bit; v @ power.T is not
-        v = (c[:, :, None] * c[:, None, :].conj()).reshape(lead + (16, 1))
-        return work((power @ v).reshape(lead + (4, 4)))
+    def objective(angles):  # (..., 1) angles x, one value per point; elementwise, so a row is its point alone
+        x = np.asarray(angles, dtype=float)
+        f = form[0] + np.cos(x) * form[1] + np.sin(x) * form[2]
+        r = f[..., :16].reshape(x.shape[:-1] + (4, 4))
+        if mode == "local":
+            return local(r)
+        return f[..., 16] - np.linalg.eigvalsh(r)[..., ::-1] @ levels
 
-    _, value, report = multistart_maximize(objective, 3, settings)
+    _, value, report = multistart_maximize(objective, 1, settings)
     return WorkRecord(value, report)

@@ -84,24 +84,6 @@ def single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return np.array([[s.conjugate() * cb, -d.conjugate() * sb], [d * sb, s * cb]])
 
 
-def _rotated_schmidt_state(root1: float, root2: float, b1: float, g1: float, b2: float) -> np.ndarray:
-    """Unchecked fixed_entanglement_state(E, (0, b1, g1, 0, b2, 0)) up to a
-    global phase, from the Schmidt roots root_i = sqrt(lambda_i):
-    root1 (cos b1/2, sin b1/2) (x) (cos b2/2, sin b2/2)
-    + root2 exp(j g1) (-sin b1/2, cos b1/2) (x) (-sin b2/2, cos b2/2)."""
-    c1, s1 = math.cos(0.5 * b1), math.sin(0.5 * b1)
-    c2, s2 = math.cos(0.5 * b2), math.sin(0.5 * b2)
-    w = root2 * cmath.exp(1j * g1)
-    return np.array(
-        [
-            root1 * c1 * c2 + w * s1 * s2,
-            root1 * c1 * s2 - w * s1 * c2,
-            root1 * s1 * c2 - w * c1 * s2,
-            root1 * s1 * s2 + w * c1 * c2,
-        ]
-    )
-
-
 def fixed_entanglement_state(entanglement: float, angles) -> np.ndarray:
     """A generic pure state with the given entanglement.
 

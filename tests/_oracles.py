@@ -8,9 +8,10 @@ through the same channel written in closed form.
 The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
-The G/L search over all six Euler angles, the csv.writer path, scipy's
-scrambled Halton sampler, scipy's Nelder-Mead and scipy's brentq are
-references for package code that reaches the same result with less work.
+The G/L search over all six Euler angles, the G/L yield at the three
+angles (b1, g1 + g2, b2), the csv.writer path, scipy's scrambled Halton
+sampler, scipy's Nelder-Mead and scipy's brentq are references for package
+code that reaches the same result with less work.
 The backflow oracles deliberately avoid the package's optimizer,
 orthogonal-pair parametrization and transfer-matrix core: pairs are two
 *independent* pure states from a plain spherical chart, sampled with a
@@ -21,14 +22,16 @@ the values frozen in the test modules were produced by these functions.
 
 from __future__ import annotations
 
+import cmath
 import csv
+import math
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.stats import qmc
 
 from qbattery.collision import collision_power
-from qbattery.ergotropy import MODES, _yield_of
+from qbattery.ergotropy import MODES, _yield_of, ergotropy_after_collisions
 from qbattery.linalg import ContractViolation, _as_square, is_density_matrix, is_hermitian
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.optimize import F_TOL, SPAN, X_TOL, OptimizerSettings, multistart_maximize
@@ -299,6 +302,33 @@ def six_angle_max_work(
         return work((power @ np.outer(c, c.conj()).reshape(16)).reshape(4, 4))
 
     return multistart_maximize(lambda xs: np.array([objective(x) for x in xs]), 6, settings)[1]
+
+
+def rotated_schmidt_state(root1: float, root2: float, b1: float, g1: float, b2: float) -> np.ndarray:
+    """fixed_entanglement_state(E, (0, b1, g1, 0, b2, 0)) up to a global
+    phase, from the Schmidt roots root_i = sqrt(lambda_i):
+    root1 (cos b1/2, sin b1/2) (x) (cos b2/2, sin b2/2)
+    + root2 exp(j g1) (-sin b1/2, cos b1/2) (x) (-sin b2/2, cos b2/2)."""
+    c1, s1 = math.cos(0.5 * b1), math.sin(0.5 * b1)
+    c2, s2 = math.cos(0.5 * b2), math.sin(0.5 * b2)
+    w = root2 * cmath.exp(1j * g1)
+    return np.array(
+        [
+            root1 * c1 * c2 + w * s1 * s2,
+            root1 * c1 * s2 - w * s1 * c2,
+            root1 * s1 * c2 - w * c1 * s2,
+            root1 * s1 * s2 + w * c1 * c2,
+        ]
+    )
+
+
+def three_angle_work(entanglement: float, n: int, p: ModelParams, quantity: str, angles) -> float:
+    """Reference for the objective of qbattery.ergotropy.max_work_fixed_entanglement:
+    the G or L yield at the angles (b1, g1 + g2, b2) that the yields depend
+    on, the state evolved through the phased n-collision map T**n."""
+    roots = [math.sqrt(lam) for lam in schmidt_lambdas_from_entanglement(entanglement)]
+    c = rotated_schmidt_state(*roots, *angles)
+    return ergotropy_after_collisions(np.outer(c, c.conj()), n, p, MODES[quantity])
 
 
 def scipy_start_points(dim: int, settings: OptimizerSettings) -> np.ndarray:

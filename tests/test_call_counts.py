@@ -2,11 +2,12 @@
 
 The weights run_collisions applies over a whole tau grid and the
 n-collision map T**n are the collision channel in closed form, with no
-eigendecomposition, einsum or matrix power, and an objective evaluation of
+eigendecomposition, einsum or matrix power.  An objective evaluation of
 the G/L search diagonalises only the evolved state for G and nothing for L,
 whose marginal ergotropies are read off the state in closed form; the
-battery spectrum and the n-collision map T**n are taken once per search.  Counts, not timings, so
-the guard does not depend on the host's speed.
+battery spectrum and the damped linear form the evaluations read are taken
+once per search.  Counts, not timings, so the guard does not depend on the
+host's speed.
 """
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_objective_evaluation(monkeypatch, quantity, spectra, n):
     monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
     ergotropy.max_work_fixed_entanglement(0.6, n, ModelParams(k=0.8), quantity)
     ((objective, dim),) = objectives
-    assert dim == 3
+    assert dim == 1
     angles = np.linspace(0.2, 1.7, dim)
     first = objective(angles)
     kron = counted(monkeypatch, np, "kron")
@@ -76,7 +77,7 @@ def test_objective_builds_no_state_through_the_checked_path(monkeypatch, quantit
     monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
     ergotropy.max_work_fixed_entanglement(0.6, 7, ModelParams(k=0.8), quantity)
     ((objective, dim),) = objectives
-    assert dim == 3
+    assert dim == 1
     states = counted(monkeypatch, ergotropy, "fixed_entanglement_state")
     projectors = counted(monkeypatch, ergotropy, "projector")
     objective(np.linspace(0.2, 1.7, dim))
@@ -84,9 +85,10 @@ def test_objective_builds_no_state_through_the_checked_path(monkeypatch, quantit
 
 
 @pytest.mark.parametrize("quantity", ["G", "L"])
-def test_objective_evaluation_applies_the_search_power(monkeypatch, quantity):
-    """T**n is built once per search: an n=30 evaluation runs no collision
-    loop and takes no matrix power."""
+def test_objective_evaluation_applies_the_search_damping(monkeypatch, quantity):
+    """The damping is taken once per search: an n=30 evaluation builds no
+    channel weights, applies no channel, runs no collision loop and takes
+    no T**n or matrix power."""
     objectives = []
 
     def capture(objective, dim, settings=None):
@@ -94,15 +96,18 @@ def test_objective_evaluation_applies_the_search_power(monkeypatch, quantity):
         return np.zeros(dim), 0.0, None
 
     monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
+    weights = counted(monkeypatch, ergotropy, "channel_weights")
     ergotropy.max_work_fixed_entanglement(0.6, 30, ModelParams(k=0.8), quantity)
     ((objective, dim),) = objectives
-    assert dim == 3
+    assert (dim, len(weights)) == (1, 1)
     angles = np.linspace(0.2, 1.7, dim)
     first = objective(angles)
+    applied = counted(monkeypatch, ergotropy, "apply_channel")
     loops = counted(monkeypatch, collision, "run_collisions")
+    maps = counted(monkeypatch, ergotropy, "collision_power")
     powers = counted(monkeypatch, np.linalg, "matrix_power")
     assert objective(angles) == first
-    assert (len(loops), len(powers)) == (0, 0)
+    assert (len(weights), len(applied), len(loops), len(maps), len(powers)) == (1, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("collisions, runs", [(1, 1), (3, 3)])

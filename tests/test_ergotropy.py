@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbattery.collision import fine_trajectory
+import qbattery.ergotropy as ergotropy
 from qbattery.ergotropy import (
     ergotropy_after_collisions,
     global_ergotropy,
@@ -16,10 +17,16 @@ from qbattery.ergotropy import (
 from qbattery.linalg import ContractViolation
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.optimize import OptimizerSettings
-from qbattery.states import fixed_entanglement_state, locally_passive_state, projector, schmidt_gap
+from qbattery.states import (
+    fixed_entanglement_state,
+    locally_passive_state,
+    projector,
+    schmidt_gap,
+    schmidt_lambdas_from_entanglement,
+)
 from qbhelpers import haar_unitaries, random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import local_ergotropy_numeric, marginal_local_work, six_angle_max_work
+from _oracles import local_ergotropy_numeric, marginal_local_work, six_angle_max_work, three_angle_work
 from test_transfer import PROPERTY, params_st
 
 P = ModelParams()
@@ -250,9 +257,49 @@ class TestMaxWorkFixedEntanglement:
             max_work_fixed_entanglement(0.5, -1, P, quantity, settings)
 
 
+def work_objective(e, n, p, quantity):
+    """The objective that max_work_fixed_entanglement hands to its search."""
+    caught = []
+
+    def search(objective, dim, settings=None):
+        caught.append((objective, dim))
+        return np.zeros(dim), 0.0, None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergotropy, "multistart_maximize", search)
+        max_work_fixed_entanglement(e, n, p, quantity)
+    ((objective, dim),) = caught
+    assert dim == 1
+    return objective
+
+
+def reduction_case(gen, i):
+    """A random model, entanglement and collision count for case i: h from -1
+    to 3, with k = 0 every fifth case, beta = 0 every seventh, E = 0 or 1
+    every third and n = 10**20 every eleventh, else n <= 40."""
+    e2 = gen.uniform(0.1, 2.0)
+    p = ModelParams(
+        e1=e2 + gen.uniform(0.05, 2.0),
+        e2=e2,
+        h=gen.uniform(-1.0, 3.0),
+        k=0.0 if i % 5 == 0 else gen.uniform(0.0, 3.0),
+        beta=0.0 if i % 7 == 0 else gen.uniform(0.0, 20.0),
+        delta_t=gen.uniform(0.05, 3.0),
+    )
+    e = float(i % 2) if i % 3 == 0 else gen.uniform(0.0, 1.0)
+    n = 10**20 if i % 11 == 0 else int(gen.integers(0, 41))
+    return p, e, n
+
+
+def local_maxima(values, rise=1e-12):
+    """Points of a periodic scan above both neighbours by more than rise."""
+    return int(np.sum((values > np.roll(values, 1) + rise) & (values > np.roll(values, -1) + rise)))
+
+
 class TestSearchedAngles:
-    """G and L depend on the Euler angles (b1, g1 + g2, b2) alone (the
-    ergotropy module docstring), so their search runs over three angles."""
+    """G and L depend on the Euler angles (b1, g1 + g2, b2) alone, and they
+    are largest at b1 = 0, where g1 + g2 changes no yield (the ergotropy
+    module docstring), so their search runs over b2 alone."""
 
     @PROPERTY
     @given(params_st, st.floats(0.0, 1.0), st.integers(0, 39), st.tuples(*[st.floats(-2 * np.pi, 2 * np.pi)] * 6))
@@ -264,11 +311,67 @@ class TestSearchedAngles:
             want = ergotropy_after_collisions(full, n, p, mode)
             assert abs(ergotropy_after_collisions(reduced, n, p, mode) - want) <= 1e-13
 
+    def test_three_angles_reduce_to_b2(self):
+        """At any (b1, g, b2) the 3-angle yield is at most the 1-angle
+        objective's value at b2, and equal to it at b1 = 0 for any g."""
+        gen = rng(307)
+        for i in range(132):
+            p, e, n = reduction_case(gen, i)
+            for quantity in ("G", "L"):
+                objective = work_objective(e, n, p, quantity)
+                for b1, g, b2 in gen.uniform(-2 * np.pi, 4 * np.pi, (4, 3)):
+                    one = objective(np.array([b2 - np.pi / 2]))  # the search's angle is b2 - pi/2
+                    case = (p, e, n, quantity, b1, g, b2)
+                    assert three_angle_work(e, n, p, quantity, (b1, g, b2)) <= one + 1e-12, case
+                    assert abs(three_angle_work(e, n, p, quantity, (0.0, g, b2)) - one) <= 1e-12, case
+
+    def test_benchmark_settings_reach_the_scan_maximum(self):
+        """With the benchmark's 2 starts and 200 evaluations, the search
+        reaches the largest of 4,000 evenly spaced values of its objective,
+        also where b2 has two local maxima."""
+        gen = rng(311)
+        scan = np.linspace(0.0, 2 * np.pi, 4000, endpoint=False)[:, None]
+        twin = 0
+        for i in range(300):
+            p, e, n = reduction_case(gen, i)
+            quantity = ("G", "L")[i % 2]
+            values = work_objective(e, n, p, quantity)(scan)
+            twin += local_maxima(values) >= 2
+            rec = max_work_fixed_entanglement(e, n, p, quantity, OptimizerSettings(starts=2, seed=i, max_evals=200))
+            assert rec.value >= values.max() - 1e-12, (p, e, n, quantity)
+        assert twin >= 50
+
+    def test_steady_state_is_the_product_closed_form(self):
+        """After n = 10**20 collisions with lambda(delta_t) < 0.99, qubit 2 is
+        the bath's diag(p0, p1) and qubit 1 keeps diag(lambda1, lambda2), so
+        G and L are those of the product state."""
+        gen = rng(313)
+        checked = 0
+        for i in itertools.count(1):
+            p, e, _ = reduction_case(gen, i)
+            w = np.hypot(p.e2 - p.h, 2.0 * p.k)
+            if p.k == 0.0 or not 1.0 - (2.0 * p.k * np.sin(w * p.delta_t) / w) ** 2 < 0.99:
+                continue
+            lam1, lam2 = schmidt_lambdas_from_entanglement(e)
+            diag = np.kron([lam1, lam2], [p.p0, p.p1])
+            energies = np.array([p.e1 + p.e2, p.e1 - p.e2, -p.e1 + p.e2, -p.e1 - p.e2])
+            z1, z2 = lam1 - lam2, p.p0 - p.p1
+            want = {
+                "G": diag @ energies - np.sort(diag)[::-1] @ np.sort(energies),
+                "L": p.e1 * (z1 + abs(z1)) + p.e2 * (z2 + abs(z2)),
+            }
+            for quantity, value in want.items():
+                rec = max_work_fixed_entanglement(e, 10**20, p, quantity, OptimizerSettings(starts=2, seed=checked))
+                assert abs(rec.value - value) <= 1e-12, (p, e, quantity)
+            checked += 1
+            if checked == 40:
+                break
+
     @pytest.mark.parametrize("quantity", ["G", "L"])
     @pytest.mark.parametrize("e", [0.2, 0.6, 0.9])
     @pytest.mark.parametrize("n", [0, 7, 30])
     def test_reaches_the_six_angle_maximum(self, quantity, e, n):
         p = ModelParams(k=0.8)
         six = six_angle_max_work(e, n, p, quantity, OptimizerSettings(starts=2, seed=11, max_evals=1200))
-        three = max_work_fixed_entanglement(e, n, p, quantity, OptimizerSettings(starts=4, seed=11)).value
-        assert three >= six - 1e-12
+        one = max_work_fixed_entanglement(e, n, p, quantity, OptimizerSettings(starts=4, seed=11)).value
+        assert one >= six - 1e-12

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qbattery.linalg import ContractViolation
 from qbattery.states import (
-    _rotated_schmidt_state,
     fixed_entanglement_state,
     locally_passive_state,
     projector,
@@ -15,7 +14,13 @@ from qbattery.states import (
 )
 from qbhelpers import random_pure_state, rng
 
-from _oracles import euler_product_unitary, kron_fixed_entanglement_state, log_negativity, partial_trace
+from _oracles import (
+    euler_product_unitary,
+    kron_fixed_entanglement_state,
+    log_negativity,
+    partial_trace,
+    rotated_schmidt_state,
+)
 from test_transfer import PROPERTY
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -141,11 +146,11 @@ class TestFixedEntanglementState:
     @PROPERTY
     @given(st.floats(0.0, 1.0), st.tuples(*[st.floats(-2 * np.pi, 2 * np.pi)] * 3))
     def test_rotated_schmidt_state_is_the_chart_point(self, e, angles):
-        """The G/L search's closed-form state is the chart point
+        """The 3-angle reference's closed-form state is the chart point
         (0, b1, g1, 0, b2, 0) up to a global phase."""
         b1, g1, b2 = angles
         roots = np.sqrt(schmidt_lambdas_from_entanglement(e))
-        closed = _rotated_schmidt_state(*roots, b1, g1, b2)
+        closed = rotated_schmidt_state(*roots, b1, g1, b2)
         chart = fixed_entanglement_state(e, (0.0, b1, g1, 0.0, b2, 0.0))
         assert abs(np.linalg.norm(closed) - 1.0) <= 1e-14
         assert abs(abs(np.vdot(closed, chart)) - 1.0) <= 1e-14
