@@ -262,7 +262,7 @@ def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:
     return fixed_entanglement_state(entanglement, np.zeros(6))
 
 
-def _check_sample_times(dt_list: list[float], steps: int) -> None:
+def _check_last_sample(dt_list: list[float], steps: int) -> None:
     """Reject, before any work, a delta_t list whose largest delta_t times
     steps is past the largest float: trajectory forms its sample times from
     (collisions x substeps) x delta_t, and blp's last sample time is
@@ -283,7 +283,7 @@ def cmd_trajectory(args, cfg: dict) -> None:
         raise UsageError("empty delta_t list")
     rho0 = projector(_trajectory_initial_state(quantity, tcfg["entanglement"]))
     points = [replace(params, delta_t=dt) for dt in dt_list]  # every delta_t checked before any work
-    _check_sample_times(dt_list, tcfg["collisions"] * tcfg["substeps"])
+    _check_last_sample(dt_list, tcfg["collisions"] * tcfg["substeps"])
     rows = []
     for p in points:
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
@@ -300,7 +300,7 @@ def cmd_blp(args, cfg: dict) -> None:
         raise UsageError("empty delta_t list")
     grid_points = bcfg["grid_points"]
     points = [replace(params, k=bcfg["k"], delta_t=dt) for dt in dt_list]  # checked before any work
-    _check_sample_times(dt_list, bcfg["collisions"])
+    _check_last_sample(dt_list, bcfg["collisions"])
     base_settings = OptimizerSettings(**cfg["optimizer"])
     results = [
         blp_measure(p.delta_t, p, settings=base_settings.for_grid_index(idx),

@@ -10,24 +10,25 @@ lambda(tau) = 1 - (2k*sin(W*tau)/W)**2 of its population offset from
 g(tau) = exp(-j*(e2 + h)*tau)*(cos(W*tau) - j*((e2 - h)/W)*sin(W*tau)),
 |g|**2 = lambda, and qubit 1's coherence by exp(-2j*e1*tau).  The channel
 is written once, as elementwise weights on a 4x4 operator
-(`channel_weights`).  Fresh spins carry no memory, so n full collisions
-raise lambda, g and that phase to the n-th power (`collision_power`).
-`run_collisions`, the only loop over collisions, samples inside each
-collision from its initial boundary state, which keeps the intra-collision
-spin-battery correlations exact.
+(`channel_weights`).  Fresh spins carry no memory, so inside collision
+m + 1 the battery has passed through the damping with
+Lambda = lambda(delta_t)**m * lambda(tau) (`memory`), then z rotations,
+which no work yield and no trace distance sees: those are taken from the
+phase-free damping (`damp`).  `run_collisions`, the only loop over
+collisions, gives the phased states, sampled inside each collision from its
+initial boundary state, which keeps the intra-collision spin-battery
+correlations exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .linalg import ContractViolation, is_density_matrix
-from .model import MAX_PHASE, ModelParams
+from .model import ModelParams
 
 
 def _exchange(p: ModelParams, t):
@@ -93,23 +94,30 @@ def apply_channel(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.n
     return a * x + b * x[..., :, ::-1, :, ::-1]
 
 
-def _times(phase: float, n: int) -> float:
-    """phase*n.  Past MAX_PHASE the product carries no digit of the true
-    phase and can overflow, so it is then reduced exactly mod 2*pi instead."""
-    total = phase * float(n)
-    return total if abs(total) <= MAX_PHASE else float(Fraction(phase) * int(n) % Fraction(math.tau))
+def damping(p: ModelParams, lam) -> tuple[np.ndarray, np.ndarray]:
+    """`channel_weights` of the phase-free damping GAD_Lambda, one pair per
+    Lambda of lam: g = sqrt(Lambda) and qubit 1 left alone, which leaves out
+    only z rotations (module docstring)."""
+    return channel_weights(p, lam, np.sqrt(lam))
 
 
-def collision_power(p: ModelParams, n: int) -> np.ndarray:
-    """T**n, the 16x16 map of n full collisions on row-major vec(rho): the
-    channel with Lambda = lambda(delta_t)**n, |g**n| = sqrt(Lambda) and the
-    phases taken n times.  n may exceed int64 and reach the float range."""
-    lam, g = _qubit2(p, p.delta_t)
-    lam_n = lam ** float(n)
-    g_n = np.sqrt(lam_n) * np.exp(1j * _times(float(np.angle(g)), n))
-    weights = channel_weights(p, lam_n, g_n, np.exp(-1j * _times(2.0 * p.e1 * p.delta_t, n)))
-    # row j is the image of the j-th basis operator; T**n is the transpose, kept C-ordered
-    return apply_channel(weights, np.eye(16).reshape(16, 2, 2, 2, 2)).reshape(16, 16).T.copy()
+def damp(x, lam, p: ModelParams) -> np.ndarray:
+    """The (..., 4, 4) operators x, any operators, through the phase-free
+    GAD_Lambda; lam's shape broadcasts against x's leading axes."""
+    x = np.asarray(x)
+    out = apply_channel(damping(p, lam), x.reshape(x.shape[:-2] + (2, 2, 2, 2)))
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def memory(p: ModelParams, taus, collisions: int) -> np.ndarray:
+    """Lambda at tau = 0 and at every tau of each collision, as
+    collisions*len(taus) + 1 values.  Each collision starts from the state at
+    the last tau of the one before, so inside collision m + 1
+    Lambda = lambda(taus[-1])**m * lambda(tau)."""
+    lam = _qubit2(p, np.array(taus, dtype=float))[0]
+    # cumprod keeps Lambda at a collision's last sample equal to the next power
+    powers = np.cumprod(np.concatenate([[1.0], np.full(collisions, lam[-1])]))[:collisions]
+    return np.concatenate([[1.0], np.outer(powers, lam).ravel()])
 
 
 def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:

@@ -49,8 +49,8 @@ rho_0(b2) = M0 + cos(b2) M1 + sin(b2) M2 for the real matrices
 M0 = (uu^T + ww^T)/2, M1 = (uu^T - ww^T)/2 and M2 = (uw^T + wu^T)/2.  The
 channel is linear and its phases change no yield, so rho_n(b2) is the same
 form over the M_i damped by the phase-free channel with
-Lambda = lambda(delta_t)**n (`collision.channel_weights` with
-g = sqrt(Lambda)), and its energy Tr(rho_n H) is the same form over theirs.
+Lambda = lambda(delta_t)**n (`collision.damp`), and its energy Tr(rho_n H)
+is the same form over theirs.  G_p takes its state from the same damping.
 
 The yields are even in b2: sz (x) sz, a z rotation of both qubits, maps u
 to u and w to -w, so the state at b2 to the one at -b2.  So b2 = 0 and
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import Trajectory, _qubit2, _require_state, apply_channel, channel_weights, collision_power
+from .collision import Trajectory, _qubit2, _require_state, damp
 from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import ModelParams, battery_hamiltonian
@@ -146,12 +146,13 @@ def local_ergotropy(rho12, p: ModelParams) -> float:
 def ergotropy_after_collisions(
     rho0, n: int, p: ModelParams, mode: str = "global"
 ) -> float:
-    """Evolve n full collisions, then take the global or local work yield."""
+    """Evolve n full collisions, then take the global or local work yield.
+    n may exceed int64 and reach the float range."""
     work = _yield_of(p, mode)
     state = _require_state(rho0, "rho0")
     if n < 0:
         raise ValueError(f"collision count must be >= 0, got {n}")
-    return float(work((collision_power(p, n) @ state.reshape(16)).reshape(4, 4)))
+    return float(work(damp(state, _qubit2(p, p.delta_t)[0] ** float(n), p)))  # Lambda after n collisions
 
 
 def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
@@ -202,8 +203,7 @@ def max_work_fixed_entanglement(
     u, w = np.array([r1, 0.0, 0.0, r2]), np.array([0.0, r1, -r2, 0.0])
     uu, ww, uw = np.outer(u, u), np.outer(w, w), np.outer(u, w)
     terms = 0.5 * np.array([uu + ww, uw + uw.T, ww - uu])  # M0, M2 and -M1: the chart x = b2 - pi/2
-    lam = _qubit2(p, p.delta_t)[0] ** float(n)
-    damped = apply_channel(channel_weights(p, lam, np.sqrt(lam)), terms.reshape(3, 2, 2, 2, 2)).reshape(3, 16)
+    damped = damp(terms, _qubit2(p, p.delta_t)[0] ** float(n), p).reshape(3, 16)
     energies = np.diag(battery_hamiltonian(p)).real
     form = np.concatenate([damped, damped.reshape(3, 4, 4).diagonal(axis1=1, axis2=2) @ energies[:, None]], axis=1)
     local, levels = _yield_of(p, "local"), np.sort(energies)

@@ -22,16 +22,16 @@ f non-decreasing (Breuer, Laine & Piilo, PRL 103, 210401 (2009), make the
 same step for amplitude damping).  D therefore rises only where Lambda
 rises, and its positive increments over a maximal rising run of Lambda
 telescope to D(last sample) - D(first sample).  Only Lambda at the two
-ends of each run is kept, once per delta_t, as the weights of the
-phase-free GAD_Lambda (`collision.channel_weights` with g = sqrt(Lambda)
-and no qubit-1 phase): qubit 2's populations keep the fraction Lambda of
-their offset from the bath's, its coherences the fraction sqrt(Lambda).  An
-evaluation applies them to the pair's difference, so it costs a pair, a few
-elementwise products and one batched 4x4 eigvalsh on 2*runs matrices, and a
-run end takes 256 B per point evaluated.  A search round's points are taken
-BLP_CHUNK (point, run) pairs at a time, so memory does not grow with the
-number of starts.  The reported trace of the best pair is still sampled on
-the whole grid.
+ends of each run is kept (`collision.memory`), once per delta_t, as the
+weights of the phase-free GAD_Lambda (`collision.damping`): qubit 2's
+populations keep the fraction Lambda of their offset from the bath's, its
+coherences the fraction sqrt(Lambda).  An evaluation applies them to the
+pair's difference, so it costs a pair, a few elementwise products and one
+batched 4x4 eigvalsh on 2*runs matrices, and a run end takes 256 B per
+point evaluated.  A search round's points are taken BLP_CHUNK (point, run)
+pairs at a time, so memory does not grow with the number of starts.  The
+reported trace of the best pair damps its difference phase-free at every
+sample, BLP_CHUNK samples at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import _qubit2, apply_channel, channel_weights, run_collisions
+from .collision import apply_channel, damp, damping, memory
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 
@@ -105,24 +105,11 @@ def _distance_samples(
     each collision: collisions*len(taus) + 1 samples.
 
     Every map here is linear in the input, so only the difference of the two
-    battery states is propagated.
+    battery states is damped, BLP_CHUNK samples at a time.
     """
-    return _trace_distances(run_collisions(_difference(s1, s2), collisions, taus, p))
-
-
-def _run_end_damping(p: ModelParams, taus: tuple[float, ...], collisions: int) -> tuple[np.ndarray, np.ndarray]:
-    """`channel_weights` of the phase-free GAD_Lambda (g = sqrt(Lambda),
-    qubit 1 left alone) at the first and the last sample of each maximal run
-    of samples over which Lambda rises, in that order, as two (2*runs, 1, 2,
-    1, 2) arrays.  The sample at taus[j] of collision m + 1 has
-    Lambda = lambda(delta_t)**m * lambda(taus[j])."""
-    lam = _qubit2(p, np.array(taus))[0]
-    # cumprod keeps Lambda at a collision's last sample equal to the next power
-    powers = np.cumprod(np.concatenate([[1.0], np.full(collisions - 1, lam[-1])]))
-    samples = np.outer(powers, lam).ravel()
-    rising = np.diff(samples) > 0.0  # lambda <= 1, so no run starts at tau = 0
-    ends = samples[np.flatnonzero(np.diff(np.concatenate([[False], rising, [False]])))]
-    return channel_weights(p, ends, np.sqrt(ends))
+    x, lam = _difference(s1, s2), memory(p, taus, collisions)
+    chunks = (lam[c : c + BLP_CHUNK] for c in range(0, len(lam), BLP_CHUNK))
+    return np.concatenate([_trace_distances(damp(x, part, p)) for part in chunks])
 
 
 def _rises(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -164,7 +151,9 @@ def blp_measure(
     times = np.arange(collisions * grid_points + 1) * (delta_t / grid_points)
     taus = tuple(times[1 : grid_points + 1].tolist())
 
-    weights = _run_end_damping(p, taus, collisions)
+    # Lambda at the first and the last sample of each maximal rising run; Lambda(0) = 1 starts none
+    lam = memory(p, taus, collisions)
+    weights = damping(p, lam[np.flatnonzero(np.diff(np.concatenate([[False], np.diff(lam) > 0.0, [False]])))])
     runs = len(weights[0]) // 2
     span = min(max(runs, 1), BLP_CHUNK)  # runs per step
     rows = BLP_CHUNK // span  # points per step: a step takes at most BLP_CHUNK (point, run) pairs

@@ -55,19 +55,17 @@ def schmidt_lambdas_from_entanglement(entanglement: float) -> tuple[float, float
     return 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
 
 
-def locally_passive_state(entanglement: float, phase: float = 0.0) -> np.ndarray:
+def locally_passive_state(entanglement: float) -> np.ndarray:
     """The locally passive pure state at fixed entanglement.
 
-    Returns sqrt(lambda2)|00> + exp(j*phase)*sqrt(lambda1)|11>: the larger
-    Schmidt weight sits on the two-qubit ground level, so both marginals are
-    passive and the local work yield vanishes.  The relative phase is free;
-    the default 0 is the canonical representative.
+    Returns sqrt(lambda2)|00> + sqrt(lambda1)|11>: the larger Schmidt weight
+    sits on the two-qubit ground level, so both marginals are passive and
+    the local work yield vanishes.  The relative phase of the two terms is
+    free and changes no yield (`ergotropy` module docstring); this is its
+    representative at phase 0.
     """
     lam1, lam2 = schmidt_lambdas_from_entanglement(entanglement)
-    c = np.zeros(4, dtype=complex)
-    c[0] = np.sqrt(lam2)
-    c[3] = np.exp(1j * phase) * np.sqrt(lam1)
-    return c
+    return np.array([np.sqrt(lam2), 0.0, 0.0, np.sqrt(lam1)], dtype=complex)
 
 
 def single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:

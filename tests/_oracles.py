@@ -4,7 +4,9 @@ The dense path is the reference for the collision layer: the 8x8 collision
 Hamiltonian assembled from its battery, interaction and bath-spin terms,
 exp(-j*t*H) from one eigendecomposition (`unitary_from_hamiltonian`), and
 the spin traced out of the joint state.  The package evolves the battery
-through the same channel written in closed form.
+through the same channel written in closed form.  The phased n-collision
+map T**n (`collision_power`) keeps the z rotations that the package's
+phase-free damping leaves out.
 The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
@@ -25,15 +27,16 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.stats import qmc
 
-from qbattery.collision import collision_power
+from qbattery.collision import _qubit2, apply_channel, channel_weights
 from qbattery.ergotropy import MODES, _yield_of, ergotropy_after_collisions
 from qbattery.linalg import ContractViolation, _as_square, is_density_matrix, is_hermitian
-from qbattery.model import ModelParams, battery_hamiltonian
+from qbattery.model import MAX_PHASE, ModelParams, battery_hamiltonian
 from qbattery.optimize import F_TOL, SPAN, X_TOL, OptimizerSettings, multistart_maximize
 from qbattery.states import schmidt_lambdas_from_entanglement, single_qubit_unitary
 
@@ -236,6 +239,26 @@ def dense_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
     return np.array(states)
 
 
+def _times(phase: float, n: int) -> float:
+    """phase*n.  Past MAX_PHASE the product carries no digit of the true
+    phase and can overflow, so it is then reduced exactly mod 2*pi instead."""
+    total = phase * float(n)
+    return total if abs(total) <= MAX_PHASE else float(Fraction(phase) * int(n) % Fraction(math.tau))
+
+
+def collision_power(p: ModelParams, n: int) -> np.ndarray:
+    """The phased reference for n full collisions: T**n, the 16x16 map on
+    row-major vec(rho) of the channel with Lambda = lambda(delta_t)**n,
+    |g**n| = sqrt(Lambda) and the z rotations taken n times, which the
+    package's phase-free damping leaves out.  n may exceed int64."""
+    lam, g = _qubit2(p, p.delta_t)
+    lam_n = lam ** float(n)
+    g_n = np.sqrt(lam_n) * np.exp(1j * _times(float(np.angle(g)), n))
+    weights = channel_weights(p, lam_n, g_n, np.exp(-1j * _times(2.0 * p.e1 * p.delta_t, n)))
+    # row j is the image of the j-th basis operator; T**n is the transpose
+    return apply_channel(weights, np.eye(16).reshape(16, 2, 2, 2, 2)).reshape(16, 16).T
+
+
 def spherical_states(unit_cube: np.ndarray) -> np.ndarray:
     """Map points of [0,1)^6 to pure 4-vectors (magnitude angles in [0, pi/2],
     phases in [0, 2*pi))."""
@@ -325,7 +348,7 @@ def rotated_schmidt_state(root1: float, root2: float, b1: float, g1: float, b2: 
 def three_angle_work(entanglement: float, n: int, p: ModelParams, quantity: str, angles) -> float:
     """Reference for the objective of qbattery.ergotropy.max_work_fixed_entanglement:
     the G or L yield at the angles (b1, g1 + g2, b2) that the yields depend
-    on, the state evolved through the phased n-collision map T**n."""
+    on, the yield taken by qbattery.ergotropy.ergotropy_after_collisions."""
     roots = [math.sqrt(lam) for lam in schmidt_lambdas_from_entanglement(entanglement)]
     c = rotated_schmidt_state(*roots, *angles)
     return ergotropy_after_collisions(np.outer(c, c.conj()), n, p, MODES[quantity])

@@ -1,13 +1,15 @@
 """Counts of the calls that rebuild constants, as a deterministic guard.
 
 The weights run_collisions applies over a whole tau grid and the
-n-collision map T**n are the collision channel in closed form, with no
-eigendecomposition, einsum or matrix power.  An objective evaluation of
-the G/L search diagonalises only the evolved state for G and nothing for L,
-whose marginal ergotropies are read off the state in closed form; the
-battery spectrum and the damped linear form the evaluations read are taken
-once per search.  Counts, not timings, so the guard does not depend on the
-host's speed.
+phase-free damping of every sample of n collisions are the collision
+channel in closed form, with no eigendecomposition, einsum or matrix power.
+Every yield after n collisions and every BLP trace distance comes from that
+damping: ergotropy and nonmarkov hold no collision loop and no n-collision
+map.  An objective evaluation of the G/L search diagonalises only the
+evolved state for G and nothing for L, whose marginal ergotropies are read
+off the state in closed form; the battery spectrum and the damped linear
+form the evaluations read are taken once per search, with one damping.
+Counts, not timings, so the guard does not depend on the host's speed.
 """
 
 import numpy as np
@@ -39,8 +41,23 @@ def test_channel_build_takes_no_decomposition_or_power(monkeypatch):
     einsum = counted(monkeypatch, np, "einsum")
     powers = counted(monkeypatch, np.linalg, "matrix_power")
     assert applied_maps(p, taus).shape == (30, 16, 16)
-    assert collision.collision_power(p, 30).shape == (16, 16)
+    assert collision.damp(np.eye(4), collision.memory(p, taus, 30), p).shape == (901, 4, 4)
     assert (len(eigh), len(einsum), len(powers)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("module", [ergotropy, nonmarkov])
+def test_yields_and_distances_hold_no_collision_loop_or_power(module):
+    assert not hasattr(module, "run_collisions")
+    assert not hasattr(module, "collision_power")
+
+
+@pytest.mark.parametrize("n", [0, 30, 10**300])
+def test_yield_after_collisions_is_one_damping(monkeypatch, n):
+    damps = counted(monkeypatch, ergotropy, "damp")
+    loops = counted(monkeypatch, collision, "run_collisions")
+    powers = counted(monkeypatch, np.linalg, "matrix_power")
+    ergotropy.ergotropy_after_collisions(np.eye(4) / 4, n, ModelParams(k=0.8))
+    assert (len(damps), len(loops), len(powers)) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("quantity, spectra", [("G", 1), ("L", 0)])
@@ -86,9 +103,9 @@ def test_objective_builds_no_state_through_the_checked_path(monkeypatch, quantit
 
 @pytest.mark.parametrize("quantity", ["G", "L"])
 def test_objective_evaluation_applies_the_search_damping(monkeypatch, quantity):
-    """The damping is taken once per search: an n=30 evaluation builds no
-    channel weights, applies no channel, runs no collision loop and takes
-    no T**n or matrix power."""
+    """The damping is taken once per search: an n=30 evaluation damps
+    nothing, applies no channel, runs no collision loop and takes no matrix
+    power."""
     objectives = []
 
     def capture(objective, dim, settings=None):
@@ -96,29 +113,29 @@ def test_objective_evaluation_applies_the_search_damping(monkeypatch, quantity):
         return np.zeros(dim), 0.0, None
 
     monkeypatch.setattr(ergotropy, "multistart_maximize", capture)
-    weights = counted(monkeypatch, ergotropy, "channel_weights")
+    damps = counted(monkeypatch, ergotropy, "damp")
     ergotropy.max_work_fixed_entanglement(0.6, 30, ModelParams(k=0.8), quantity)
     ((objective, dim),) = objectives
-    assert (dim, len(weights)) == (1, 1)
+    assert (dim, len(damps)) == (1, 1)
     angles = np.linspace(0.2, 1.7, dim)
     first = objective(angles)
-    applied = counted(monkeypatch, ergotropy, "apply_channel")
+    applied = counted(monkeypatch, collision, "apply_channel")
     loops = counted(monkeypatch, collision, "run_collisions")
-    maps = counted(monkeypatch, ergotropy, "collision_power")
     powers = counted(monkeypatch, np.linalg, "matrix_power")
     assert objective(angles) == first
-    assert (len(weights), len(applied), len(loops), len(maps), len(powers)) == (1, 0, 0, 0, 0)
+    assert (len(damps), len(applied), len(loops), len(powers)) == (1, 0, 0, 0)
 
 
 @pytest.mark.parametrize("collisions, runs", [(1, 1), (3, 3)])
 def test_blp_evaluation_reads_the_rising_run_ends(monkeypatch, collisions, runs):
     """At delta_t = 1.6 Lambda rises once per collision, from the cut-off
     pi/4 to pi/2; an evaluation diagonalises D at those runs' two ends in one
-    call and evolves no trace."""
+    call, builds no damping weights and takes no trace."""
     objective = search_objective(1.6, ModelParams(), 40, collisions)
     eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
     samples = counted(monkeypatch, nonmarkov, "_distance_samples")
-    loops = counted(monkeypatch, nonmarkov, "run_collisions")
+    damps = counted(monkeypatch, nonmarkov, "damp")
+    weights = counted(monkeypatch, nonmarkov, "damping")
     assert objective(np.linspace(0.2, 1.7, 10)) > 0.0
     assert [args[0].shape for args in eigvalsh] == [(2 * runs, 4, 4)]
-    assert (len(samples), len(loops)) == (0, 0)
+    assert (len(samples), len(damps), len(weights)) == (0, 0, 0)

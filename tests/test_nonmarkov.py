@@ -16,8 +16,8 @@ from qbattery.optimize import OptimizerSettings
 from qbattery.states import locally_passive_state, projector
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import blp_functional, dense_backflow_lower_bound
-from test_transfer import PROPERTY, seed_st
+from _oracles import blp_functional, dense_backflow_lower_bound, dense_collisions
+from test_transfer import PROPERTY, seed_st, varied
 
 P = ModelParams()
 
@@ -81,6 +81,39 @@ class TestDistinguishabilityTrace:
             s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
             d = _distance_samples(s1, s2, P, window(P.delta_t, 80))
             assert np.all(np.diff(d) <= 1e-12)
+
+    def test_trace_matches_dense_oracle(self):
+        """The phase-free damping of the pair's difference against the dense
+        joint-space evolution, over random models, grids and 1-3 collisions."""
+        gen = rng(337)
+        for case in range(24):
+            p, taus = varied(random_params(gen), case), sorted(gen.uniform(0.0, 3.0, size=7))
+            s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
+            n = 1 + case % 3
+            dense = dense_collisions(np.outer(s1, s1.conj()) - np.outer(s2, s2.conj()), n, taus, p)
+            want = 0.5 * np.abs(np.linalg.eigvalsh(dense)).sum(axis=-1)
+            assert np.abs(_distance_samples(s1, s2, p, taus, n) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_trace_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        s1, s2 = pair_from_angles(np.random.default_rng(8).uniform(-3.0, 3.0, size=10))
+        whole = _distance_samples(s1, s2, replace(P, beta=0.7), window(1.6, 40), 3)
+        monkeypatch.setattr(nonmarkov, "BLP_CHUNK", chunk)
+        assert _distance_samples(s1, s2, replace(P, beta=0.7), window(1.6, 40), 3).tobytes() == whole.tobytes()
+
+    def test_trace_memory_stays_below_the_sample_stack(self):
+        """20,000 collisions of 2 samples: the trace damps BLP_CHUNK samples at
+        a time and holds no (40,001, 4, 4) complex stack (10.2 MB), which a
+        loop over the collisions would."""
+        s1, s2 = pair_from_angles(np.full(10, 0.3))
+        tracemalloc.start()
+        try:
+            d = _distance_samples(s1, s2, P, window(1.6, 2), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.shape == (40_001,)
+        assert peak < 40_001 * 16 * 16
 
     def test_grid_layout(self):
         settings = OptimizerSettings(starts=1, seed=0, max_evals=20)

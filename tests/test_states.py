@@ -107,11 +107,6 @@ class TestLocallyPassiveState:
                 assert abs(red[0, 1]) <= 1e-14
                 assert red[1, 1].real >= red[0, 0].real - 1e-12
 
-    def test_free_phase(self):
-        c = locally_passive_state(0.6, phase=1.1)
-        assert np.isclose(abs(c[3]), abs(locally_passive_state(0.6)[3]))
-        assert np.isclose(np.angle(c[3]), 1.1)
-
 
 class TestFixedEntanglementState:
     def test_zero_angles_give_schmidt_form(self):

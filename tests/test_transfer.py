@@ -1,8 +1,9 @@
 """The closed-form collision channel against the dense joint-space oracle
 and the closed-form collision unitary, and its physical invariants as
-properties over random model parameters.  The n-collision map T**n is
-checked against the same oracle, against the collision-by-collision loop and
-against its n -> infinity limit."""
+properties over random model parameters.  The phase-free damping that every
+yield and trace distance is taken from is checked against the same oracle
+up to the z rotations it leaves out, against the collision-by-collision
+loop and against its n -> infinity limit."""
 
 import math
 import tracemalloc
@@ -12,14 +13,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.collision import collision_power, collision_propagator, run_collisions
-from qbattery.ergotropy import ergotropy_after_collisions, global_ergotropy, local_ergotropy
+from qbattery.collision import collision_propagator, damp, memory, run_collisions
+from qbattery.ergotropy import _yield_of, ergotropy_after_collisions, global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.states import locally_passive_state, projector
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
 from _oracles import (
     closed_form_stack,
+    collision_power,
     dense_collisions,
     partial_trace,
     propagator_stack,
@@ -55,6 +57,24 @@ def applied_maps(p: ModelParams, taus) -> np.ndarray:
     return np.stack([run_collisions(e, 1, taus, p)[1:].reshape(-1, 16) for e in basis], axis=-1)
 
 
+def assert_phase_blind(got: np.ndarray, want: np.ndarray, p: ModelParams, tol: float = 1e-12) -> None:
+    """got and want, (..., 4, 4) operators, agree up to z rotations of the two
+    qubits: equal diagonals, equal |entries| and equal global and local yields."""
+    assert np.abs(np.diagonal(got, axis1=-2, axis2=-1) - np.diagonal(want, axis1=-2, axis2=-1)).max() <= tol
+    assert np.abs(np.abs(got) - np.abs(want)).max() <= tol
+    for mode in ("global", "local"):
+        work = _yield_of(p, mode)
+        assert np.abs(work(got) - work(want)).max() <= tol
+
+
+def varied(p: ModelParams, case: int) -> ModelParams:
+    """p with k = 0 at every fifth case, e2 = h at every seventh (so W = 0 at
+    every 35th), an inverted bath h < 0 at every third and beta = 0 at every
+    fourth."""
+    h = p.e2 if case % 7 == 0 else -p.h if case % 3 == 0 else p.h
+    return replace(p, k=0.0 if case % 5 == 0 else p.k, h=h, beta=0.0 if case % 4 == 0 else p.beta)
+
+
 class TestDenseOracle:
     def test_states_match(self):
         gen = rng(701)
@@ -78,24 +98,23 @@ class TestDenseOracle:
             assert np.abs(got - dense_collisions(diff, 30, taus, p)).max() <= 1e-12
 
     def test_channel_matches_dense_path(self):
-        """Over 200 random models, every fifth with k = 0 and every seventh
-        with e2 = h (so W = 0 at every 35th): the maps and the 8x8 propagator
-        against the eigendecomposition, and T**n against repeated products of
-        the dense map, whose own rounding grows with n."""
+        """Over 200 random models (`varied`): the maps and the 8x8 propagator
+        against the eigendecomposition, and the phase-free damping of n full
+        collisions against the dense joint-space evolution up to z rotations,
+        up to n = 101 and, on every tenth model, n = 1,000."""
         gen = rng(707)
         counts = (0, 1, 2, 3, 7, 30, 99, 100, 101, 250, 1000)
         for case in range(200):
-            p = random_params(gen)
-            p = replace(p, k=0.0 if case % 5 == 0 else p.k, h=p.e2 if case % 7 == 0 else p.h)
+            p = varied(random_params(gen), case)
             taus = tuple(gen.uniform(0.0, 3.0, size=9).tolist()) + (p.delta_t,)
             assert np.abs(applied_maps(p, taus) - propagator_stack(p, taus)).max() <= 1e-13
             dense_u = unitary_from_hamiltonian(total_collision_hamiltonian(p), taus[0])
             assert np.abs(collision_propagator(p, taus[0]) - dense_u).max() <= 1e-13
-            one, power = propagator_stack(p, (p.delta_t,))[0], np.eye(16, dtype=complex)
-            for n in range(max(counts) + 1):
-                if n in counts:
-                    assert np.abs(collision_power(p, n) - power).max() <= 1e-11
-                power = one @ power
+            rho = random_density_matrix(gen, 4)
+            top = max(counts) if case % 10 == 0 else 101
+            dense, lam = dense_collisions(rho, top, (p.delta_t,), p), memory(p, (p.delta_t,), top)
+            kept = [n for n in counts if n <= top]
+            assert_phase_blind(damp(rho, lam[kept], p), dense[kept], p)
 
     def test_memory_is_the_output(self):
         """2,000 collisions of 200 samples: the loop holds one collision's
@@ -117,30 +136,31 @@ class TestDenseOracle:
 
 
 class TestCollisionPower:
+    """n full collisions: the damping with Lambda = lambda(delta_t)**n."""
+
     COUNTS = (0, 1, 2, 7, 30, 100)
 
     def cases(self, seed):
         gen = rng(seed)
         for case in range(12):
-            p = random_params(gen)
-            yield (replace(p, k=0.0) if case % 3 == 0 else p), gen
+            yield varied(random_params(gen), case), gen
 
     def test_state_matches_dense_oracle(self):
         for p, gen in self.cases(711):
             rho = random_density_matrix(gen, 4)
             s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
             diff = np.outer(s1, s1.conj()) - np.outer(s2, s2.conj())
+            lam = memory(p, (p.delta_t,), max(self.COUNTS))[list(self.COUNTS)]
             for start in (rho, diff):
                 dense = dense_collisions(start, max(self.COUNTS), (p.delta_t,), p)
-                for n in self.COUNTS:
-                    got = (collision_power(p, n) @ start.reshape(16)).reshape(4, 4)
-                    assert np.abs(got - dense[n]).max() <= 1e-12
+                assert_phase_blind(damp(start, lam, p), dense[list(self.COUNTS)], p)
 
     def test_work_reaches_the_steady_limit(self):
         """lambda(delta_t) < 1 at the defaults, so Lambda = lambda(delta_t)**n
         vanishes: qubit 2 ends in the spin's diag(p0, p1), uncorrelated, and
         qubit 1 only turns.  n = 10**20 is past int64, and at delta_t = 1 the
-        phases of n = int(1.7e308) collisions are past the float range."""
+        phases of n = int(1.7e308) collisions, which no yield sees, are past
+        the float range."""
         for p in (ModelParams(), ModelParams(delta_t=1.0)):
             h = battery_hamiltonian(p)
             for rho in (projector(locally_passive_state(0.5)), random_density_matrix(rng(719), 4)):
@@ -153,14 +173,28 @@ class TestCollisionPower:
         """At W*delta_t = pi/2 on resonance lambda(delta_t) is 0, where
         1 - (2k*s)**2 cancels; at k = 0 it is 1, so no count may move the work."""
         swap = ModelParams(delta_t=math.pi / 4)  # W = 2k = 2
+        rho = random_density_matrix(rng(733), 4)
         for n in (1, 2, 3):
-            dense = np.linalg.matrix_power(propagator_stack(swap, (swap.delta_t,))[0], n)
-            assert np.abs(collision_power(swap, n) - dense).max() <= 1e-13
+            dense = np.linalg.matrix_power(propagator_stack(swap, (swap.delta_t,))[0], n) @ rho.reshape(16)
+            got = damp(rho, memory(swap, (swap.delta_t,), n)[-1], swap)
+            assert_phase_blind(got, dense.reshape(4, 4), swap, 1e-13)
         p, rho = ModelParams(k=0.0, h=0.3), random_density_matrix(rng(727), 4)
         for mode in ("global", "local"):
             still = ergotropy_after_collisions(rho, 0, p, mode)
             for n in (1, 10**12, 10**18, 10**300):
                 assert abs(ergotropy_after_collisions(rho, n, p, mode) - still) <= 1e-12
+
+    def test_work_matches_the_phased_power(self):
+        """The yields of the phase-free damping against those of the phased
+        T**n, whose z rotations are reduced exactly mod 2*pi, up to n = 1e300."""
+        gen = rng(739)
+        for case in range(40):
+            p, rho = varied(random_params(gen), case), random_density_matrix(gen, 4)
+            h = battery_hamiltonian(p)
+            for n in (0, 3, 30, 10**20, int(1e300)):
+                phased = (collision_power(p, n) @ rho.reshape(16)).reshape(4, 4)
+                assert abs(ergotropy_after_collisions(rho, n, p) - global_ergotropy(phased, h)) <= 1e-13
+                assert abs(ergotropy_after_collisions(rho, n, p, "local") - local_ergotropy(phased, p)) <= 1e-13
 
     def test_ergotropy_matches_collision_loop(self):
         for p, gen in self.cases(713):
