@@ -16,8 +16,8 @@ manifest recording the resolved configuration, so identical config + seed
 reproduce byte-identical data files.  Grid points run one after another,
 each with its own seed derived from the base seed and the point's index.
 
-Exit codes: 0 success, 2 usage or configuration error (or out of memory),
-3 numerical contract violation.
+Exit codes: 0 success, 2 usage or configuration error (or out of memory,
+or a failed read or write), 3 numerical contract violation.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .collision import fine_trajectory
+from .collision import DAMP_CHUNK, fine_trajectory
 from .ergotropy import MODES, QUANTITIES, max_work_fixed_entanglement, trajectory_work
 from .ergotropy import global_ergotropy, local_ergotropy  # noqa: F401  unused; perfbench wraps them by this module's name
 from .fitting import fit_curve
@@ -284,11 +284,16 @@ def cmd_trajectory(args, cfg: dict) -> None:
     rho0 = projector(_trajectory_initial_state(quantity, tcfg["entanglement"]))
     points = [replace(params, delta_t=dt) for dt in dt_list]  # every delta_t checked before any work
     _check_last_sample(dt_list, tcfg["collisions"] * tcfg["substeps"])
-    rows = []
+    columns = []  # every delta_t's values before the output is opened
     for p in points:
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
-        values = trajectory_work(traj, MODES[quantity])
-        rows.extend((p.delta_t, t, int(ci), v) for t, ci, v in zip(traj.times, traj.collision_index, values))
+        columns.append((p.delta_t, traj.times, traj.collision_index, trajectory_work(traj, MODES[quantity])))
+    rows = (  # from plain Python numbers, made DAMP_CHUNK rows at a time
+        (dt, *row)
+        for dt, *cols in columns
+        for c in range(0, len(cols[0]), DAMP_CHUNK)
+        for row in zip(*(col[c : c + DAMP_CHUNK].tolist() for col in cols))
+    )
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], rows)
 
 
@@ -489,7 +494,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory: the run is too large for the memory available", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a file read or write failed, such as on a full disk
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

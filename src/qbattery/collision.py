@@ -14,10 +14,9 @@ is written once, as elementwise weights on a 4x4 operator
 m + 1 the battery has passed through the damping with
 Lambda = lambda(delta_t)**m * lambda(tau) (`memory`), then z rotations,
 which no work yield and no trace distance sees: those are taken from the
-phase-free damping (`damp`).  `run_collisions`, the only loop over
-collisions, gives the phased states, sampled inside each collision from its
-initial boundary state, which keeps the intra-collision spin-battery
-correlations exact.
+phase-free damping (`damp`), with no loop over collisions.  Each sample
+inside a collision is taken from the collision's initial boundary state,
+which keeps the intra-collision spin-battery correlations exact.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ import numpy as np
 
 from .linalg import ContractViolation, is_density_matrix
 from .model import ModelParams
+
+DAMP_CHUNK = 4096  # samples damped, or written, at a time
 
 
 def _exchange(p: ModelParams, t):
@@ -109,6 +110,12 @@ def damp(x, lam, p: ModelParams) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
+def damp_chunked(f, x, lam, p: ModelParams) -> np.ndarray:
+    """f(damp(x, lam, p)) for a 1-D lam, DAMP_CHUNK values of lam at a time,
+    with no (len(lam), 4, 4) stack held; f maps k operators to k values."""
+    return np.concatenate([f(damp(x, lam[c : c + DAMP_CHUNK], p)) for c in range(0, len(lam), DAMP_CHUNK)])
+
+
 def memory(p: ModelParams, taus, collisions: int) -> np.ndarray:
     """Lambda at tau = 0 and at every tau of each collision, as
     collisions*len(taus) + 1 values.  Each collision starts from the state at
@@ -118,24 +125,6 @@ def memory(p: ModelParams, taus, collisions: int) -> np.ndarray:
     # cumprod keeps Lambda at a collision's last sample equal to the next power
     powers = np.cumprod(np.concatenate([[1.0], np.full(collisions, lam[-1])]))[:collisions]
     return np.concatenate([[1.0], np.outer(powers, lam).ravel()])
-
-
-def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
-    """rho0, then the battery state at every tau of collisions 1..n.
-
-    Each collision starts from the state at the last tau of the one before,
-    with a fresh thermal spin.  Unchecked: the map is linear, so rho0 may be
-    any 4x4 operator, such as the traceless difference of two states.
-    Returns an (n*len(taus) + 1, 4, 4) array.
-    """
-    t = np.array(taus, dtype=float)
-    weights = channel_weights(p, *_qubit2(p, t), np.exp(-2j * p.e1 * t))
-    m = len(t)
-    out = np.empty((n * m + 1, 2, 2, 2, 2), dtype=complex)
-    out[0] = np.reshape(rho0, (2, 2, 2, 2))
-    for c in range(n):
-        out[c * m + 1 : (c + 1) * m + 1] = apply_channel(weights, out[c * m])
-    return out.reshape(-1, 4, 4)
 
 
 def _require_state(rho, what: str = "input") -> np.ndarray:
@@ -148,23 +137,29 @@ def _require_state(rho, what: str = "input") -> np.ndarray:
 
 
 def collide_once(rho, p: ModelParams) -> np.ndarray:
-    """One full collision with a fresh thermal spin."""
-    return run_collisions(_require_state(rho), 1, (p.delta_t,), p)[-1]
+    """One full collision with a fresh thermal spin, z rotations included."""
+    weights = channel_weights(p, *_qubit2(p, p.delta_t), np.exp(-2j * p.e1 * p.delta_t))
+    return apply_channel(weights, _require_state(rho).reshape(2, 2, 2, 2)).reshape(4, 4)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Battery states sampled along a collision sequence.
-
-    ``collision_index[i]`` is the 1-based index of the spin active at
-    ``times[i]`` (0 for the initial sample); boundary samples at n*delta_t
-    belong to collision n.
-    """
+    """Samples along a collision sequence.  At ``times[i]`` Lambda is
+    ``lam[i]`` (`memory`) and the active spin is ``collision_index[i]``,
+    counted from 1, with 0 for the initial sample; the sample at n*delta_t
+    belongs to collision n."""
 
     times: np.ndarray
-    states: np.ndarray
     collision_index: np.ndarray
     params: ModelParams
+    lam: np.ndarray
+    rho0: np.ndarray  # checked
+
+    @property
+    def states(self) -> np.ndarray:
+        """The (samples, 4, 4) states, damped on each access: the physical
+        ones up to z rotations, which no yield or trace distance sees."""
+        return damp(self.rho0, self.lam, self.params)
 
 
 def evolve(rho0, n: int, p: ModelParams) -> Trajectory:
@@ -188,7 +183,8 @@ def fine_trajectory(rho0, n: int, substeps: int, p: ModelParams) -> Trajectory:
     steps = np.arange(n * substeps + 1)
     return Trajectory(
         times=steps * p.delta_t / substeps,
-        states=run_collisions(m, n, taus, p),
         collision_index=(steps + substeps - 1) // substeps,
         params=p,
+        lam=memory(p, taus, n),
+        rho0=m,
     )

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import Trajectory, _qubit2, _require_state, damp
+from .collision import Trajectory, _qubit2, _require_state, damp, damp_chunked
 from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import ModelParams, battery_hamiltonian
@@ -156,12 +156,9 @@ def ergotropy_after_collisions(
 
 
 def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
-    """Global or local work yield at every sample of a trajectory.
-
-    The states of a Trajectory were evolved from a checked initial state,
-    so they are not checked again.
-    """
-    return _yield_of(traj.params, mode)(traj.states)
+    """Global or local work yield at every sample of a trajectory, unchecked:
+    a Trajectory holds a checked initial state."""
+    return damp_chunked(_yield_of(traj.params, mode), traj.rho0, traj.lam, traj.params)
 
 
 @dataclass(frozen=True)

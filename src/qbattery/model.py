@@ -40,10 +40,11 @@ class ModelParams:
 
     Phase precision policy: e1 + e2 + |h| + 2k bounds the spectrum of the
     collision Hamiltonian, so delta_t * (e1 + e2 + |h| + 2k) bounds every
-    phase a collision puts on a state.  A float phase phi is rounded by up to
+    phase a collision puts on a state and W*delta_t inside lambda, which is
+    all that command outputs read.  A float phase phi is rounded by up to
     phi * 2**-53, so a delta_t that takes it past MAX_PHASE = STATE_TOL * 2**53
     (about 9.0e7; delta_t <= 1.5e7 with the default energies) is rejected: its
-    rounding alone could move a state by more than STATE_TOL.
+    rounding alone could move lambda or a state by more than STATE_TOL.
     """
 
     e1: float = 2.0

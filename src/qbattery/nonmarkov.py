@@ -31,7 +31,7 @@ batched 4x4 eigvalsh on 2*runs matrices, and a run end takes 256 B per
 point evaluated.  A search round's points are taken BLP_CHUNK (point, run)
 pairs at a time, so memory does not grow with the number of starts.  The
 reported trace of the best pair damps its difference phase-free at every
-sample, BLP_CHUNK samples at a time.
+sample, a chunk of samples at a time (`collision.damp_chunked`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import apply_channel, damp, damping, memory
+from .collision import apply_channel, damp_chunked, damping, memory
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 
@@ -105,11 +105,9 @@ def _distance_samples(
     each collision: collisions*len(taus) + 1 samples.
 
     Every map here is linear in the input, so only the difference of the two
-    battery states is damped, BLP_CHUNK samples at a time.
+    battery states is damped.
     """
-    x, lam = _difference(s1, s2), memory(p, taus, collisions)
-    chunks = (lam[c : c + BLP_CHUNK] for c in range(0, len(lam), BLP_CHUNK))
-    return np.concatenate([_trace_distances(damp(x, part, p)) for part in chunks])
+    return damp_chunked(_trace_distances, _difference(s1, s2), memory(p, taus, collisions), p)
 
 
 def _rises(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:

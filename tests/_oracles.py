@@ -4,9 +4,9 @@ The dense path is the reference for the collision layer: the 8x8 collision
 Hamiltonian assembled from its battery, interaction and bath-spin terms,
 exp(-j*t*H) from one eigendecomposition (`unitary_from_hamiltonian`), and
 the spin traced out of the joint state.  The package evolves the battery
-through the same channel written in closed form.  The phased n-collision
-map T**n (`collision_power`) keeps the z rotations that the package's
-phase-free damping leaves out.
+through the same channel written in closed form.  The phased collision loop
+(`run_collisions`) and the phased n-collision map T**n (`collision_power`)
+keep the z rotations that the package's phase-free damping leaves out.
 The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
@@ -192,9 +192,8 @@ def _battery_maps(p: ModelParams, unitaries) -> np.ndarray:
 
 
 def propagator_stack(p: ModelParams, taus) -> np.ndarray:
-    """Reference for the maps qbattery.collision.run_collisions applies: the
-    contraction over the dense unitaries exp(-j*tau*H_total), from one
-    eigendecomposition."""
+    """Reference for the maps run_collisions applies: the contraction over
+    the dense unitaries exp(-j*tau*H_total), from one eigendecomposition."""
     return _battery_maps(p, unitary_from_hamiltonian(total_collision_hamiltonian(p), np.asarray(taus, dtype=float)))
 
 
@@ -217,14 +216,14 @@ def closed_form_collision_unitary(p: ModelParams, tau: float) -> np.ndarray:
 
 
 def closed_form_stack(p: ModelParams, taus) -> np.ndarray:
-    """Reference for the maps qbattery.collision.run_collisions applies that
-    shares no code with unitary_from_hamiltonian: the closed-form unitary per
-    tau, contracted with the spin as the dense path does."""
+    """Reference for the maps run_collisions applies that shares no code
+    with unitary_from_hamiltonian: the closed-form unitary per tau,
+    contracted with the spin as the dense path does."""
     return _battery_maps(p, [closed_form_collision_unitary(p, tau) for tau in taus])
 
 
 def dense_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
-    """Reference for qbattery.collision.run_collisions: every sample is
+    """Reference for run_collisions: every sample is
     Tr_spin[U(tau) (rho_b (x) rho_spin) U(tau)^dag] on the 8x8 joint space,
     rho_b being the state at the last tau of the collision before."""
     bath = thermal_spin_state(p)
@@ -237,6 +236,26 @@ def dense_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
             joint = u @ np.kron(boundary, bath) @ u.conj().T
             states.append(partial_trace(joint, (4, 2), "A"))
     return np.array(states)
+
+
+def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
+    """The phased reference for the package's phase-free samples: rho0, then
+    the battery state at every tau of collisions 1..n, z rotations included.
+
+    Each collision starts from the state at the last tau of the one before,
+    with a fresh thermal spin, and applies the package's
+    qbattery.collision.channel_weights.  Unchecked: the map is linear, so
+    rho0 may be any 4x4 operator, such as the traceless difference of two
+    states.  Returns an (n*len(taus) + 1, 4, 4) array.
+    """
+    t = np.array(taus, dtype=float)
+    weights = channel_weights(p, *_qubit2(p, t), np.exp(-2j * p.e1 * t))
+    m = len(t)
+    out = np.empty((n * m + 1, 2, 2, 2, 2), dtype=complex)
+    out[0] = np.reshape(rho0, (2, 2, 2, 2))
+    for c in range(n):
+        out[c * m + 1 : (c + 1) * m + 1] = apply_channel(weights, out[c * m])
+    return out.reshape(-1, 4, 4)
 
 
 def _times(phase: float, n: int) -> float:

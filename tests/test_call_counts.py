@@ -1,15 +1,15 @@
 """Counts of the calls that rebuild constants, as a deterministic guard.
 
-The weights run_collisions applies over a whole tau grid and the
-phase-free damping of every sample of n collisions are the collision
-channel in closed form, with no eigendecomposition, einsum or matrix power.
-Every yield after n collisions and every BLP trace distance comes from that
-damping: ergotropy and nonmarkov hold no collision loop and no n-collision
-map.  An objective evaluation of the G/L search diagonalises only the
-evolved state for G and nothing for L, whose marginal ergotropies are read
-off the state in closed form; the battery spectrum and the damped linear
-form the evaluations read are taken once per search, with one damping.
-Counts, not timings, so the guard does not depend on the host's speed.
+The collision channel's weights over a whole tau grid and the phase-free
+damping of every sample of n collisions are the channel in closed form,
+with no eigendecomposition, einsum or matrix power.  Every yield and every
+BLP trace distance comes from that damping: the package holds no collision
+loop and no n-collision map.  An objective evaluation of the G/L search
+diagonalises only the evolved state for G and nothing for L, whose
+marginal ergotropies are read off the state in closed form; the battery
+spectrum and the damped linear form the evaluations read are taken once per
+search, with one damping.  Counts, not timings, so the guard does not
+depend on the host's speed.
 """
 
 import numpy as np
@@ -54,10 +54,10 @@ def test_yields_and_distances_hold_no_collision_loop_or_power(module):
 @pytest.mark.parametrize("n", [0, 30, 10**300])
 def test_yield_after_collisions_is_one_damping(monkeypatch, n):
     damps = counted(monkeypatch, ergotropy, "damp")
-    loops = counted(monkeypatch, collision, "run_collisions")
+    assert not hasattr(collision, "run_collisions")
     powers = counted(monkeypatch, np.linalg, "matrix_power")
     ergotropy.ergotropy_after_collisions(np.eye(4) / 4, n, ModelParams(k=0.8))
-    assert (len(damps), len(loops), len(powers)) == (1, 0, 0)
+    assert (len(damps), len(powers)) == (1, 0)
 
 
 @pytest.mark.parametrize("quantity, spectra", [("G", 1), ("L", 0)])
@@ -120,10 +120,10 @@ def test_objective_evaluation_applies_the_search_damping(monkeypatch, quantity):
     angles = np.linspace(0.2, 1.7, dim)
     first = objective(angles)
     applied = counted(monkeypatch, collision, "apply_channel")
-    loops = counted(monkeypatch, collision, "run_collisions")
+    assert not hasattr(collision, "run_collisions")
     powers = counted(monkeypatch, np.linalg, "matrix_power")
     assert objective(angles) == first
-    assert (len(damps), len(applied), len(loops), len(powers)) == (1, 0, 0, 0)
+    assert (len(damps), len(applied), len(powers)) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("collisions, runs", [(1, 1), (3, 3)])
@@ -134,7 +134,7 @@ def test_blp_evaluation_reads_the_rising_run_ends(monkeypatch, collisions, runs)
     objective = search_objective(1.6, ModelParams(), 40, collisions)
     eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
     samples = counted(monkeypatch, nonmarkov, "_distance_samples")
-    damps = counted(monkeypatch, nonmarkov, "damp")
+    damps = counted(monkeypatch, nonmarkov, "damp_chunked")
     weights = counted(monkeypatch, nonmarkov, "damping")
     assert objective(np.linspace(0.2, 1.7, 10)) > 0.0
     assert [args[0].shape for args in eigvalsh] == [(2 * runs, 4, 4)]

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import threading
@@ -393,6 +394,19 @@ class TestExitCodes:
             "--substeps", 2, "--threads", 1,
         )
         assert code == 3
+
+    @pytest.mark.parametrize("writer", ["write_csv", "write_manifest"])
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0"),
+        ("trajectory", "--delta-ts", "0.2", "--collisions", 1, "--substeps", 2),
+    ], ids=["sweep", "trajectory"])
+    def test_failed_write_maps_to_exit_2(self, tmp_path, capsys, monkeypatch, argv, writer):
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(f"qbattery.cli.{writer}", disk_full)
+        code = run(*argv, "--seed", 1, "--output", tmp_path / "x.csv")
+        assert (code, capsys.readouterr().err) == (2, "error: [Errno 28] No space left on device\n")
 
 
 class TestDeterminism:

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from qbattery.collision import (
-    collide_once,
-    collision_propagator,
-    evolve,
-    fine_trajectory,
-    run_collisions,
-)
+from qbattery.collision import collide_once, collision_propagator, evolve, fine_trajectory
 from qbattery.linalg import ContractViolation, is_density_matrix
 from qbattery.model import ModelParams
 from qbattery.states import locally_passive_state, projector
@@ -17,11 +11,13 @@ from _oracles import (
     ID2,
     SIGMA_Z,
     partial_trace,
+    run_collisions,
     thermal_spin_state,
     total_collision_hamiltonian,
     trace_distance,
     unitary_from_hamiltonian,
 )
+from test_transfer import assert_phase_blind
 
 P = ModelParams()
 RHO_LP = projector(locally_passive_state(0.6))
@@ -85,7 +81,8 @@ class TestCollideOnce:
 
 
 class TestEvolveWithinCollision:
-    """Partial collisions: run_collisions samples at taus inside one window."""
+    """Partial collisions: the phased reference loop samples at taus inside
+    one window, and collide_once ends it."""
 
     def test_full_duration_matches_collide_once(self):
         out = run_collisions(RHO_LP, 1, (P.delta_t / 2, P.delta_t), P)[-1]
@@ -125,9 +122,10 @@ class TestEvolve:
         assert np.allclose(traj.states[0], RHO_LP)
 
     def test_two_collisions_compose(self):
+        # evolve's states are phase-free; collide_once keeps the z rotations
         traj = evolve(RHO_LP, 2, P)
         want = collide_once(collide_once(RHO_LP, P), P)
-        assert np.abs(traj.states[2] - want).max() <= 1e-12
+        assert_phase_blind(traj.states[2], want, P)
 
     def test_all_samples_are_states(self):
         traj = evolve(RHO_LP, 30, P)
@@ -139,9 +137,9 @@ class TestEvolve:
         traj = evolve(RHO_LP, 8, P)
         assert np.all(np.diff(traj.times) > 0)
         assert np.all(np.diff(traj.collision_index) >= 0)
-        state = RHO_LP
+        states, state = traj.states, RHO_LP
         for n in range(9):
-            assert np.abs(traj.states[n] - state).max() <= 1e-9
+            assert_phase_blind(states[n], state, P, 1e-9)
             state = collide_once(state, P)
 
     def test_rejects_negative_count(self):
@@ -164,11 +162,8 @@ class TestFineTrajectory:
             assert np.abs(fine.states[m * 50] - coarse.states[m]).max() <= 1e-10
 
     def test_sample_continuity(self):
-        fine = fine_trajectory(RHO_LP, 3, 200, P)
-        jumps = [
-            trace_distance(fine.states[i], fine.states[i + 1])
-            for i in range(len(fine.times) - 1)
-        ]
+        states = fine_trajectory(RHO_LP, 3, 200, P).states
+        jumps = [trace_distance(states[i], states[i + 1]) for i in range(len(states) - 1)]
         assert max(jumps) <= 0.1
 
     def test_counts_and_index(self):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qbattery.collision import fine_trajectory, run_collisions
+import qbattery.collision as collision
+from qbattery.collision import fine_trajectory
 import qbattery.ergotropy as ergotropy
 from qbattery.ergotropy import (
     ergotropy_after_collisions,
@@ -26,7 +27,7 @@ from qbattery.states import (
 )
 from qbhelpers import haar_unitaries, random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import local_ergotropy_numeric, marginal_local_work, six_angle_max_work, three_angle_work
+from _oracles import local_ergotropy_numeric, marginal_local_work, run_collisions, six_angle_max_work, three_angle_work
 from test_transfer import PROPERTY, params_st
 
 P = ModelParams()
@@ -187,6 +188,13 @@ class TestTrajectoryWork:
             want_local = [local_ergotropy(s, p) for s in traj.states]
             assert trajectory_work(traj).tolist() == want_global
             assert trajectory_work(traj, "local").tolist() == want_local
+
+    @pytest.mark.parametrize("chunk", [1, 7, collision.DAMP_CHUNK])
+    def test_values_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        traj = fine_trajectory(random_density_matrix(rng(251), 4), 3, 13, ModelParams(delta_t=1.6, beta=0.7))
+        whole = [trajectory_work(traj, mode).tobytes() for mode in ("global", "local")]
+        monkeypatch.setattr(collision, "DAMP_CHUNK", chunk)
+        assert [trajectory_work(traj, mode).tobytes() for mode in ("global", "local")] == whole
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):

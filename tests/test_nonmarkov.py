@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qbattery.collision as collision
 import qbattery.nonmarkov as nonmarkov
-from qbattery.collision import fine_trajectory, run_collisions
+from qbattery.collision import fine_trajectory
 from qbattery.ergotropy import global_ergotropy, local_ergotropy, trajectory_work
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
@@ -16,7 +17,7 @@ from qbattery.optimize import OptimizerSettings
 from qbattery.states import locally_passive_state, projector
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import blp_functional, dense_backflow_lower_bound, dense_collisions
+from _oracles import blp_functional, dense_backflow_lower_bound, dense_collisions, run_collisions
 from test_transfer import PROPERTY, seed_st, varied
 
 P = ModelParams()
@@ -94,16 +95,16 @@ class TestDistinguishabilityTrace:
             want = 0.5 * np.abs(np.linalg.eigvalsh(dense)).sum(axis=-1)
             assert np.abs(_distance_samples(s1, s2, p, taus, n) - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("chunk", [1, 7, collision.DAMP_CHUNK])
     def test_trace_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
         s1, s2 = pair_from_angles(np.random.default_rng(8).uniform(-3.0, 3.0, size=10))
         whole = _distance_samples(s1, s2, replace(P, beta=0.7), window(1.6, 40), 3)
-        monkeypatch.setattr(nonmarkov, "BLP_CHUNK", chunk)
+        monkeypatch.setattr(collision, "DAMP_CHUNK", chunk)
         assert _distance_samples(s1, s2, replace(P, beta=0.7), window(1.6, 40), 3).tobytes() == whole.tobytes()
 
     def test_trace_memory_stays_below_the_sample_stack(self):
-        """20,000 collisions of 2 samples: the trace damps BLP_CHUNK samples at
-        a time and holds no (40,001, 4, 4) complex stack (10.2 MB), which a
+        """20,000 collisions of 2 samples: the trace damps DAMP_CHUNK samples
+        at a time and holds no (40,001, 4, 4) complex stack (10.2 MB), which a
         loop over the collisions would."""
         s1, s2 = pair_from_angles(np.full(10, 0.3))
         tracemalloc.start()

@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.collision import collision_propagator, damp, memory, run_collisions
-from qbattery.ergotropy import _yield_of, ergotropy_after_collisions, global_ergotropy, local_ergotropy
+from qbattery.collision import collision_propagator, damp, fine_trajectory, memory
+from qbattery.ergotropy import _yield_of, ergotropy_after_collisions, global_ergotropy, local_ergotropy, trajectory_work
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.states import locally_passive_state, projector
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
@@ -25,6 +25,7 @@ from _oracles import (
     dense_collisions,
     partial_trace,
     propagator_stack,
+    run_collisions,
     thermal_spin_state,
     total_collision_hamiltonian,
     unitary_from_hamiltonian,
@@ -117,18 +118,18 @@ class TestDenseOracle:
             assert_phase_blind(damp(rho, lam[kept], p), dense[kept], p)
 
     def test_memory_is_the_output(self):
-        """2,000 collisions of 200 samples: the loop holds one collision's
-        weights and products beside the (400,001, 4, 4) output, and no
-        per-sample array of its own."""
+        """2,000 collisions of 200 samples: the yields hold Lambda and the
+        values beside one chunk of damped states, well below a quarter of
+        the (400,001, 4, 4) complex stack (102 MB) of the states."""
         p = ModelParams(delta_t=1.0)
         tracemalloc.start()
         try:
-            out = run_collisions(np.eye(4) / 4, 2000, grid(p, 200), p)
+            out = trajectory_work(fine_trajectory(projector(locally_passive_state(0.6)), 2000, 200, p))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (400_001, 4, 4)
-        assert peak <= 1.1 * out.nbytes
+        assert out.shape == (400_001,)
+        assert peak < 400_001 * 16 * 16 / 4
 
     def test_first_sample_is_input(self):
         rho = random_density_matrix(rng(705), 4)
