@@ -272,6 +272,15 @@ def _check_last_sample(dt_list: list[float], steps: int) -> None:
         raise UsageError(f"sample times overflow: {steps} x delta_t {max(dt_list)!r}")
 
 
+def _rows(columns):
+    """(key, *row) for each (key, *arrays) of columns and each row of its
+    equal-length arrays, made from plain Python numbers DAMP_CHUNK rows at a
+    time, so write_csv formats no numpy scalar."""
+    for key, *cols in columns:
+        for c in range(0, len(cols[0]), DAMP_CHUNK):
+            yield from ((key, *row) for row in zip(*(col[c : c + DAMP_CHUNK].tolist() for col in cols)))
+
+
 def cmd_trajectory(args, cfg: dict) -> None:
     params: ModelParams = cfg["params"]
     tcfg = cfg["trajectory"]
@@ -288,13 +297,7 @@ def cmd_trajectory(args, cfg: dict) -> None:
     for p in points:
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
         columns.append((p.delta_t, traj.times, traj.collision_index, trajectory_work(traj, MODES[quantity])))
-    rows = (  # from plain Python numbers, made DAMP_CHUNK rows at a time
-        (dt, *row)
-        for dt, *cols in columns
-        for c in range(0, len(cols[0]), DAMP_CHUNK)
-        for row in zip(*(col[c : c + DAMP_CHUNK].tolist() for col in cols))
-    )
-    write_csv(args.output, ["delta_t", "t", "collision_index", "value"], rows)
+    write_csv(args.output, ["delta_t", "t", "collision_index", "value"], _rows(columns))
 
 
 def cmd_blp(args, cfg: dict) -> None:
@@ -315,7 +318,7 @@ def cmd_blp(args, cfg: dict) -> None:
     rows = [(p.delta_t, r.q_n, grid_points, base_settings.starts, r.report.converged) for p, r in zip(points, results)]
     write_csv(args.output, ["delta_t", "Q_N", "grid_points", "starts", "converged"], rows)
     if args.trace_output is not None:
-        trace = ((p.delta_t, t, d) for p, r in zip(points, results) for t, d in r.lambda_trace)
+        trace = _rows((p.delta_t, *r.lambda_trace.T) for p, r in zip(points, results))
         write_csv(args.trace_output, ["delta_t", "t", "D"], trace)
 
 

@@ -59,6 +59,26 @@ stays there when it is a lower local maximum or the yield is nearly flat.
 The search's angle is therefore x = b2 - pi/2, whose zero start (the
 `optimize` module always makes one) lies between them:
 rho_0 = M0 + cos(x) M2 - sin(x) M1.
+
+L needs no search: its stationary points in u = cos(b2) solve a
+quadratic.  At b1 = 0 qubit 1's marginal is diag(lambda1, lambda2), with
+ergotropy 2*e1*gap for gap = lambda1 - lambda2 >= 0, whatever b2.  Qubit
+2's marginal has z2 = gap*u and coherence gap*sin(b2)/2.  The damping keeps
+the fraction Lambda of z2's offset from the bath's p0 - p1 and sqrt(Lambda)
+of the coherence, so after n collisions
+L(u) = 2*e1*gap + e2*(z + R), with z = Lambda*gap*u + (1 - Lambda)*(p0 - p1)
+and R = sqrt(z**2 + Lambda*gap**2*(1 - u**2)).  R > 0 inside (-1, 1) when
+Lambda*gap > 0, so L's maximum on [-1, 1] lies at u = -1, at u = 1 or where
+dL/du = e2*Lambda*gap*(R + z - gap*u)/R vanishes.  R = gap*u - z, squared
+and with z written out, is
+(1 - Lambda)*gap*u**2 - 2*(1 - Lambda)*(p0 - p1)*u - Lambda*gap = 0,
+whose discriminant 4*(1 - Lambda)*((1 - Lambda)*(p0 - p1)**2 + Lambda*gap**2)
+is never negative.  Squaring can only add roots, and an extra one does no
+harm, since it is read as a value of L.  When (1 - Lambda)*gap = 0 there is
+no quadratic, and none is needed: at Lambda = 1, L = 2*e1*gap + e2*gap*(u + 1)
+is largest at u = 1, and at gap = 0 (or Lambda = 0) L is constant.  The
+candidates are evaluated through the same (3, 17) form and local yield as
+every other evaluation, so the closed form only says where to look.
 """
 
 from __future__ import annotations
@@ -73,7 +93,7 @@ from .collision import collision_propagator  # noqa: F401  unused; perfbench wra
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import ModelParams, battery_hamiltonian
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
-from .states import locally_passive_state, projector, schmidt_lambdas_from_entanglement
+from .states import locally_passive_state, projector, schmidt_gap, schmidt_lambdas_from_entanglement
 from .states import fixed_entanglement_state  # noqa: F401  unused; perfbench wraps it by this module's name
 
 # The work yield each quantity reports: G_p and G the global one, L the local one.
@@ -181,12 +201,16 @@ def max_work_fixed_entanglement(
     quantity "G_p": direct yield of the locally passive initial state (no
     optimization; its free phase cannot change the yield, see the module
     docstring).  "G"/"L": global or local yield maximized over the
-    fixed-entanglement family by seeded multi-start search over qubit 2's
-    angle b2 alone, as x = b2 - pi/2: the yields separate, and qubit 1's
-    angles are best at b1 = 0 (module docstring).  The damped M_i and their
-    energies are taken once per search, as the rows of one (3, 17) linear
-    form, so an evaluation is a few elementwise operations and, for G, one
-    real 4x4 eigvalsh.
+    fixed-entanglement family, over qubit 2's angle b2 alone, as
+    x = b2 - pi/2: the yields separate, and qubit 1's angles are best at
+    b1 = 0 (module docstring).  The damped M_i and their energies are taken
+    once, as the rows of one (3, 17) linear form, so an evaluation is a few
+    elementwise operations and, for G, one real 4x4 eigvalsh.  G is found
+    by seeded multi-start search, and its record carries the search's
+    report.  L takes no search: it is the largest evaluation at
+    u = cos(b2) = -1, 1 and the roots in [-1, 1] of the stationary
+    quadratic (module docstring), in one call of at most four rows.  Its
+    record carries no report, and settings are ignored, as for G_p.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
@@ -200,7 +224,8 @@ def max_work_fixed_entanglement(
     u, w = np.array([r1, 0.0, 0.0, r2]), np.array([0.0, r1, -r2, 0.0])
     uu, ww, uw = np.outer(u, u), np.outer(w, w), np.outer(u, w)
     terms = 0.5 * np.array([uu + ww, uw + uw.T, ww - uu])  # M0, M2 and -M1: the chart x = b2 - pi/2
-    damped = damp(terms, _qubit2(p, p.delta_t)[0] ** float(n), p).reshape(3, 16)
+    lam = _qubit2(p, p.delta_t)[0] ** float(n)  # Lambda after n collisions
+    damped = damp(terms, lam, p).reshape(3, 16)
     energies = np.diag(battery_hamiltonian(p)).real
     form = np.concatenate([damped, damped.reshape(3, 4, 4).diagonal(axis1=1, axis2=2) @ energies[:, None]], axis=1)
     local, levels = _yield_of(p, "local"), np.sort(energies)
@@ -213,5 +238,11 @@ def max_work_fixed_entanglement(
             return local(r)
         return f[..., 16] - np.linalg.eigvalsh(r)[..., ::-1] @ levels
 
+    if mode == "local":  # no search: the largest value at u = cos(b2) = +-1 and the stationary u (module docstring)
+        gap = schmidt_gap(entanglement)
+        a = (1.0 - lam) * gap
+        roots = np.roots([a, -2.0 * (1.0 - lam) * (p.p0 - p.p1), -lam * gap]).real if a else []
+        cos_b2 = np.clip(np.r_[-1.0, 1.0, roots], -1.0, 1.0)
+        return WorkRecord(float(objective(-np.arcsin(cos_b2)[:, None]).max()))  # x = b2 - pi/2 = -arcsin(cos b2)
     _, value, report = multistart_maximize(objective, 1, settings)
     return WorkRecord(value, report)

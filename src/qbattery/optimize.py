@@ -73,7 +73,6 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    spread: float
     converged: bool
     evaluations: int
 
@@ -249,7 +248,6 @@ def multistart_maximize(
     best = int(np.argmax(values))
     agree = int(np.sum(values >= values[best] - AGREE_TOL))
     report = OptimizerReport(
-        spread=float(values.max() - values.min()),
         converged=settings.starts == 1 or agree >= 2,
         evaluations=int(evaluations.sum()),
     )

@@ -11,9 +11,10 @@ The small kernels here (partial trace, trace distance, unitarity, the
 thermal spin, log-negativity, the BLP functional and a direct maximization
 of the local work) are written out on their own; no command runs them.
 The G/L search over all six Euler angles, the G/L yield at the three
-angles (b1, g1 + g2, b2), the csv.writer path, scipy's scrambled Halton
-sampler, scipy's Nelder-Mead and scipy's brentq are references for package
-code that reaches the same result with less work.
+angles (b1, g1 + g2, b2), the L yield over qubit 2's angle b2, the
+csv.writer path, scipy's scrambled Halton sampler, scipy's Nelder-Mead and
+scipy's brentq are references for package code that reaches the same
+result with less work.
 The backflow oracles deliberately avoid the package's optimizer,
 orthogonal-pair parametrization and transfer-matrix core: pairs are two
 *independent* pure states from a plain spherical chart, sampled with a
@@ -24,7 +25,6 @@ the values frozen in the test modules were produced by these functions.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from fractions import Fraction
@@ -138,17 +138,19 @@ def local_ergotropy_numeric(
     rho12, p: ModelParams, settings: OptimizerSettings | None = None
 ) -> float:
     """Local work by direct maximization over the 6-angle product-unitary
-    family, against the package's marginal split."""
+    family, against the package's marginal split: Tr(rho H) minus
+    Tr(U rho U^dagger H), with U = U1 (x) U2 from `euler_product_unitary`,
+    taken for every row of a search round at once."""
     r = np.asarray(rho12, dtype=complex)
     h12 = battery_hamiltonian(p)
     e_in = float(np.trace(r @ h12).real)
 
-    def extracted(angles):
-        u1, u2 = single_qubit_unitary(*angles[:3]), single_qubit_unitary(*angles[3:])
-        u = np.einsum("ij,kl->ikjl", u1, u2).reshape(4, 4)  # u1 (x) u2
-        return e_in - float(np.trace(u @ r @ u.conj().T @ h12).real)
+    def extracted(angles):  # (k, 6) angles, k values
+        u1, u2 = euler_product_unitary(*angles.reshape(-1, 2, 3).T)  # each (k, 2, 2)
+        u = np.einsum("nij,nkl->nikjl", u1, u2).reshape(-1, 4, 4)  # u1 (x) u2
+        return e_in - np.trace(u @ r @ u.conj().transpose(0, 2, 1) @ h12, axis1=-2, axis2=-1).real
 
-    return multistart_maximize(lambda xs: np.array([extracted(x) for x in xs]), 6, settings)[1]
+    return multistart_maximize(extracted, 6, settings)[1]
 
 
 def marginal_local_work(r, p: ModelParams) -> np.ndarray:
@@ -164,13 +166,15 @@ def marginal_local_work(r, p: ModelParams) -> np.ndarray:
     return total
 
 
-def euler_product_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
+def euler_product_unitary(alpha, beta, gamma) -> np.ndarray:
     """Reference for qbattery.states.single_qubit_unitary: the matrix product
-    Rz(alpha) @ Ry(beta) @ Rz(gamma) of the three rotations."""
-    rz_a = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
-    rz_g = np.diag([np.exp(-0.5j * gamma), np.exp(0.5j * gamma)])
-    cb, sb = np.cos(0.5 * beta), np.sin(0.5 * beta)
-    ry = np.array([[cb, -sb], [sb, cb]], dtype=complex)
+    Rz(alpha) @ Ry(beta) @ Rz(gamma) of the three rotations, one (2, 2)
+    matrix per element of the angles' broadcast shape."""
+    eye = np.eye(2)
+    rz_a = np.exp(np.multiply.outer(alpha, [-0.5j, 0.5j]))[..., None] * eye
+    rz_g = np.exp(np.multiply.outer(gamma, [-0.5j, 0.5j]))[..., None] * eye
+    cb, sb = np.cos(0.5 * np.asarray(beta)), np.sin(0.5 * np.asarray(beta))
+    ry = np.stack([np.stack([cb, -sb], axis=-1), np.stack([sb, cb], axis=-1)], axis=-2).astype(complex)
     return rz_a @ ry @ rz_g
 
 
@@ -332,10 +336,9 @@ def dense_backflow_lower_bound(
 def six_angle_max_work(
     entanglement: float, n: int, p: ModelParams, quantity: str, settings: OptimizerSettings | None = None
 ) -> float:
-    """Reference for the G and L searches of
-    qbattery.ergotropy.max_work_fixed_entanglement: the same multi-start
-    search, but over all six Euler angles of U1 (x) U2, each state built
-    through np.kron."""
+    """Reference for G and L of qbattery.ergotropy.max_work_fixed_entanglement:
+    G's multi-start search, but over all six Euler angles of U1 (x) U2, each
+    state built through np.kron."""
     work = _yield_of(p, MODES[quantity])
     power = collision_power(p, n)
 
@@ -346,22 +349,41 @@ def six_angle_max_work(
     return multistart_maximize(lambda xs: np.array([objective(x) for x in xs]), 6, settings)[1]
 
 
-def rotated_schmidt_state(root1: float, root2: float, b1: float, g1: float, b2: float) -> np.ndarray:
+def rotated_schmidt_state(root1: float, root2: float, b1, g1, b2) -> np.ndarray:
     """fixed_entanglement_state(E, (0, b1, g1, 0, b2, 0)) up to a global
     phase, from the Schmidt roots root_i = sqrt(lambda_i):
     root1 (cos b1/2, sin b1/2) (x) (cos b2/2, sin b2/2)
-    + root2 exp(j g1) (-sin b1/2, cos b1/2) (x) (-sin b2/2, cos b2/2)."""
-    c1, s1 = math.cos(0.5 * b1), math.sin(0.5 * b1)
-    c2, s2 = math.cos(0.5 * b2), math.sin(0.5 * b2)
-    w = root2 * cmath.exp(1j * g1)
-    return np.array(
+    + root2 exp(j g1) (-sin b1/2, cos b1/2) (x) (-sin b2/2, cos b2/2),
+    one state on the last axis per element of the angles' broadcast shape."""
+    c1, s1 = np.cos(0.5 * np.asarray(b1)), np.sin(0.5 * np.asarray(b1))
+    c2, s2 = np.cos(0.5 * np.asarray(b2)), np.sin(0.5 * np.asarray(b2))
+    w = root2 * np.exp(1j * np.asarray(g1))
+    return np.stack(
         [
             root1 * c1 * c2 + w * s1 * s2,
             root1 * c1 * s2 - w * s1 * c2,
             root1 * s1 * c2 - w * c1 * s2,
             root1 * s1 * s2 + w * c1 * c2,
-        ]
+        ],
+        axis=-1,
     )
+
+
+def local_work_over_b2(entanglement: float, n: int, p: ModelParams):
+    """Reference for L of qbattery.ergotropy.max_work_fixed_entanglement, as a
+    function of a 1-D array of b2: the local yield after n collisions of the
+    state at (b1, g1 + g2) = 0 and each b2, from `rotated_schmidt_state`,
+    the phased T**n (`collision_power`) and the marginals' spectra
+    (`marginal_local_work`)."""
+    roots = [math.sqrt(lam) for lam in schmidt_lambdas_from_entanglement(entanglement)]
+    power = collision_power(p, n)
+
+    def work(b2) -> np.ndarray:
+        c = rotated_schmidt_state(*roots, 0.0, 0.0, np.asarray(b2, dtype=float))
+        rho = (c[:, :, None] * c[:, None, :].conj()).reshape(-1, 16) @ power.T
+        return marginal_local_work(rho.reshape(-1, 4, 4), p)
+
+    return work
 
 
 def three_angle_work(entanglement: float, n: int, p: ModelParams, quantity: str, angles) -> float:

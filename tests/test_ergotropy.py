@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 import qbattery.collision as collision
 from qbattery.collision import fine_trajectory
@@ -17,7 +18,7 @@ from qbattery.ergotropy import (
 )
 from qbattery.linalg import ContractViolation
 from qbattery.model import ModelParams, battery_hamiltonian
-from qbattery.optimize import OptimizerSettings
+from qbattery.optimize import OptimizerSettings, multistart_maximize
 from qbattery.states import (
     fixed_entanglement_state,
     locally_passive_state,
@@ -27,7 +28,14 @@ from qbattery.states import (
 )
 from qbhelpers import haar_unitaries, random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import local_ergotropy_numeric, marginal_local_work, run_collisions, six_angle_max_work, three_angle_work
+from _oracles import (
+    local_ergotropy_numeric,
+    local_work_over_b2,
+    marginal_local_work,
+    run_collisions,
+    six_angle_max_work,
+    three_angle_work,
+)
 from test_transfer import PROPERTY, params_st
 
 P = ModelParams()
@@ -308,7 +316,8 @@ def local_maxima(values, rise=1e-12):
 class TestSearchedAngles:
     """G and L depend on the Euler angles (b1, g1 + g2, b2) alone, and they
     are largest at b1 = 0, where g1 + g2 changes no yield (the ergotropy
-    module docstring), so their search runs over b2 alone."""
+    module docstring), so G's search and L's stationary points run over b2
+    alone."""
 
     @PROPERTY
     @given(params_st, st.floats(0.0, 1.0), st.integers(0, 39), st.tuples(*[st.floats(-2 * np.pi, 2 * np.pi)] * 6))
@@ -322,33 +331,75 @@ class TestSearchedAngles:
 
     def test_three_angles_reduce_to_b2(self):
         """At any (b1, g, b2) the 3-angle yield is at most the 1-angle
-        objective's value at b2, and equal to it at b1 = 0 for any g."""
+        value at b2, and equal to it at b1 = 0 for any g.  G's 1-angle value
+        is its search's objective; L, which runs no search, is read off the
+        oracle's b2 scan."""
         gen = rng(307)
         for i in range(132):
             p, e, n = reduction_case(gen, i)
-            for quantity in ("G", "L"):
-                objective = work_objective(e, n, p, quantity)
+            search, local = work_objective(e, n, p, "G"), local_work_over_b2(e, n, p)
+            one_angle = {
+                "G": lambda b2: search(np.array([b2 - np.pi / 2])),  # the search's angle is b2 - pi/2
+                "L": lambda b2: local([b2])[0],
+            }
+            for quantity, objective in one_angle.items():
                 for b1, g, b2 in gen.uniform(-2 * np.pi, 4 * np.pi, (4, 3)):
-                    one = objective(np.array([b2 - np.pi / 2]))  # the search's angle is b2 - pi/2
+                    one = objective(b2)
                     case = (p, e, n, quantity, b1, g, b2)
                     assert three_angle_work(e, n, p, quantity, (b1, g, b2)) <= one + 1e-12, case
                     assert abs(three_angle_work(e, n, p, quantity, (0.0, g, b2)) - one) <= 1e-12, case
 
     def test_benchmark_settings_reach_the_scan_maximum(self):
-        """With the benchmark's 2 starts and 200 evaluations, the search
+        """With the benchmark's 2 starts and 200 evaluations, the G search
         reaches the largest of 4,000 evenly spaced values of its objective,
-        also where b2 has two local maxima."""
+        also where b2 has two local maxima, and L, which ignores the
+        settings, the largest of the oracle's values at the same angles."""
         gen = rng(311)
         scan = np.linspace(0.0, 2 * np.pi, 4000, endpoint=False)[:, None]
         twin = 0
         for i in range(300):
             p, e, n = reduction_case(gen, i)
             quantity = ("G", "L")[i % 2]
-            values = work_objective(e, n, p, quantity)(scan)
+            if quantity == "G":
+                values = work_objective(e, n, p, quantity)(scan)
+            else:
+                values = local_work_over_b2(e, n, p)(scan[:, 0] + np.pi / 2)  # the search's angle was b2 - pi/2
             twin += local_maxima(values) >= 2
             rec = max_work_fixed_entanglement(e, n, p, quantity, OptimizerSettings(starts=2, seed=i, max_evals=200))
             assert rec.value >= values.max() - 1e-12, (p, e, n, quantity)
         assert twin >= 50
+
+    def test_local_is_the_oracle_maximum(self):
+        """L, read off its stationary points, is the oracle's largest local
+        yield over b2: a 2,001-point scan of [0, pi] (the yields are even
+        and 2*pi-periodic in b2), refined by scipy's bounded search around
+        its best point.  It is never below the 24-start search that L used
+        to run, made here on the oracle's yield.  The models have inverted
+        (h < 0) and cold baths, finite beta and detuning, and E = 0 and 1
+        and n = 0, 10**20 and 1e300 recur."""
+        gen = rng(317)
+        grid = np.linspace(0.0, np.pi, 2001)
+        inverted = 0
+        for i in range(120):
+            e2 = gen.uniform(0.1, 2.0)
+            p = ModelParams(
+                e1=e2 + gen.uniform(0.05, 2.0), e2=e2, h=gen.uniform(-1.0, 2.0), k=gen.uniform(0.0, 2.0),
+                beta=gen.uniform(0.0, 10.0), delta_t=gen.uniform(0.1, 4.0),
+            )
+            e = float(i % 2) if i % 5 == 0 else gen.uniform(0.0, 1.0)
+            n = (0, 10**20, 1e300)[i % 3] if i % 4 == 0 else int(gen.integers(1, 40))
+            inverted += p.h < 0.0
+            oracle = local_work_over_b2(e, n, p)
+            scan = oracle(grid)
+            j = int(np.argmax(scan))
+            bounds = (grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)])
+            refined = minimize_scalar(lambda b2: -oracle([b2])[0], bounds=bounds, method="bounded",
+                                      options={"xatol": 1e-12})
+            searched = multistart_maximize(lambda x: oracle(x[:, 0] + np.pi / 2), 1)[1]  # 24 starts
+            value = max_work_fixed_entanglement(e, n, p, "L").value
+            assert abs(value - max(scan[j], -refined.fun)) <= 1e-9, (p, e, n)
+            assert value >= searched - 1e-12, (p, e, n)
+        assert inverted >= 30
 
     def test_steady_state_is_the_product_closed_form(self):
         """After n = 10**20 collisions with lambda(delta_t) < 0.99, qubit 2 is

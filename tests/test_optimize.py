@@ -72,11 +72,9 @@ def _objective(module, run):
 
 OBJECTIVES = {  # name: (dimension, objective, evaluation cap of the seed sweep)
     # one angle: a search shrinks only where rounding near the peak defeats a contraction;
-    # these flat peaks (Lambda about 7e-3 and 2e-5 after 3 collisions) do so within the cap test's seeds
+    # this flat peak (Lambda about 7e-3 after 3 collisions) does so within the cap test's seeds
     "G": (1, lambda: _objective(ergotropy, lambda: ergotropy.max_work_fixed_entanglement(
         0.6, 3, ModelParams(k=0.8, delta_t=0.7), "G")), 2000),
-    "L": (1, lambda: _objective(ergotropy, lambda: ergotropy.max_work_fixed_entanglement(
-        0.4, 3, ModelParams(delta_t=0.7), "L")), 2000),
     # a binding cap, as in the benchmark's blp commands; 10 grid points keep it cheap
     "BLP": (10, lambda: _objective(nonmarkov, lambda: nonmarkov.blp_measure(
         1.0, ModelParams(delta_t=1.0), grid_points=10)), 100),
