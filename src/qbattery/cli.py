@@ -8,16 +8,19 @@ blp          non-Markovianity measure per delta_t (coupling forced to 1
              unless overridden)
 fit          least-squares fit of a sweep CSV to one of the model families
 
-Configuration comes from an INI file (sections [model], [optimizer],
-[sweep], [trajectory], [blp]); command line flags override file values.
-Every simulation command requires a seed; there is no entropy default.
-Outputs are CSV/JSON with full double precision, and each run writes a
-manifest recording the resolved configuration, so identical config + seed
-reproduce byte-identical data files.  Grid points run one after another,
-each with its own seed derived from the base seed and the point's index.
+Settings come from DEFAULTS, then an INI file (sections [model],
+[optimizer], [sweep], [trajectory], [blp]), then flags.  COMMANDS names the
+sections besides [model] whose keys are a simulation command's flags, key
+delta_ts as --delta-ts.  Every simulation command requires a seed; there is
+no entropy default.  Outputs are CSV/JSON with full double precision, and
+each run writes a manifest recording [model], the command's own sections
+and, when a search ran, the seed, so identical settings reproduce
+byte-identical data files.  Grid points run one after another, each with
+its own seed derived from the base seed and the point's index.
 
 Exit codes: 0 success, 2 usage or configuration error (or out of memory,
-or a failed read or write), 3 numerical contract violation.
+or a failed read or write), 3 numerical contract violation.  A failed run
+removes the files it created.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict, replace
 from decimal import Decimal
 from functools import cache
@@ -65,17 +69,17 @@ DEFAULTS = {
     "model": asdict(ModelParams()),
     "optimizer": {key: value for key, value in asdict(OptimizerSettings()).items() if key != "seed"},
     "sweep": {
+        "quantity": "G_p",
         "entanglements": "0.0,0.2,0.4,0.6,0.8",
         "collisions": "0:30",
         "couplings": "",
-        "quantity": "G_p",
     },
     "trajectory": {
+        "quantity": "G_p",
         "entanglement": 0.6,
         "delta_ts": "0.4,1.2,1.4,1.6",
         "collisions": 5,
         "substeps": 200,
-        "quantity": "G_p",
     },
     "blp": {"delta_ts": "0.2:1.8:0.2", "grid_points": 200, "k": 1.0, "collisions": 1},
 }
@@ -224,10 +228,11 @@ def write_manifest(path: str, command: str, started: float, outputs: list[str], 
 
 
 # ---------------------------------------------------------------------------
-# commands: each writes its data files; fit returns its manifest fields
+# commands: each writes its data files; sweep and blp return whether they ran
+# a search, fit its manifest fields
 
 
-def cmd_sweep(args, cfg: dict) -> None:
+def cmd_sweep(args, cfg: dict) -> bool:
     params: ModelParams = cfg["params"]
     quantity = cfg["sweep"]["quantity"]
     e_list = parse_number_list(cfg["sweep"]["entanglements"])
@@ -243,14 +248,16 @@ def cmd_sweep(args, cfg: dict) -> None:
     base_settings = OptimizerSettings(**cfg["optimizer"])
     couplings = [replace(params, k=k) for k in k_list]
     grid = ((e, n, p) for e in e_list for n in n_list for p in couplings)
-    rows = []
+    rows, searched = [], False
     for idx, (e, n, p) in enumerate(grid):
         record = max_work_fixed_entanglement(e, n, p, quantity, settings=base_settings.for_grid_index(idx))
         rep = record.report
+        searched |= rep is not None
         search = (base_settings.starts, rep.converged) if rep else (0, True)
         rows.append((quantity, e, n, p.k, p.delta_t, record.value, *search))
     header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "converged"]
     write_csv(args.output, header, rows)
+    return searched
 
 
 def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:
@@ -300,7 +307,7 @@ def cmd_trajectory(args, cfg: dict) -> None:
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], _rows(columns))
 
 
-def cmd_blp(args, cfg: dict) -> None:
+def cmd_blp(args, cfg: dict) -> bool:
     params: ModelParams = cfg["params"]
     bcfg = cfg["blp"]
     dt_list = parse_number_list(bcfg["delta_ts"])
@@ -320,6 +327,7 @@ def cmd_blp(args, cfg: dict) -> None:
     if args.trace_output is not None:
         trace = _rows((p.delta_t, *r.lambda_trace.T) for p, r in zip(points, results))
         write_csv(args.trace_output, ["delta_t", "t", "D"], trace)
+    return True
 
 
 def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, float]]:
@@ -373,51 +381,33 @@ def cmd_fit(args, cfg: None) -> dict:
 # argument parsing
 
 
+# Each simulation command: its function, its help line, and the DEFAULTS
+# sections besides [model] whose keys are its flags.  A manifest records
+# [model] and these sections, [optimizer] and the seed only when a search ran.
+COMMANDS = {
+    "sweep": (cmd_sweep, "work records over an (E, n, k) grid", ("optimizer", "sweep")),
+    "trajectory": (cmd_trajectory, "fine-grained work trajectory per delta_t", ("trajectory",)),
+    "blp": (cmd_blp, "non-Markovianity per delta_t", ("optimizer", "blp")),
+}
+
+
 @cache  # one tree per process: argparse takes about 1 ms to build it
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qbattery",
-        description="Deterministic two-qubit battery simulator with collision noise.",
-    )
+    parser = _Parser(prog="qbattery", description="Deterministic two-qubit battery simulator with collision noise.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_optimizer=True):
+    for name, (func, summary, sections) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--seed", dest="optimizer.seed", type=int, help="base RNG seed (required)")
         p.add_argument("--threads", type=int, default=1, help="accepted and checked (>= 1); has no effect")
         p.add_argument("--output", required=True, help="output CSV path")
-        if with_optimizer:
-            p.add_argument("--starts", dest="optimizer.starts", type=int, help="multi-start count")
-            p.add_argument("--max-evals", dest="optimizer.max_evals", type=int)
-
-    p_sweep = sub.add_parser("sweep", help="work records over an (E, n, k) grid")
-    add_common(p_sweep)
-    p_sweep.add_argument("--quantity", dest="sweep.quantity", choices=QUANTITIES)
-    p_sweep.add_argument("--entanglements", dest="sweep.entanglements", help="E list, e.g. '0:1:0.1'")
-    p_sweep.add_argument("--collisions", dest="sweep.collisions", help="n list, e.g. '0:30' or '0,2,4,7,30'")
-    p_sweep.add_argument("--couplings", dest="sweep.couplings", help="k list; empty uses the model k")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_traj = sub.add_parser("trajectory", help="fine-grained work trajectory per delta_t")
-    add_common(p_traj, with_optimizer=False)
-    p_traj.add_argument("--quantity", dest="trajectory.quantity", choices=QUANTITIES)
-    p_traj.add_argument("--entanglement", dest="trajectory.entanglement", type=float)
-    p_traj.add_argument("--delta-ts", dest="trajectory.delta_ts", help="delta_t list")
-    p_traj.add_argument("--collisions", dest="trajectory.collisions", type=int)
-    p_traj.add_argument("--substeps", dest="trajectory.substeps", type=int)
-    p_traj.set_defaults(func=cmd_trajectory)
-
-    p_blp = sub.add_parser("blp", help="non-Markovianity per delta_t")
-    add_common(p_blp)
-    p_blp.add_argument("--delta-ts", dest="blp.delta_ts", help="delta_t list")
-    p_blp.add_argument("--grid-points", dest="blp.grid_points", type=int)
-    p_blp.add_argument("--k", dest="blp.k", type=float, help="coupling (default 1)")
-    p_blp.add_argument(
-        "--collisions", dest="blp.collisions", type=int,
-        help="extension: scan backflow across this many collisions (default 1)",
-    )
-    p_blp.add_argument("--trace-output", dest="trace_output", help="delta_t,t,D CSV of the best pairs' trace distance")
-    p_blp.set_defaults(func=cmd_blp)
+        for section in sections:
+            for key, default in DEFAULTS[section].items():
+                p.add_argument("--" + key.replace("_", "-"), dest=f"{section}.{key}", type=type(default),
+                               choices=QUANTITIES if key == "quantity" else None,
+                               help=f"[{section}] {key}, default {default!r}")
+    sub.choices["blp"].add_argument("--trace-output", help="delta_t,t,D CSV of the best pairs' trace distance")
 
     p_fit = sub.add_parser("fit", help="fit a sweep CSV to a model family")
     p_fit.add_argument("--model", required=True)
@@ -477,29 +467,37 @@ def _check_run(args, paths: list[str]) -> None:
 
 def main(argv=None) -> int:
     """Resolve the configuration, plan and check every file the run writes,
-    run the command, then record the run in its manifest."""
+    run the command, then record the run in its manifest.  A failed run
+    removes the regular files it created."""
     args = build_parser().parse_args(argv)
     started = time.time()
+    created: list[str] = []
     try:
         cfg = None if args.command == "fit" else resolve_config(args)
         outputs = [path for path in (args.output, getattr(args, "trace_output", None)) if path is not None]
         manifest = args.output + ".manifest.json"
         _check_run(args, [*outputs, manifest])
+        created = [path for path in (*outputs, manifest) if not os.path.lexists(path)]
         fields = args.func(args, cfg)
-        if cfg is not None:  # a simulation records its seed and resolved configuration
-            config = {section: cfg[section] for section in DEFAULTS}
-            fields = {"seed": cfg["optimizer"]["seed"], "config": config}
+        if cfg is not None:  # a simulation records the settings that shaped its data
+            searched, sections = fields, ("model", *COMMANDS[args.command][2])
+            fields = {"config": {s: cfg[s] for s in sections if searched or s != "optimizer"}}
+            if searched:
+                fields["seed"] = cfg["optimizer"]["seed"]
         write_manifest(manifest, args.command, started, outputs, **fields)
         return 0
     except ContractViolation as exc:
-        print(f"numerical contract violation: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"numerical contract violation: {exc}"
     except MemoryError:
-        print("error: out of memory: the run is too large for the memory available", file=sys.stderr)
-        return 2
+        code, message = 2, "error: out of memory: the run is too large for the memory available"
     except (ValueError, OSError) as exc:  # OSError: a file read or write failed, such as on a full disk
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}"
+    print(message, file=sys.stderr)
+    for path in created:  # what existed before the run stays
+        if os.path.isfile(path) and not os.path.islink(path):
+            with suppress(OSError):
+                os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

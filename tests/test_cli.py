@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from qbattery.cli import build_parser, main, parse_number_list, write_csv
+import qbattery.cli as cli
+from qbattery.cli import DEFAULTS, build_parser, main, parse_number_list, resolve_config, write_csv
 from qbattery.states import schmidt_gap
 
 from _oracles import csv_module_write
@@ -112,7 +113,8 @@ class TestSweepCommand:
             "--entanglements", "0.5")
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
         assert manifest["command"] == "sweep"
-        assert manifest["seed"] == 7
+        assert "seed" not in manifest  # a G_p sweep runs no search
+        assert sorted(manifest["config"]) == ["model", "sweep"]
         assert manifest["config"]["model"]["delta_t"] == 0.2
         assert manifest["outputs"] == [str(out)]
         assert "version" in manifest and "wall_time_s" in manifest
@@ -369,6 +371,40 @@ class TestFitCommand:
         assert all(v >= 0 for v in result["confidence95"].values())
 
 
+# The argv shapes of perfbench's and CI's commands, each with the namespace it
+# parses to.  The values are written out, not derived from DEFAULTS, so a
+# change there that renames, retypes or drops a flag fails here.
+PARSED = [
+    ("sweep --seed 123 --quantity G --entanglements 0.25,0.75 --collisions 0,30 --starts 2 --max-evals 200 "
+     "--output sweep.csv --threads 2",
+     {"command": "sweep", "config": None, "optimizer.seed": 123, "threads": 2, "output": "sweep.csv",
+      "optimizer.starts": 2, "optimizer.max_evals": 200, "sweep.quantity": "G", "sweep.entanglements": "0.25,0.75",
+      "sweep.collisions": "0,30", "sweep.couplings": None, "func": "cmd_sweep"}),
+    ("sweep --seed 1 --config x16.ini --quantity G_p --entanglements 0.5 --collisions 0:3 --couplings 0.5,1.5 "
+     "--output xs16.csv",
+     {"command": "sweep", "config": "x16.ini", "optimizer.seed": 1, "threads": 1, "output": "xs16.csv",
+      "optimizer.starts": None, "optimizer.max_evals": None, "sweep.quantity": "G_p", "sweep.entanglements": "0.5",
+      "sweep.collisions": "0:3", "sweep.couplings": "0.5,1.5", "func": "cmd_sweep"}),
+    ("trajectory --seed 5 --quantity L --entanglement 0.37 --delta-ts 0.2,1.8 --collisions 10 --substeps 30 "
+     "--output tl.csv --threads 2",
+     {"command": "trajectory", "config": None, "optimizer.seed": 5, "threads": 2, "output": "tl.csv",
+      "trajectory.quantity": "L", "trajectory.entanglement": 0.37, "trajectory.delta_ts": "0.2,1.8",
+      "trajectory.collisions": 10, "trajectory.substeps": 30, "func": "cmd_trajectory"}),
+    ("blp --seed 9 --delta-ts 0.6,1.6 --grid-points 200 --starts 1 --max-evals 300 --output b.csv "
+     "--trace-output tr.csv",
+     {"command": "blp", "config": None, "optimizer.seed": 9, "threads": 1, "output": "b.csv", "optimizer.starts": 1,
+      "optimizer.max_evals": 300, "blp.delta_ts": "0.6,1.6", "blp.grid_points": 200, "blp.k": None,
+      "blp.collisions": None, "trace_output": "tr.csv", "func": "cmd_blp"}),
+    ("blp --seed 1 --k 0.7 --collisions 3 --delta-ts 0.4,1.6 --grid-points 40 --starts 1 --max-evals 60 --output r.csv",
+     {"command": "blp", "config": None, "optimizer.seed": 1, "threads": 1, "output": "r.csv", "optimizer.starts": 1,
+      "optimizer.max_evals": 60, "blp.delta_ts": "0.4,1.6", "blp.grid_points": 40, "blp.k": 0.7,
+      "blp.collisions": 3, "trace_output": None, "func": "cmd_blp"}),
+    ("fit --model M4 --input f.csv --output f.json --bootstrap 50",
+     {"command": "fit", "model": "M4", "input": "f.csv", "output": "f.json", "n": None, "quantity": None,
+      "bootstrap": 50, "func": "cmd_fit"}),
+]
+
+
 class TestParser:
     def test_one_parser_serves_every_command(self):
         parser = build_parser()
@@ -378,6 +414,28 @@ class TestParser:
         assert (sweep.command, getattr(sweep, "sweep.collisions")) == ("sweep", "3")
         assert (blp.command, getattr(blp, "optimizer.seed"), blp.output) == ("blp", 2, "b.csv")
         assert not [name for name in vars(blp) if name.startswith("sweep.")]
+
+    @pytest.mark.parametrize("command, sections", [
+        ("sweep", ("optimizer", "sweep")), ("trajectory", ("trajectory",)), ("blp", ("optimizer", "blp")),
+    ])
+    def test_flags_are_the_sections_keys(self, command, sections):
+        """Each key of the command's sections is one flag, --key with - for _,
+        of its default's type; the command has no other section flag."""
+        parser = build_parser()
+        base = [command, "--seed", "1", "--output", "x.csv"]
+        dests = {name for name in vars(parser.parse_args(base)) if "." in name} - {"optimizer.seed"}
+        assert dests == {f"{section}.{key}" for section in sections for key in DEFAULTS[section]}
+        for section in sections:
+            for key, default in DEFAULTS[section].items():
+                args = parser.parse_args([*base, "--" + key.replace("_", "-"), str(default)])
+                value = getattr(args, f"{section}.{key}")
+                assert (type(value), value) == (type(default), default)
+
+    @pytest.mark.parametrize("argv, parsed", PARSED,
+                             ids=["sweep", "sweep-config", "trajectory", "blp-trace", "blp-k", "fit"])
+    def test_argv_shapes_parse_as_before(self, argv, parsed):
+        args = vars(build_parser().parse_args(argv.split()))
+        assert {**args, "func": args["func"].__name__} == parsed
 
 
 class TestExitCodes:
@@ -399,14 +457,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("sweep", "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0"),
         ("trajectory", "--delta-ts", "0.2", "--collisions", 1, "--substeps", 2),
-    ], ids=["sweep", "trajectory"])
+        ("blp", "--delta-ts", "1.6", "--grid-points", 20, "--starts", 1, "--max-evals", 20, "--trace-output", "t.csv"),
+    ], ids=["sweep", "trajectory", "blp-trace"])
     def test_failed_write_maps_to_exit_2(self, tmp_path, capsys, monkeypatch, argv, writer):
+        """The writer fails on its last call of the run (blp's write_csv on the
+        trace, after the output is written); the run leaves no file."""
+        real, calls = getattr(cli, writer), []
+        passes = argv.count("--trace-output") if writer == "write_csv" else 0
+
+        def disk_full(*args, **kwargs):
+            calls.append(args)
+            if len(calls) <= passes:
+                return real(*args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, writer, disk_full)
+        monkeypatch.chdir(tmp_path)
+        code = run(*argv, "--seed", 1, "--output", tmp_path / "x.csv")
+        assert (code, capsys.readouterr().err) == (2, "error: [Errno 28] No space left on device\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_run_keeps_files_that_existed(self, tmp_path, monkeypatch):
         def disk_full(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(f"qbattery.cli.{writer}", disk_full)
-        code = run(*argv, "--seed", 1, "--output", tmp_path / "x.csv")
-        assert (code, capsys.readouterr().err) == (2, "error: [Errno 28] No space left on device\n")
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        monkeypatch.setattr(cli, "write_manifest", disk_full)
+        assert run("sweep", "--seed", 1, "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0",
+                   "--output", out) == 2
+        assert os.listdir(tmp_path) == ["x.csv"]
 
 
 class TestDeterminism:
@@ -495,35 +575,44 @@ class TestManifests:
         manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
         assert bool(manifest["message"]) is not converged
 
-    def test_blp_flags_leave_other_sections_at_defaults(self, tmp_path):
-        from qbattery.cli import DEFAULTS
-
-        out = tmp_path / "b.csv"
-        code = run(
-            "blp", "--seed", 1, "--output", out, "--delta-ts", "0.3",
-            "--collisions", 2, "--starts", 1, "--max-evals", 20, "--grid-points", 10,
-        )
-        assert code == 0
-        config = json.loads((tmp_path / "b.csv.manifest.json").read_text())["config"]
-        assert config["trajectory"] == DEFAULTS["trajectory"]
-        assert config["sweep"] == DEFAULTS["sweep"]
-        assert config["blp"]["delta_ts"] == "0.3"
-        assert config["blp"]["collisions"] == 2
+    def test_blp_flags_leave_other_sections_at_defaults(self):
+        cfg = resolve_config(build_parser().parse_args([
+            "blp", "--seed", "1", "--output", "b.csv", "--delta-ts", "0.3",
+            "--collisions", "2", "--starts", "1", "--max-evals", "20", "--grid-points", "10",
+        ]))
+        assert cfg["model"] == DEFAULTS["model"]
+        assert cfg["trajectory"] == DEFAULTS["trajectory"]
+        assert cfg["sweep"] == DEFAULTS["sweep"]
+        assert cfg["optimizer"] == {"starts": 1, "max_evals": 20, "seed": 1}
+        assert cfg["blp"] == {**DEFAULTS["blp"], "delta_ts": "0.3", "collisions": 2, "grid_points": 10}
 
     def test_absent_store_true_flag_keeps_ini_value(self, tmp_path):
-        from qbattery.cli import DEFAULTS
-
-        cfg = tmp_path / "ps.ini"
-        cfg.write_text("[sweep]\nquantity = L\n")
-        out = tmp_path / "ps.csv"
-        code = run(
-            "sweep", "--config", cfg, "--seed", 1, "--output", out,
+        ini = tmp_path / "ps.ini"
+        ini.write_text("[sweep]\nquantity = L\ncouplings = 0.5\n\n[trajectory]\nsubsteps = 7\n")
+        cfg = resolve_config(build_parser().parse_args([
+            "sweep", "--config", str(ini), "--seed", "1", "--output", "ps.csv",
             "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0",
-        )
-        assert code == 0
-        config = json.loads((tmp_path / "ps.csv.manifest.json").read_text())["config"]
-        assert config["sweep"]["quantity"] == "G_p"
-        assert config["trajectory"] == DEFAULTS["trajectory"]
+        ]))
+        assert cfg["sweep"] == {"quantity": "G_p", "entanglements": "0.5", "collisions": "0", "couplings": "0.5"}
+        assert cfg["trajectory"] == {**DEFAULTS["trajectory"], "substeps": 7}
+
+    @pytest.mark.parametrize("argv, sections", [
+        (("sweep", "--quantity", "G", "--entanglements", "0.5", "--collisions", "0", "--starts", 1, "--max-evals", 20),
+         ["model", "optimizer", "sweep"]),
+        (("sweep", "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0"), ["model", "sweep"]),
+        (("sweep", "--quantity", "L", "--entanglements", "0.5", "--collisions", "0"), ["model", "sweep"]),
+        (("trajectory", "--delta-ts", "0.2", "--collisions", 1, "--substeps", 2), ["model", "trajectory"]),
+        (("blp", "--delta-ts", "1.6", "--grid-points", 20, "--starts", 1, "--max-evals", 20),
+         ["blp", "model", "optimizer"]),
+    ], ids=["sweep-G", "sweep-G_p", "sweep-L", "trajectory", "blp"])
+    def test_records_the_settings_that_shaped_the_data(self, tmp_path, argv, sections):
+        """[model] and the command's own sections; [optimizer] and the seed
+        only when a search ran."""
+        out = tmp_path / "x.csv"
+        assert run(*argv, "--seed", 3, "--output", out) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert sorted(manifest["config"]) == sections
+        assert manifest.get("seed") == (3 if "optimizer" in sections else None)
 
 
 class TestRejectedRuns:
