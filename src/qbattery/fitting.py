@@ -10,23 +10,21 @@ g(E) = sqrt(2**(E+1) - 2**(2E)):
 
 Every family is separable, and variable projection (Golub & Pereyra, SIAM J.
 Numer. Anal. 10, 413 (1973); O'Leary & Rust, Comput. Optim. Appl. 54, 579
-(2013)) is the one solver, for a fit, a refit from ``init`` and every
-bootstrap draw.  M1 is linear in (3*c*a, -3*c) and is solved in closed form;
-it has one minimum, so ``init`` is only checked for its shape.  M2, M3 and
-M4 are one form, scale*u*shape(E) + v*exp(k*phi(E)), built by
-``_separable``: the rate k is a in M2 and M4 (phi(E) = E) and r in M3
-(phi(E) = E**3), and u and v enter linearly.  For a fixed k, u and v come
-from a linear least-squares solve, which leaves a one-dimensional profile
-SSE(k), scanned on RATE_GRID: k in [-8, 8] in steps of 0.01.  The search
-takes the best grid point, the global minimum over the scan, or with
-``init`` the local minimum reached downhill from the grid point nearest
-init's rate.  A root search (`_roots`, regula falsi with the Illinois
-modification) then finds the zero of the profile's analytic slope dSSE/dk
-between that point's two neighbours; the slope, unlike differences of SSE,
-is not lost in rounding, so the rate is the stationary point to about
-1e-12.  No rate outside [-8, 8] is reached: a search that
-stops at the scan's edge is reported as not converged, in a message that
-names the edge, and a flat profile (say all-zero data) as an undetermined rate.
+(2013)) is the one solver, for a fit and every bootstrap draw.  M1 is linear
+in (3*c*a, -3*c) and is solved in closed form.  M2, M3 and M4 are one form,
+scale*u*shape(E) + v*exp(k*phi(E)), built by ``_separable``: the rate k is a
+in M2 and M4 (phi(E) = E) and r in M3 (phi(E) = E**3), and u and v enter
+linearly.  For a fixed k, u and v come from a linear least-squares solve,
+which leaves a one-dimensional profile SSE(k), scanned on RATE_GRID: k in
+[-8, 8] in steps of 0.01.  A fit and each bootstrap draw start from their
+own best grid point, the global minimum over the scan.  A root search
+(`_roots`, regula falsi with the Illinois modification) then finds the zero
+of the profile's analytic slope dSSE/dk between that point's two
+neighbours; the slope, unlike differences of SSE, is not lost in rounding,
+so the rate is the stationary point to about 1e-12.  No rate outside
+[-8, 8] is reached: a search that stops at the scan's edge is reported as
+not converged, in a message that names the edge, and a flat profile (say
+all-zero data) as an undetermined rate.
 
 A solve takes all its rows at once, the fit's one row or every bootstrap
 draw: one matrix product per chunk of rows gives their scans, and the root
@@ -38,8 +36,9 @@ imports scipy.
 
 The 95% confidence half-widths come from the linearized covariance at the
 optimum, scaled by the residual variance and the two-sided 95% normal
-quantile, or with ``bootstrap`` from the percentiles of seeded
-residual-resampling draws, each refitted from the fitted rate.  Draws whose
+quantile, or with ``bootstrap`` from the percentiles of residual-resampling
+draws (seed BOOTSTRAP_SEED), each refitted as a fit of its own: the draw's
+scan minimum is its start, so a draw may leave the fitted basin.  Draws whose
 rate was not bracketed are counted in the message, and the fit reads not
 converged.
 """
@@ -61,6 +60,7 @@ RATE_GRID = np.linspace(-8.0, 8.0, 1601)  # profile scan of a (M2, M4) or r (M3)
 # multiply-adds on one thread, so the scan never wakes a second core
 SCAN_SIZE = 2**18
 ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 2e-12, 4 * np.finfo(float).eps, 100  # the rate's root search
+BOOTSTRAP_SEED = 0  # the residual draws' seed: a fit is a function of its data alone
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class FitModel:
     param_names: tuple[str, ...]
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]  # d predict / d params
-    # E -> a solve of (values (rows, n), init or None) giving parameters (rows,
-    # n_par), and per row the root search's rounds and a note that is empty
-    # where the rate was bracketed
-    solver: Callable[[np.ndarray], Callable[..., tuple[np.ndarray, Sequence[int], Sequence[str]]]]
+    # E -> a solve of values (rows, n) giving parameters (rows, n_par), and per
+    # row the root search's rounds and a note that is empty where the rate was
+    # bracketed
+    solver: Callable[[np.ndarray], Callable[[np.ndarray], tuple[np.ndarray, Sequence[int], Sequence[str]]]]
 
 
 def _over(num, den):
@@ -130,20 +130,20 @@ def _roots(f, lo, hi, f_lo, f_hi):
     return roots, rounds
 
 
-def _profile(base, t):
-    """The rate's profile solver for one design: for rows y (rows, n) and an
-    init rate or None, (k, v, u) minimising |y - u*base - v*exp(k*t)| per
-    row, with the root search's rounds and a note that is empty where it bracketed
-    k.  The scan's columns are orthogonalised here, once for a fit and all
-    its bootstrap draws."""
+def _profile(base, t, order):
+    """The rate's profile solver for one design: for rows y (rows, n), the
+    (k, v, u) minimising |y - u*base - v*exp(k*t)| per row, reached from the
+    row's scan minimum and given as the columns ``order`` of (k, v, u), with
+    the root search's rounds and a note that is empty where it bracketed k.
+    The scan's columns are orthogonalised here, once for a fit and all its
+    bootstrap draws."""
     bb = base @ base
     grid_perp = _perp(np.exp(np.multiply.outer(RATE_GRID, t)), base, bb)
     grid_inv = _over(1.0, np.einsum("ij,ij->i", grid_perp, grid_perp))
     last, chunk = len(RATE_GRID) - 1, max(1, SCAN_SIZE // grid_perp.size)
 
-    def solve(y, init_rate):
+    def solve(y):
         y_perp = _perp(y, base, bb)
-        near = None if init_rate is None else int(np.argmin(np.abs(RATE_GRID - init_rate)))
         j, flat = np.empty(len(y), dtype=int), np.empty(len(y), dtype=bool)
         for at in range(0, len(y), chunk):  # a chunk of rows at a time: memory stays O(chunk*grid)
             rows = y_perp[at : at + chunk]
@@ -152,13 +152,7 @@ def _profile(base, t):
             s *= grid_inv
             s = np.subtract((rows * rows).sum(-1)[:, None], s, out=s)
             flat[at : at + len(s)] = s.max(-1) == s.min(-1)
-            starts = s.argmin(-1).tolist() if near is None else [near] * len(s)
-            for i, (row, jj) in enumerate(zip(s, starts)):
-                while jj < last and row[jj + 1] < row[jj]:  # downhill to a local minimum of the scan
-                    jj += 1
-                while jj > 0 and row[jj - 1] < row[jj]:
-                    jj -= 1
-                j[at + i] = jj
+            j[at : at + len(s)] = s.argmin(-1)
         lo, hi = RATE_GRID[np.maximum(j - 1, 0)], RATE_GRID[np.minimum(j + 1, last)]
         down, up = _slopes(lo, base, t, y_perp, bb), _slopes(hi, base, t, y_perp, bb)
         k, iterations = RATE_GRID[j], np.zeros(len(y), dtype=int)
@@ -176,7 +170,7 @@ def _profile(base, t):
         ]
         x, _, v = _project(k, base, t, y_perp, bb)
         u = _over(_dots(y - v[:, None] * x, base), bb)
-        return np.column_stack([k, v, u]), iterations.tolist(), notes
+        return np.column_stack([k, v, u])[:, order], iterations.tolist(), notes
 
     return solve
 
@@ -191,7 +185,7 @@ def _m1_jacobian(e, p):
     return np.column_stack([3.0 * (a - schmidt_gap(e)), np.full(len(e), 3.0 * c)])
 
 
-def _m1_solve(e, y, init=None):
+def _m1_solve(e, y):
     """Closed form: y = alpha + beta*g with alpha = 3*c*a and beta = -3*c."""
     basis = np.column_stack([np.ones_like(e), schmidt_gap(e)])
     (alpha, beta), *_ = np.linalg.lstsq(basis, y.T, rcond=None)
@@ -219,16 +213,7 @@ def _separable(name, names, scale, shape, phi, order) -> FitModel:
         x = np.exp(k * t)
         return np.column_stack([v * t * x, x, scale * shape(e)])[:, order]
 
-    def solver(e):
-        profile = _profile(scale * shape(e), phi(e))
-
-        def solve(y, init=None):
-            kvu, iterations, notes = profile(y, None if init is None else init[where[0]])
-            return kvu[:, order], iterations, notes
-
-        return solve
-
-    return FitModel(name, names, predict, jacobian, solver)
+    return FitModel(name, names, predict, jacobian, lambda e: _profile(scale * shape(e), phi(e), order))
 
 
 def _one_plus_gap(e):
@@ -278,18 +263,17 @@ def _split_data(data) -> tuple[np.ndarray, np.ndarray]:
     return e, y
 
 
-def fit_curve(model, data, init=None, bootstrap: int = 0, bootstrap_seed: int = 0) -> FitResult:
+def fit_curve(model, data, bootstrap: int = 0) -> FitResult:
     """Least-squares fit of a model family to (E, value) pairs.
 
-    Without ``init`` the result is the global minimum over the rate scan;
-    with it, the local minimum nearest init's rate.  Never raises on
+    The result is the global minimum over the rate scan.  Never raises on
     numerical trouble: a rate that the root search could not bracket (such
     as one at the scan's edge), in the fit or in any bootstrap draw, and
     singular normal equations are reported through ``converged`` and
     ``message``.  With ``bootstrap > 0`` the confidence half-widths come
-    from that many seeded residual-resampling refits (percentile based)
-    instead of the linearized covariance; a negative ``bootstrap`` raises
-    ValueError.
+    from the percentiles of that many residual-resampling draws, each fitted
+    like the data from its own scan minimum, instead of the linearized
+    covariance; a negative ``bootstrap`` raises ValueError.
     """
     mdl = _resolve_model(model)
     if bootstrap < 0:
@@ -298,13 +282,9 @@ def fit_curve(model, data, init=None, bootstrap: int = 0, bootstrap_seed: int = 
     n_par = len(mdl.param_names)
     if len(e) < n_par + 1:
         raise ValueError(f"need at least {n_par + 1} data points, got {len(e)}")
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (n_par,):
-            raise ValueError(f"init must have {n_par} entries, got {init.shape}")
 
     solve = mdl.solver(e)
-    fitted, iterations, note = (out[0] for out in solve(y[None], init))
+    fitted, iterations, note = (out[0] for out in solve(y[None]))
     problems = [note] if note else []
     base = mdl.predict(e, fitted)
     sse = float((base - y) @ (base - y))
@@ -319,10 +299,10 @@ def fit_curve(model, data, init=None, bootstrap: int = 0, bootstrap_seed: int = 
         problems.append("singular normal equations")
     half = Z95 * np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    if bootstrap > 0:  # every draw refitted by the same solve, from the fitted rate
-        gen = np.random.default_rng(bootstrap_seed)
+    if bootstrap > 0:  # every draw refitted by the same solve as the data
+        gen = np.random.default_rng(BOOTSTRAP_SEED)
         y_star = base + gen.choice(y - base, size=(bootstrap, len(e)), replace=True)
-        refits, _, notes = solve(y_star, fitted)
+        refits, _, notes = solve(y_star)
         lo, hi = np.percentile(refits, [2.5, 97.5], axis=0)
         half = 0.5 * (hi - lo)
         problems += [f"{count} of {bootstrap} bootstrap draws: {note}"

@@ -49,6 +49,6 @@ def haar_unitaries(gen: np.random.Generator, count: int, dim: int) -> np.ndarray
 
 
 def global_start(model: str, e, y) -> np.ndarray:
-    """The global least-squares parameters of a fit family: its solve without
-    init, the best over the whole rate scan."""
-    return MODELS[model].solver(np.asarray(e))(np.asarray(y)[None], None)[0][0]
+    """The global least-squares parameters of a fit family: its solve, the
+    best over the whole rate scan."""
+    return MODELS[model].solver(np.asarray(e))(np.asarray(y)[None])[0][0]

@@ -191,7 +191,8 @@ def test_criterion_09_fit_pipeline():
     )
     res = fit_curve("M1", data)
     assert res.residual <= 1e-3
-    refit = fit_curve("M1", data, init=np.array([res.params["c"], res.params["a"]]))
+    curve = MODELS["M1"].predict(e_grid, np.array([res.params["c"], res.params["a"]]))
+    refit = fit_curve("M1", np.column_stack([e_grid, curve]))
     assert max(abs(refit.params[k] - res.params[k]) for k in ("c", "a")) < 1e-8
 
     exact = np.column_stack([e_grid, MODELS["M1"].predict(e_grid, np.array([0.54, 1.0]))])

@@ -72,8 +72,6 @@ def test_m2_start_is_the_global_minimum():
     truth = np.array(TRUTHS["M2"])
     data = np.column_stack([E_GRID, MODELS["M2"].predict(E_GRID, truth)])
     assert np.allclose(global_start("M2", *data.T), truth, atol=1e-8)
-    wrong = fit_curve("M2", data, init=np.array([2.37, -0.09, 0.70]))
-    assert wrong.residual > 1e-3
     assert fit_curve("M2", data).residual <= 1e-20
 
 
@@ -104,8 +102,9 @@ def test_jittered_recovery_and_fixed_point(model):
         assert first.converged, (model, seed)
         for name, value in zip(names, truth):
             assert abs(first.params[name] - value) <= 3 * first.confidence95[name], (model, seed)
-        second = fit_curve(model, data, init=vec(first))
-        assert np.max(np.abs(vec(second) - vec(first))) < 1e-10, (model, seed)
+        # the fitted curve, fitted again, gives back the same parameters
+        second = fit_curve(model, np.column_stack([E_GRID, MODELS[model].predict(E_GRID, vec(first))]))
+        assert np.max(np.abs(vec(second) - vec(first))) < 1e-8, (model, seed)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -141,18 +140,18 @@ def test_non_finite_row_is_named():
 
 
 @pytest.mark.parametrize("model", ["M2", "M3", "M4"])
-def test_bootstrap_refits_each_draw_as_a_fit_from_init(model):
+def test_bootstrap_refits_each_draw_as_a_fit(model):
+    # each draw's parameters are those of a lone fit of the draw
     draws = 40
-    for seed in range(3):
+    for seed in range(6):
         _, data = jittered(model, seed, noise=1e-2)
-        boot = fit_curve(model, data, bootstrap=draws, bootstrap_seed=seed)
-        fitted = vec(boot)
-        base = MODELS[model].predict(E_GRID, fitted)
-        gen = np.random.default_rng(seed)
+        boot = fit_curve(model, data, bootstrap=draws)
+        base = MODELS[model].predict(E_GRID, vec(boot))
+        gen = np.random.default_rng(fitting.BOOTSTRAP_SEED)
         refits = []
         for _ in range(draws):
             y_star = base + gen.choice(data[:, 1] - base, size=len(E_GRID), replace=True)
-            refits.append(vec(fit_curve(model, np.column_stack([E_GRID, y_star]), init=fitted)))
+            refits.append(vec(fit_curve(model, np.column_stack([E_GRID, y_star]))))
         lo, hi = np.percentile(refits, [2.5, 97.5], axis=0)
         half = np.array([boot.confidence95[n] for n in MODELS[model].param_names])
         assert np.allclose(0.5 * (hi - lo), half, rtol=1e-9, atol=0.0), (model, seed)
@@ -168,12 +167,19 @@ def test_rate_past_the_scan_is_reported():
 
 
 def test_bootstrap_draws_past_the_scan_are_reported():
-    # Fitted a = 7.85; half the draws' least-squares rates lie past RATE_GRID.
+    # Fitted a = 7.85; 21 of the draws' least-squares rates lie past RATE_GRID.
     _, data = jittered("M4", 17, noise=1e-2)
     assert fit_curve("M4", data).converged
-    boot = fit_curve("M4", data, bootstrap=50, bootstrap_seed=17)
+    boot = fit_curve("M4", data, bootstrap=50)
     assert not boot.converged
-    assert boot.message == "25 of 50 bootstrap draws: rate stopped at 8, the edge of the scan [-8, 8]"
+    assert boot.message == "21 of 50 bootstrap draws: rate stopped at 8, the edge of the scan [-8, 8]"
+
+
+def test_bootstrap_draws_leave_the_fitted_basin():
+    # M4's rate is not identified at this noise: 14 of the 50 draws have their
+    # least-squares rate above 1.5, in a second basin, and the interval says so.
+    _, data = jittered("M4", 3, noise=1e-2)
+    assert fit_curve("M4", data, bootstrap=50).confidence95["a"] >= 1.0
 
 
 @pytest.mark.parametrize("model", ["M2", "M3", "M4"])
@@ -295,10 +301,10 @@ def test_root_search_lane_at_the_iteration_cap(monkeypatch):
 def test_unconverged_brent_is_reported(monkeypatch):
     # a cap of 2 rounds stops every lane of these fits early
     monkeypatch.setattr(fitting, "ROOT_MAXITER", 2)
-    truth, data = jittered("M4", 0)
+    _, data = jittered("M4", 0)
     res = fit_curve("M4", data)
     assert (res.iterations, res.converged) == (2, False)
     assert res.message == "the rate's root search did not converge in 2 iterations"
-    res = fit_curve("M4", data, init=truth, bootstrap=5)
+    res = fit_curve("M4", data, bootstrap=5)
     assert not res.converged
     assert res.message.endswith("5 of 5 bootstrap draws: the rate's root search did not converge in 2 iterations")
