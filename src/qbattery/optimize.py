@@ -237,8 +237,10 @@ def multistart_maximize(
     objective takes a (k, dim) batch of points and returns their k values;
     the starts' searches run in lock-step (`_nelder_mead`).  Returns
     (best_x, best_value, report); the report counts evaluations in points
-    and flags non-convergence (no second start agreeing with the best
-    within AGREE_TOL) instead of raising.
+    and flags non-convergence instead of raising.  A search is converged
+    when its best start stopped on its tolerances, within max_evals
+    evaluations (where scipy's Nelder-Mead reports success), and, with more
+    than one start, a second start agrees with the best within AGREE_TOL.
     """
     settings = settings or OptimizerSettings()
     solutions, values, evaluations = _nelder_mead(
@@ -248,7 +250,7 @@ def multistart_maximize(
     best = int(np.argmax(values))
     agree = int(np.sum(values >= values[best] - AGREE_TOL))
     report = OptimizerReport(
-        converged=settings.starts == 1 or agree >= 2,
+        converged=bool(evaluations[best] < settings.max_evals) and (settings.starts == 1 or agree >= 2),
         evaluations=int(evaluations.sum()),
     )
     return solutions[best], float(values[best]), report

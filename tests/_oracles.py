@@ -405,10 +405,10 @@ def scipy_start_points(dim: int, settings: OptimizerSettings) -> np.ndarray:
     return pts
 
 
-def scipy_nelder_mead(fun, x0, max_evals: int) -> tuple[np.ndarray, float, int, list[tuple[int, str]]]:
+def scipy_nelder_mead(fun, x0, max_evals: int) -> tuple[np.ndarray, float, int, list[tuple[int, str]], bool]:
     """Reference for qbattery.optimize._nelder_mead: scipy's
     minimize(method="Nelder-Mead") with the package's options, as (x, value,
-    evaluations, steps).  steps holds one (evaluations before it, kind) per
+    evaluations, steps, success).  steps holds one (evaluations before it, kind) per
     finished iteration, kind being "reflect", "expand", "contract" or
     "shrink", read off how many evaluations it made and whether its
     reflection beat every earlier value."""
@@ -430,7 +430,7 @@ def scipy_nelder_mead(fun, x0, max_evals: int) -> tuple[np.ndarray, float, int, 
             kind = "shrink"
         steps.append((start, kind))
         start = end
-    return res.x, res.fun, res.nfev, steps
+    return res.x, res.fun, res.nfev, steps, res.success
 
 
 def scipy_brent_root(f, lo: float, hi: float) -> tuple[float, int]:

@@ -2,16 +2,22 @@ import csv
 import errno
 import json
 import os
+import shlex
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qbattery.cli as cli
+import qbattery.collision as collision
 from qbattery.cli import DEFAULTS, build_parser, main, parse_number_list, resolve_config, write_csv
 from qbattery.states import schmidt_gap
 
 from _oracles import csv_module_write
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
 
 def read_csv(path):
@@ -72,19 +78,36 @@ class TestWriteCsv:
 
 
 class TestSweepCommand:
-    def test_direct_quantity_matches_closed_form(self, tmp_path):
-        out = tmp_path / "gp.csv"
+    # before any collision, with gap g = schmidt_gap(E): the locally passive
+    # state's yield, and the G search's and L's stationary points' maxima
+    CLOSED_FORMS = {"G_p": lambda g: 3.0 * (1.0 - g), "G": lambda g: 3.0 * (1.0 + g), "L": lambda g: 6.0 * g}
+
+    @pytest.mark.parametrize("quantity", CLOSED_FORMS)
+    def test_direct_quantity_matches_closed_form(self, tmp_path, quantity):
+        out = tmp_path / "n0.csv"
         code = run(
-            "sweep", "--seed", 1, "--output", out, "--quantity", "G_p",
-            "--entanglements", "0:1:0.1", "--collisions", "0", "--threads", 2,
+            "sweep", "--seed", 1, "--output", out, "--quantity", quantity,
+            "--entanglements", "0:1:0.1,0.125:0.875:0.25", "--collisions", "0", "--threads", 2,
         )
         assert code == 0
         rows = read_csv(out)
-        assert len(rows) == 11
+        assert [float(r["E"]) for r in rows] == [j / 10 for j in range(11)] + [j / 8 for j in (1, 3, 5, 7)]
         for row in rows:
-            want = 3.0 * (1.0 - schmidt_gap(float(row["E"])))
+            want = self.CLOSED_FORMS[quantity](schmidt_gap(float(row["E"])))
             assert abs(float(row["value"]) - want) <= 1e-9
-            assert row["quantity"] == "G_p"
+            assert row["quantity"] == quantity
+
+    def test_capped_search_reads_unconverged(self, tmp_path):
+        """A one-start G search cut off by --max-evals reads converged false;
+        the default 24 starts reach the maximum and read true."""
+        values = {}
+        for cap in (("--starts", 1, "--max-evals", 1), ()):
+            out = tmp_path / "g.csv"
+            assert run("sweep", "--seed", 1, "--quantity", "G", "--entanglements", "0.5", "--collisions", 1,
+                       *cap, "--output", out) == 0
+            (row,) = read_csv(out)
+            values[cap] = (round(float(row["value"]), 4), row["converged"])
+        assert values == {("--starts", 1, "--max-evals", 1): (4.5881, "false"), (): (5.1512, "true")}
 
     def test_empty_entanglement_list_is_usage_error(self, tmp_path):
         code = run(
@@ -192,12 +215,44 @@ class TestTrajectoryCommand:
         assert min(interior) < values[-1] - 1e-4
 
     def test_single_substep_is_boundary_sweep(self, tmp_path):
+        """Trajectory's damping at Lambda on its sample grid and sweep G_p's
+        at lambda(delta_t)**n agree at every collision boundary, below the
+        cut-off (delta_t 0.2) and past it (1.6, set in the INI)."""
         out = tmp_path / "bound.csv"
-        run(
+        assert run(
             "trajectory", "--seed", 3, "--output", out, "--entanglement", 0.2,
-            "--delta-ts", "0.2", "--collisions", 4, "--substeps", 1,
-        )
-        assert len(read_csv(out)) == 5
+            "--delta-ts", "0.2,1.6", "--collisions", 4, "--substeps", 1,
+        ) == 0
+        rows = read_csv(out)
+        assert len(rows) == 2 * 5
+        for dt in (0.2, 1.6):
+            config = tmp_path / "dt.ini"
+            config.write_text(f"[model]\ndelta_t = {dt}\n")
+            swept = tmp_path / "sweep.csv"
+            assert run("sweep", "--seed", 3, "--config", config, "--quantity", "G_p", "--entanglements", 0.2,
+                       "--collisions", "0:4", "--output", swept) == 0
+            want = [float(r["value"]) for r in read_csv(swept)]
+            got = [float(r["value"]) for r in rows if float(r["delta_t"]) == dt]
+            assert len(got) == len(want) == 5
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (dt, got, want)
+
+    def test_write_memory_is_bounded(self, tmp_path, monkeypatch):
+        """The yields are damped, and the rows formatted, DAMP_CHUNK samples at
+        a time: 40,001 rows peak at about 1.6 MB of Python allocations, where
+        the rows held as one list would take about 7.5 MB and the damped
+        (40,001, 4, 4) stack 10 MB."""
+        for module in (collision, cli):
+            monkeypatch.setattr(module, "DAMP_CHUNK", 256)
+        out = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            code = run("trajectory", "--seed", 1, "--collisions", 2000, "--substeps", 20, "--delta-ts", "1.0",
+                       "--output", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(read_csv(out)) == 40_001
+        assert peak < 4e6, peak
 
 
 class TestBlpCommand:
@@ -359,19 +414,22 @@ class TestFitCommand:
                    "--output", tmp_path / "f.json")
         assert code == 2
 
-    def test_bootstrap_flag(self, tmp_path):
+    # every fit family: M1's closed form, the rate of E in M2 and M4, and M3's rate of E**3
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_bootstrap_flag(self, tmp_path, model):
         sweep_out = tmp_path / "boot_in.csv"
         run("sweep", "--seed", 1, "--output", sweep_out, "--quantity", "G_p",
             "--entanglements", "0:1:0.1", "--collisions", "4")
         fit_out = tmp_path / "boot.json"
-        code = run("fit", "--model", "M1", "--input", sweep_out,
+        code = run("fit", "--model", model, "--input", sweep_out,
                    "--output", fit_out, "--bootstrap", 40)
         assert code == 0
         result = json.loads(fit_out.read_text())
+        assert result["model"] == model
         assert all(v >= 0 for v in result["confidence95"].values())
 
 
-# The argv shapes of perfbench's and CI's commands, each with the namespace it
+# The argv shapes of perfbench's commands, each with the namespace it
 # parses to.  The values are written out, not derived from DEFAULTS, so a
 # change there that renames, retypes or drops a flag fails here.
 PARSED = [
@@ -436,6 +494,19 @@ class TestParser:
     def test_argv_shapes_parse_as_before(self, argv, parsed):
         args = vars(build_parser().parse_args(argv.split()))
         assert {**args, "func": args["func"].__name__} == parsed
+
+    def test_workflow_commands_parse(self):
+        """Every `qbattery <command> ...` line of the CI workflow, its
+        backslash continuations joined and cut at the first shell operator,
+        parses: a renamed or retyped flag fails here, not only on a runner."""
+        text = WORKFLOW.read_text().replace("\\\n", " ")
+        commands = []
+        for line in text.splitlines():
+            if line.strip().startswith("qbattery ") and "--help" not in line:
+                words = shlex.split(line, comments=True)
+                end = next((i for i, word in enumerate(words) if word in ("||", "&&", "|", ";")), len(words))
+                commands.append(build_parser().parse_args(words[1:end]).command)
+        assert sorted(set(commands)) == ["blp", "fit", "sweep", "trajectory"], commands
 
 
 class TestExitCodes:
@@ -510,6 +581,26 @@ class TestDeterminism:
         assert run(*argv_base, "--output", out1, "--threads", 1) == 0
         assert run(*argv_base, "--output", out4, "--threads", 4) == 0
         assert out1.read_bytes() == out4.read_bytes()
+
+    def test_repeat_fit_identical(self, tmp_path):
+        """The bootstrap draws take a fixed seed, so a second run of a fit
+        writes the same bytes."""
+        data = tmp_path / "g.csv"
+        assert run("sweep", "--seed", 1, "--quantity", "G_p", "--entanglements", "0:1:0.25", "--collisions", "0,3",
+                   "--output", data) == 0
+        outs = [tmp_path / "f1.json", tmp_path / "f2.json"]
+        for out in outs:
+            assert run("fit", "--model", "M4", "--input", data, "--n", 3, "--bootstrap", 10, "--output", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_l_sweep_ignores_search_settings(self, tmp_path):
+        """L is read off its stationary points with no search, so its sweep
+        ignores --seed, --starts and --max-evals."""
+        argv_base = ["sweep", "--quantity", "L", "--entanglements", "0:1:0.25", "--collisions", "0,3,30"]
+        out1, out2 = tmp_path / "l1.csv", tmp_path / "l2.csv"
+        assert run(*argv_base, "--seed", 1, "--output", out1) == 0
+        assert run(*argv_base, "--seed", 7, "--starts", 3, "--max-evals", 20, "--output", out2) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_repeat_run_identical(self, tmp_path):
         argv_base = [
@@ -769,15 +860,17 @@ class TestRejectedRuns:
 
     @pytest.mark.filterwarnings("error")  # as above: a warning would print on stderr
     def test_collision_count_past_the_float_range(self, tmp_path, capsys):
+        """Past int64, and up to the float range, G_p reads its steady work."""
         config = tmp_path / "big.ini"
         config.write_text("[model]\ndelta_t = 1.0\n")
         out = tmp_path / "s.csv"
         code = run("sweep", "--seed", 1, "--config", config, "--quantity", "G_p", "--entanglements", "0.5",
-                   "--collisions", "1.7e308", "--output", out)
+                   "--collisions", "100000000000000000000,1e300,1.7e308", "--output", out)
         assert (code, capsys.readouterr().err) == (0, "")
-        with open(out, newline="") as fh:
-            (row,) = csv.DictReader(fh)
-        assert abs(float(row["value"]) - 0.0898202747532375) <= 1e-12  # the steady work
+        rows = read_csv(out)
+        assert [int(r["n"]) for r in rows] == [10**20, int(1e300), int(1.7e308)]
+        assert len({r["value"] for r in rows}) == 1  # byte-equal values
+        assert abs(float(rows[0]["value"]) - 0.0898202747532375) <= 1e-12  # the steady work
 
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):

@@ -14,11 +14,11 @@ from qbattery.ergotropy import global_ergotropy, local_ergotropy, trajectory_wor
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
 from qbattery.optimize import OptimizerSettings
-from qbattery.states import locally_passive_state, projector
+from qbattery.states import fixed_entanglement_state, locally_passive_state, projector
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
 from _oracles import blp_functional, dense_backflow_lower_bound, dense_collisions, run_collisions
-from test_transfer import PROPERTY, seed_st, varied
+from test_transfer import PROPERTY, params_st, seed_st, varied
 
 P = ModelParams()
 
@@ -175,6 +175,40 @@ class TestCutoffTime:
             h = battery_hamiltonian(p)
             assert abs(global_ergotropy(states[0], h) - global_ergotropy(states[1], h)) <= 1e-12
             assert abs(local_ergotropy(states[0], p) - local_ergotropy(states[1], p)) <= 1e-12
+
+    # the paper's states: G_p's locally passive state, and the zero-angle
+    # chart point that the trajectories of G and L start from
+    PAPER_STATES = {
+        "G_p": (locally_passive_state, "global"),
+        "G": (lambda e: fixed_entanglement_state(e, np.zeros(6)), "global"),
+        "L": (lambda e: fixed_entanglement_state(e, np.zeros(6)), "local"),
+    }
+
+    def work_against_lambda(self, p: ModelParams, entanglement: float, quantity: str) -> np.ndarray:
+        """Each sample step's change of work times the sign of Lambda's change,
+        over three collisions of 40 samples each."""
+        state, mode = self.PAPER_STATES[quantity]
+        traj = fine_trajectory(projector(state(entanglement)), 3, 40, p)
+        return np.diff(trajectory_work(traj, mode)) * np.sign(np.diff(traj.lam))
+
+    @PROPERTY
+    @given(params_st.filter(lambda p: p.h > 0), st.floats(0.0, 1.0))
+    def test_work_moves_with_lambda(self, p, entanglement):
+        """With h > 0, the domain of this identity, the work of each of the
+        paper's states moves the same way as Lambda at every step, so the
+        work rises inside a collision exactly where Lambda does: past the
+        cut-off.  test_inverted_bath_breaks_the_identity pins its limit."""
+        for quantity in self.PAPER_STATES:
+            assert self.work_against_lambda(p, entanglement, quantity).min() >= -1e-12, quantity
+
+    def test_inverted_bath_breaks_the_identity(self):
+        """With h < 0 the work of G_p and L falls while Lambda rises; G's
+        still moves with Lambda here.  Over 300 random models with h < 0, on
+        this grid, the identity failed for G_p in 168 and for L in 255, and
+        never for G."""
+        p = ModelParams(h=-1.0, delta_t=1.6)
+        worst = {q: self.work_against_lambda(p, 0.5, q).min() for q in self.PAPER_STATES}
+        assert worst["G_p"] < -0.05 and worst["L"] < -5e-3 and worst["G"] >= -1e-12, worst
 
 
 class TestRisingRuns:

@@ -122,6 +122,27 @@ class TestNelderMead:
             assert _same(_nelder_mead(fun, x0, cap), scipy_nelder_mead(fun, x0, cap)), cap
 
 
+class TestConverged:
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_one_start_reads_scipys_success(self, name):
+        """A one-start search is converged exactly when scipy's Nelder-Mead
+        from the same start reports success: when it stopped on its
+        tolerances before max_evals evaluations, not when the cap cut it off."""
+        dim, make, cap = OBJECTIVES[name]
+        fun = make()
+        for seed in range(10):
+            shift = start_points(dim, OptimizerSettings(starts=2, seed=seed))[1]
+            shifted = lambda x: fun(x + shift)  # a one-start search starts at zero
+            _, _, needed, _, stopped = scipy_nelder_mead(shifted, np.zeros(dim), cap)
+            # a cap of exactly `needed` still ends the search before its tolerance check; needed + 1 does not
+            edges = {needed - 1, needed, needed + 1} if stopped else set()
+            for max_evals in sorted({1, dim + 1, cap, *edges}):
+                success = scipy_nelder_mead(shifted, np.zeros(dim), max_evals)[4]
+                settings = OptimizerSettings(starts=1, max_evals=max_evals)
+                report = multistart_maximize(lambda x: -shifted(x), dim, settings)[2]
+                assert report.converged is success, (seed, max_evals, needed)
+
+
 class TestLockStep:
     """multistart_maximize runs every start's search in lock-step, one
     batched objective call per round (the optimize module docstring)."""
