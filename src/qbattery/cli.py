@@ -13,9 +13,10 @@ Settings come from DEFAULTS, then an INI file (sections [model],
 sections besides [model] whose keys are a simulation command's flags, key
 delta_ts as --delta-ts.  Every simulation command requires a seed; there is
 no entropy default.  Outputs are CSV/JSON with full double precision, and
-each run writes a manifest recording [model], the command's own sections
-and, when a search ran, the seed, so identical settings reproduce
-byte-identical data files.  Grid points run one after another, each with
+each run writes a manifest recording [model] without the keys the
+command's own sections replace (REPLACED), those sections and, when a
+search ran, the seed, so identical settings reproduce byte-identical data
+files.  Grid points run one after another, each with
 its own seed derived from the base seed and the point's index.
 
 Exit codes: 0 success, 2 usage or configuration error (or out of memory,
@@ -29,6 +30,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -56,6 +58,12 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """The root parser and, as their class, every subparser: a flag is
+    spelled in full, so --substep is no --substeps."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         """Exit 2 with one stderr line, like every other usage error."""
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -228,11 +236,11 @@ def write_manifest(path: str, command: str, started: float, outputs: list[str], 
 
 
 # ---------------------------------------------------------------------------
-# commands: each writes its data files; sweep and blp return whether they ran
-# a search, fit its manifest fields
+# commands: each writes its data files and returns its own manifest fields,
+# among them the seed when it ran a search
 
 
-def cmd_sweep(args, cfg: dict) -> bool:
+def cmd_sweep(args, cfg: dict) -> dict:
     params: ModelParams = cfg["params"]
     quantity = cfg["sweep"]["quantity"]
     e_list = parse_number_list(cfg["sweep"]["entanglements"])
@@ -257,7 +265,7 @@ def cmd_sweep(args, cfg: dict) -> bool:
         rows.append((quantity, e, n, p.k, p.delta_t, record.value, *search))
     header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "converged"]
     write_csv(args.output, header, rows)
-    return searched
+    return {"seed": cfg["optimizer"]["seed"]} if searched else {}
 
 
 def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:
@@ -269,14 +277,28 @@ def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:
     return fixed_entanglement_state(entanglement, np.zeros(6))
 
 
-def _check_last_sample(dt_list: list[float], steps: int) -> None:
-    """Reject, before any work, a delta_t list whose largest delta_t times
-    steps is past the largest float: trajectory forms its sample times from
-    (collisions x substeps) x delta_t, and blp's last sample time is
-    collisions x delta_t.  The product is taken in decimal, which no step
-    count overflows."""
+def _delta_t_models(cfg: dict, section: str, steps: int, **overrides) -> list[ModelParams]:
+    """One checked model per delta_t of [section] delta_ts, [model] with the
+    command's overrides, before any work.  The list must not be empty, and
+    no sample time may pass the largest float: trajectory forms its sample
+    times from (collisions x substeps) x delta_t, and blp's last sample time
+    is collisions x delta_t, so steps x delta_t is taken in decimal, which no
+    step count overflows."""
+    dt_list = parse_number_list(cfg[section]["delta_ts"])
+    if not dt_list:
+        raise UsageError("empty delta_t list")
+    models = [replace(cfg["params"], delta_t=dt, **overrides) for dt in dt_list]
     if Decimal(steps) * Decimal(max(dt_list)) > Decimal(sys.float_info.max):
         raise UsageError(f"sample times overflow: {steps} x delta_t {max(dt_list)!r}")
+    return models
+
+
+def _cutoff(p: ModelParams) -> dict:
+    """The exchange frequency W = hypot(e2 - h, 2k) and the cut-off
+    tau* = pi/(2W), where lambda first turns up; None at k = 0, where
+    lambda = 1 (the collision module docstring)."""
+    w = math.hypot(p.e2 - p.h, 2.0 * p.k)
+    return {"W": w, "tau_star": math.pi / (2.0 * w) if p.k > 0.0 else None}
 
 
 def _rows(columns):
@@ -288,38 +310,30 @@ def _rows(columns):
             yield from ((key, *row) for row in zip(*(col[c : c + DAMP_CHUNK].tolist() for col in cols)))
 
 
-def cmd_trajectory(args, cfg: dict) -> None:
-    params: ModelParams = cfg["params"]
+def cmd_trajectory(args, cfg: dict) -> dict:
     tcfg = cfg["trajectory"]
     quantity = tcfg["quantity"]
     if quantity not in QUANTITIES:
         raise UsageError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
-    dt_list = parse_number_list(tcfg["delta_ts"])
-    if not dt_list:
-        raise UsageError("empty delta_t list")
-    rho0 = projector(_trajectory_initial_state(quantity, tcfg["entanglement"]))
-    points = [replace(params, delta_t=dt) for dt in dt_list]  # every delta_t checked before any work
-    _check_last_sample(dt_list, tcfg["collisions"] * tcfg["substeps"])
+    points = _delta_t_models(cfg, "trajectory", tcfg["collisions"] * tcfg["substeps"])
+    state = _trajectory_initial_state(quantity, tcfg["entanglement"])
+    rho0 = projector(state)
     columns = []  # every delta_t's values before the output is opened
     for p in points:
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
         columns.append((p.delta_t, traj.times, traj.collision_index, trajectory_work(traj, MODES[quantity])))
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], _rows(columns))
+    return {"initial_state": state.real.tolist(), **_cutoff(points[0])}  # both states are real
 
 
-def cmd_blp(args, cfg: dict) -> bool:
-    params: ModelParams = cfg["params"]
+def cmd_blp(args, cfg: dict) -> dict:
     bcfg = cfg["blp"]
-    dt_list = parse_number_list(bcfg["delta_ts"])
-    if not dt_list:
-        raise UsageError("empty delta_t list")
     grid_points = bcfg["grid_points"]
-    points = [replace(params, k=bcfg["k"], delta_t=dt) for dt in dt_list]  # checked before any work
-    _check_last_sample(dt_list, bcfg["collisions"])
+    points = _delta_t_models(cfg, "blp", bcfg["collisions"], k=bcfg["k"])
     base_settings = OptimizerSettings(**cfg["optimizer"])
     results = [
-        blp_measure(p.delta_t, p, settings=base_settings.for_grid_index(idx),
-                    grid_points=grid_points, collisions=bcfg["collisions"])
+        blp_measure(p, settings=base_settings.for_grid_index(idx), grid_points=grid_points,
+                    collisions=bcfg["collisions"])
         for idx, p in enumerate(points)
     ]
     rows = [(p.delta_t, r.q_n, grid_points, base_settings.starts, r.report.converged) for p, r in zip(points, results)]
@@ -327,7 +341,7 @@ def cmd_blp(args, cfg: dict) -> bool:
     if args.trace_output is not None:
         trace = _rows((p.delta_t, *r.lambda_trace.T) for p, r in zip(points, results))
         write_csv(args.trace_output, ["delta_t", "t", "D"], trace)
-    return True
+    return {"seed": cfg["optimizer"]["seed"], **_cutoff(points[0])}
 
 
 def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, float]]:
@@ -389,6 +403,9 @@ COMMANDS = {
     "trajectory": (cmd_trajectory, "fine-grained work trajectory per delta_t", ("trajectory",)),
     "blp": (cmd_blp, "non-Markovianity per delta_t", ("optimizer", "blp")),
 }
+# The [model] keys that a command's own section replaces, which its manifest
+# leaves out of [model]: delta_ts gives every delta_t, and blp's k its coupling.
+REPLACED = {"trajectory": ("delta_t",), "blp": ("delta_t", "k")}
 
 
 @cache  # one tree per process: argparse takes about 1 ms to build it
@@ -480,10 +497,9 @@ def main(argv=None) -> int:
         created = [path for path in (*outputs, manifest) if not os.path.lexists(path)]
         fields = args.func(args, cfg)
         if cfg is not None:  # a simulation records the settings that shaped its data
-            searched, sections = fields, ("model", *COMMANDS[args.command][2])
-            fields = {"config": {s: cfg[s] for s in sections if searched or s != "optimizer"}}
-            if searched:
-                fields["seed"] = cfg["optimizer"]["seed"]
+            model = {key: v for key, v in cfg["model"].items() if key not in REPLACED.get(args.command, ())}
+            sections = {s: cfg[s] for s in COMMANDS[args.command][2] if s != "optimizer" or "seed" in fields}
+            fields["config"] = {"model": model, **sections}
         write_manifest(manifest, args.command, started, outputs, **fields)
         return 0
     except ContractViolation as exc:

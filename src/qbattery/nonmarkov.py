@@ -21,17 +21,17 @@ and the trace distance contracts under that CPTP map, so D = f(Lambda) with
 f non-decreasing (Breuer, Laine & Piilo, PRL 103, 210401 (2009), make the
 same step for amplitude damping).  D therefore rises only where Lambda
 rises, and its positive increments over a maximal rising run of Lambda
-telescope to D(last sample) - D(first sample).  Only Lambda at the two
-ends of each run is kept (`collision.memory`), once per delta_t, as the
-weights of the phase-free GAD_Lambda (`collision.damping`): qubit 2's
-populations keep the fraction Lambda of their offset from the bath's, its
-coherences the fraction sqrt(Lambda).  An evaluation applies them to the
-pair's difference, so it costs a pair, a few elementwise products and one
-batched 4x4 eigvalsh on 2*runs matrices, and a run end takes 256 B per
-point evaluated.  A search round's points are taken BLP_CHUNK (point, run)
+telescope to D(last sample) - D(first sample).  Lambda is taken once per
+delta_t, at every sample (`collision.memory`), and only its values at the
+two ends of each run are kept, as the weights of the phase-free
+GAD_Lambda (`collision.damping`): qubit 2's populations keep the fraction
+Lambda of their offset from the bath's, its coherences the fraction
+sqrt(Lambda).  An evaluation applies them to the pair's difference, so it
+costs a pair, a few elementwise products and one batched 4x4 eigvalsh on
+2*runs matrices, and a run end takes 256 B per point evaluated.  A search round's points are taken BLP_CHUNK (point, run)
 pairs at a time, so memory does not grow with the number of starts.  The
-reported trace of the best pair damps its difference phase-free at every
-sample, a chunk of samples at a time (`collision.damp_chunked`).
+reported trace of the best pair damps its difference phase-free at the
+same Lambda, a chunk of samples at a time (`collision.damp_chunked`).
 """
 
 from __future__ import annotations
@@ -98,16 +98,14 @@ def _trace_distances(ops: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(ops)).sum(axis=-1)
 
 
-def _distance_samples(
-    s1: np.ndarray, s2: np.ndarray, p: ModelParams, taus, collisions: int = 1
-) -> np.ndarray:
-    """Trace distance D of the evolving pair at tau = 0 and at every tau of
-    each collision: collisions*len(taus) + 1 samples.
+def _distance_samples(s1: np.ndarray, s2: np.ndarray, lam: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Trace distance D of the evolving pair at every sample of lam, Lambda
+    as `collision.memory` gives it.
 
     Every map here is linear in the input, so only the difference of the two
     battery states is damped.
     """
-    return damp_chunked(_trace_distances, _difference(s1, s2), memory(p, taus, collisions), p)
+    return damp_chunked(_trace_distances, _difference(s1, s2), lam, p)
 
 
 def _rises(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -127,30 +125,25 @@ class BLPResult:
 
 
 def blp_measure(
-    delta_t: float,
     p: ModelParams,
     settings: OptimizerSettings | None = None,
     grid_points: int = 200,
     collisions: int = 1,
 ) -> BLPResult:
-    """Backflow over `collisions` collisions of duration delta_t, maximized
+    """Backflow over `collisions` collisions of duration p.delta_t, maximized
     over orthogonal pure state pairs by seeded multi-start search.
 
     The default single collision probes the memory of one spin; the
     multi-collision extension also counts backflow across spin renewals.
     """
-    if not delta_t > 0.0:
-        raise ValueError(f"delta_t must be positive, got {delta_t}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if collisions < 1:
         raise ValueError(f"collisions must be >= 1, got {collisions}")
 
-    times = np.arange(collisions * grid_points + 1) * (delta_t / grid_points)
-    taus = tuple(times[1 : grid_points + 1].tolist())
-
+    times = np.arange(collisions * grid_points + 1) * (p.delta_t / grid_points)
+    lam = memory(p, times[1 : grid_points + 1].tolist(), collisions)
     # Lambda at the first and the last sample of each maximal rising run; Lambda(0) = 1 starts none
-    lam = memory(p, taus, collisions)
     weights = damping(p, lam[np.flatnonzero(np.diff(np.concatenate([[False], np.diff(lam) > 0.0, [False]])))])
     runs = len(weights[0]) // 2
     span = min(max(runs, 1), BLP_CHUNK)  # runs per step
@@ -169,7 +162,7 @@ def blp_measure(
 
     best_angles, q_n, report = multistart_maximize(objective, 10, settings)
     s1, s2 = pair_from_angles(best_angles)
-    d = _distance_samples(s1, s2, p, taus, collisions)
+    d = _distance_samples(s1, s2, lam, p)
     return BLPResult(
         q_n=float(q_n),
         lambda_trace=np.column_stack([times, d]),

@@ -6,6 +6,7 @@ flagged where they appear.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def _pass(number: int, text: str) -> None:
 @pytest.fixture(scope="module")
 def strong_backflow():
     settings = OptimizerSettings(starts=6, seed=31, max_evals=2000)
-    return {dt: blp_measure(dt, P, settings).q_n for dt in (1.0, 1.6)}
+    return {dt: blp_measure(replace(P, delta_t=dt), settings).q_n for dt in (1.0, 1.6)}
 
 
 def test_criterion_01_noiseless_closed_forms():
@@ -79,12 +80,12 @@ def test_criterion_02_backflow_threshold(strong_backflow):
     t0 = time.perf_counter()
     quick = OptimizerSettings(starts=4, seed=7, max_evals=300)
     for dt in (0.2, 0.4, 0.6):
-        assert blp_measure(dt, P, quick).q_n <= 1e-6
+        assert blp_measure(replace(P, delta_t=dt), quick).q_n <= 1e-6
     for dt in (1.0, 1.6):
         assert strong_backflow[dt] > 1e-4
     crossover = None
     for dt in np.round(np.arange(0.5, 1.1001, 0.02), 10):
-        if blp_measure(float(dt), P, quick).q_n > 1e-5:
+        if blp_measure(replace(P, delta_t=float(dt)), quick).q_n > 1e-5:
             crossover = float(dt)
             break
     elapsed = time.perf_counter() - t0

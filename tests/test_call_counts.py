@@ -17,6 +17,7 @@ import pytest
 
 from qbattery import collision, ergotropy, nonmarkov
 from qbattery.model import ModelParams
+from qbattery.optimize import OptimizerSettings
 from test_nonmarkov import search_objective
 from test_transfer import applied_maps
 
@@ -160,3 +161,14 @@ def test_blp_evaluation_reads_the_rising_run_ends(monkeypatch, collisions, runs)
     assert objective(np.linspace(0.2, 1.7, 10)) > 0.0
     assert [args[0].shape for args in eigvalsh] == [(2 * runs, 4, 4)]
     assert (len(samples), len(damps), len(weights)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("collisions", [1, 3])
+def test_blp_measure_takes_lambda_once(monkeypatch, collisions):
+    """The search's run ends and the reported trace read one Lambda array,
+    taken from the model's own delta_t."""
+    memories = counted(monkeypatch, nonmarkov, "memory")
+    result = nonmarkov.blp_measure(ModelParams(delta_t=1.6), OptimizerSettings(starts=1, seed=0, max_evals=20),
+                                   grid_points=20, collisions=collisions)
+    assert len(memories) == 1 and len(result.lambda_trace) == 20 * collisions + 1
+    assert abs(result.lambda_trace[-1, 0] - collisions * 1.6) <= 1e-12

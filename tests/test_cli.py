@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import shlex
 import threading
@@ -13,7 +14,9 @@ import pytest
 import qbattery.cli as cli
 import qbattery.collision as collision
 from qbattery.cli import DEFAULTS, build_parser, main, parse_number_list, resolve_config, write_csv
-from qbattery.states import schmidt_gap
+from qbattery.ergotropy import ergotropy_after_collisions
+from qbattery.model import ModelParams
+from qbattery.states import fixed_entanglement_state, projector, schmidt_gap
 
 from _oracles import csv_module_write
 
@@ -236,6 +239,25 @@ class TestTrajectoryCommand:
             assert len(got) == len(want) == 5
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (dt, got, want)
 
+    @pytest.mark.parametrize("quantity, mode, followed, maximum", [
+        ("G", "global", 3.5703, 3.9456), ("L", "local", 3.4270, 3.6822),
+    ])
+    def test_follows_the_recorded_initial_state(self, tmp_path, quantity, mode, followed, maximum):
+        """G and L follow one state through time, the n = 0 maximizer
+        fixed_entanglement_state(E, 0), which the manifest records; a
+        collision boundary reads that state's yield, not the family maximum
+        that sweep reports (default model, E = 0.6, n = 5)."""
+        out, swept = tmp_path / "t.csv", tmp_path / "s.csv"
+        assert run("trajectory", "--seed", 1, "--quantity", quantity, "--entanglement", 0.6, "--delta-ts", "0.2",
+                   "--collisions", 5, "--substeps", 3, "--output", out) == 0
+        state = json.loads((tmp_path / "t.csv.manifest.json").read_text())["initial_state"]
+        assert state == fixed_entanglement_state(0.6, np.zeros(6)).real.tolist()
+        value = float(read_csv(out)[-1]["value"])
+        assert abs(value - ergotropy_after_collisions(projector(state), 5, ModelParams(), mode)) <= 1e-12
+        assert run("sweep", "--seed", 1, "--quantity", quantity, "--entanglements", 0.6, "--collisions", 5,
+                   "--output", swept) == 0
+        assert abs(value - followed) <= 5e-5 and abs(float(read_csv(swept)[0]["value"]) - maximum) <= 5e-5
+
     def test_write_memory_is_bounded(self, tmp_path, monkeypatch):
         """The yields are damped, and the rows formatted, DAMP_CHUNK samples at
         a time: 40,001 rows peak at about 1.6 MB of Python allocations, where
@@ -343,7 +365,7 @@ class TestBlpCommand:
         want = []
         settings = OptimizerSettings(seed=6, starts=2, max_evals=60)
         for idx, dt in enumerate((0.6, 1.6)):
-            result = blp_measure(dt, replace(ModelParams(), delta_t=dt), settings=settings.for_grid_index(idx),
+            result = blp_measure(replace(ModelParams(), delta_t=dt), settings=settings.for_grid_index(idx),
                                  grid_points=10, collisions=2)
             want += ["%.17g,%.17g,%.17g" % (dt, t, d) for t, d in result.lambda_trace]
         assert lines[1:] == want and len(want) == 2 * (2 * 10 + 1)
@@ -687,23 +709,40 @@ class TestManifests:
         assert cfg["sweep"] == {"quantity": "G_p", "entanglements": "0.5", "collisions": "0", "couplings": "0.5"}
         assert cfg["trajectory"] == {**DEFAULTS["trajectory"], "substeps": 7}
 
-    @pytest.mark.parametrize("argv, sections", [
+    @pytest.mark.parametrize("argv, sections, replaced", [
         (("sweep", "--quantity", "G", "--entanglements", "0.5", "--collisions", "0", "--starts", 1, "--max-evals", 20),
-         ["model", "optimizer", "sweep"]),
-        (("sweep", "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0"), ["model", "sweep"]),
-        (("sweep", "--quantity", "L", "--entanglements", "0.5", "--collisions", "0"), ["model", "sweep"]),
-        (("trajectory", "--delta-ts", "0.2", "--collisions", 1, "--substeps", 2), ["model", "trajectory"]),
+         ["model", "optimizer", "sweep"], ()),
+        (("sweep", "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0"), ["model", "sweep"], ()),
+        (("sweep", "--quantity", "L", "--entanglements", "0.5", "--collisions", "0"), ["model", "sweep"], ()),
+        (("trajectory", "--delta-ts", "0.2", "--collisions", 1, "--substeps", 2), ["model", "trajectory"],
+         ("delta_t",)),
         (("blp", "--delta-ts", "1.6", "--grid-points", 20, "--starts", 1, "--max-evals", 20),
-         ["blp", "model", "optimizer"]),
+         ["blp", "model", "optimizer"], ("delta_t", "k")),
     ], ids=["sweep-G", "sweep-G_p", "sweep-L", "trajectory", "blp"])
-    def test_records_the_settings_that_shaped_the_data(self, tmp_path, argv, sections):
-        """[model] and the command's own sections; [optimizer] and the seed
-        only when a search ran."""
+    def test_records_the_settings_that_shaped_the_data(self, tmp_path, argv, sections, replaced):
+        """[model] without the keys the command's own section replaces (its
+        delta_ts, and blp's k), and the command's own sections; [optimizer]
+        and the seed only when a search ran."""
         out = tmp_path / "x.csv"
         assert run(*argv, "--seed", 3, "--output", out) == 0
         manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
         assert sorted(manifest["config"]) == sections
+        assert manifest["config"]["model"] == {k: v for k, v in DEFAULTS["model"].items() if k not in replaced}
         assert manifest.get("seed") == (3 if "optimizer" in sections else None)
+
+    @pytest.mark.parametrize("argv, w, tau_star", [
+        (("trajectory", "--collisions", 1, "--substeps", 2), 6.0, math.pi / 12.0),
+        (("blp", "--grid-points", 4, "--starts", 1, "--max-evals", 5), 2.0, math.pi / 4.0),
+        (("blp", "--grid-points", 4, "--starts", 1, "--max-evals", 5, "--k", 0.0), 0.0, None),
+    ], ids=["trajectory", "blp", "blp-k0"])
+    def test_records_the_cutoff(self, tmp_path, argv, w, tau_star):
+        """W = hypot(e2 - h, 2k) and tau* = pi/(2W), with blp's k from [blp];
+        at k = 0, where lambda = 1, tau* is null.  [model] k is 3 here."""
+        config = tmp_path / "k.ini"
+        config.write_text("[model]\nk = 3.0\n")
+        assert run(*argv, "--config", config, "--delta-ts", "0.4", "--seed", 3, "--output", tmp_path / "x.csv") == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert (manifest["W"], manifest["tau_star"]) == (w, tau_star)
 
 
 class TestRejectedRuns:
@@ -734,6 +773,16 @@ class TestRejectedRuns:
         with pytest.raises(SystemExit) as exc:
             run("sweep", "--seed", 1, "--output", tmp_path / "x.csv",
                 "--collisions", "0", "--entanglements", "0.5", "--phase-sweep")
+        self.assert_rejected(tmp_path, capsys, exc.value.code)
+
+    @pytest.mark.parametrize("argv", [
+        ("trajectory", "--collision", 1, "--substep", 2),
+        ("blp", "--delta-t", 0.4, "--grid", 4, "--start", 1, "--max", 5),
+    ], ids=["trajectory", "blp"])
+    def test_abbreviated_flag(self, tmp_path, capsys, argv):
+        """A flag is spelled in full: --substep is not taken for --substeps."""
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", 1, "--output", tmp_path / "x.csv")
         self.assert_rejected(tmp_path, capsys, exc.value.code)
 
     def test_phase_sweep_config_key_is_gone(self, tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import qbattery.collision as collision
 import qbattery.nonmarkov as nonmarkov
-from qbattery.collision import fine_trajectory
+from qbattery.cli import _cutoff
+from qbattery.collision import fine_trajectory, memory
 from qbattery.ergotropy import global_ergotropy, local_ergotropy, trajectory_work
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
@@ -38,7 +39,7 @@ def search_objective(delta_t: float, p: ModelParams, grid_points: int, collision
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nonmarkov, "multistart_maximize", search)
-        blp_measure(delta_t, p, grid_points=grid_points, collisions=collisions)
+        blp_measure(replace(p, delta_t=delta_t), grid_points=grid_points, collisions=collisions)
     return caught[0]
 
 
@@ -67,20 +68,20 @@ class TestDistinguishabilityTrace:
     def test_identical_states_stay_at_zero(self):
         gen = rng(307)
         s = random_pure_state(gen, 4)
-        assert _distance_samples(s, s, P, window(0.4, 50)).max() <= 1e-12
+        assert _distance_samples(s, s, memory(P, window(0.4, 50), 1), P).max() <= 1e-12
 
     def test_zero_coupling_keeps_distance_constant(self):
         p = ModelParams(k=0.0)
         gen = rng(311)
         s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
-        assert np.ptp(_distance_samples(s1, s2, p, window(0.9, 60))) <= 1e-12
+        assert np.ptp(_distance_samples(s1, s2, memory(p, window(0.9, 60), 1), p)) <= 1e-12
 
     def test_default_window_is_contractive(self):
         # below the exchange half-swap time every pair loses distinguishability
         gen = rng(313)
         for _ in range(5):
             s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
-            d = _distance_samples(s1, s2, P, window(P.delta_t, 80))
+            d = _distance_samples(s1, s2, memory(P, window(P.delta_t, 80), 1), P)
             assert np.all(np.diff(d) <= 1e-12)
 
     def test_trace_matches_dense_oracle(self):
@@ -93,14 +94,16 @@ class TestDistinguishabilityTrace:
             n = 1 + case % 3
             dense = dense_collisions(np.outer(s1, s1.conj()) - np.outer(s2, s2.conj()), n, taus, p)
             want = 0.5 * np.abs(np.linalg.eigvalsh(dense)).sum(axis=-1)
-            assert np.abs(_distance_samples(s1, s2, p, taus, n) - want).max() <= 1e-12
+            assert np.abs(_distance_samples(s1, s2, memory(p, taus, n), p) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("chunk", [1, 7, collision.DAMP_CHUNK])
     def test_trace_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
         s1, s2 = pair_from_angles(np.random.default_rng(8).uniform(-3.0, 3.0, size=10))
-        whole = _distance_samples(s1, s2, replace(P, beta=0.7), window(1.6, 40), 3)
+        p = replace(P, beta=0.7)
+        lam = memory(p, window(1.6, 40), 3)
+        whole = _distance_samples(s1, s2, lam, p)
         monkeypatch.setattr(collision, "DAMP_CHUNK", chunk)
-        assert _distance_samples(s1, s2, replace(P, beta=0.7), window(1.6, 40), 3).tobytes() == whole.tobytes()
+        assert _distance_samples(s1, s2, lam, p).tobytes() == whole.tobytes()
 
     def test_trace_memory_stays_below_the_sample_stack(self):
         """20,000 collisions of 2 samples: the trace damps DAMP_CHUNK samples
@@ -109,7 +112,7 @@ class TestDistinguishabilityTrace:
         s1, s2 = pair_from_angles(np.full(10, 0.3))
         tracemalloc.start()
         try:
-            d = _distance_samples(s1, s2, P, window(1.6, 2), 20_000)
+            d = _distance_samples(s1, s2, memory(P, window(1.6, 2), 20_000), P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -118,7 +121,7 @@ class TestDistinguishabilityTrace:
 
     def test_grid_layout(self):
         settings = OptimizerSettings(starts=1, seed=0, max_evals=20)
-        trace = blp_measure(0.5, P, settings, grid_points=10).lambda_trace
+        trace = blp_measure(replace(P, delta_t=0.5), settings, grid_points=10).lambda_trace
         assert len(trace) == 11
         assert np.allclose(trace[:, 0], np.linspace(0, 0.5, 11))
         assert np.isclose(trace[0, 1], 1.0)  # orthogonal pair starts at D=1
@@ -146,7 +149,7 @@ class TestCutoffTime:
         after = taus - taus[0] >= cutoff  # increments that begin at tau* or later
         gen = rng(seed)
         pairs = [self.POLE, self.EQUATOR] + [pair_from_angles(gen.uniform(0, 2 * np.pi, 10)) for _ in range(8)]
-        steps = [np.diff(_distance_samples(s1, s2, p, tuple(taus))) for s1, s2 in pairs]
+        steps = [np.diff(_distance_samples(s1, s2, memory(p, tuple(taus), 1), p)) for s1, s2 in pairs]
         assert max(s[before].max() for s in steps) <= 1e-12
         assert np.maximum(steps[1][after], 0.0).sum() > 0.01
 
@@ -160,6 +163,20 @@ class TestCutoffTime:
         traj = fine_trajectory(projector(locally_passive_state(entanglement)), 1, 1000, p)
         rises = np.flatnonzero(np.diff(trajectory_work(traj, "global")) > 1e-12)
         assert rises.size and abs(traj.times[rises[0]] - cutoff) <= p.delta_t / 1000  # within one grid step
+
+    def test_recorded_cutoff_is_the_first_rise_of_lambda(self):
+        """The tau* that blp and trajectory manifests record (`cli._cutoff`):
+        on a grid of step tau*/400, Lambda (`collision.memory`) falls at every
+        step up to tau* and first rises in a step that starts within one step
+        of it, on random models with k > 0."""
+        gen = rng(349)
+        for _ in range(200):
+            p = replace(random_params(gen), k=gen.uniform(0.05, 3.0))
+            tau_star = _cutoff(p)["tau_star"]
+            step = tau_star / 400 * gen.uniform(0.9, 1.1)  # tau* on a sample, or between two
+            lam = memory(p, (np.arange(1, 1201) * step).tolist(), 1)
+            first = np.flatnonzero(np.diff(lam) > 0.0)[0]  # the step from first*step to (first + 1)*step
+            assert abs(first * step - tau_star) < step, (p, first * step, tau_star)
 
     def test_work_is_symmetric_about_the_cutoff(self):
         """Inside one collision the work depends on tau only through
@@ -263,7 +280,7 @@ class TestRisingRuns:
             objective = search_objective(delta_t, p, grid, collisions)
             for _ in range(2):
                 angles = gen.uniform(0, 2 * np.pi, 10)
-                d = _distance_samples(*pair_from_angles(angles), p, tuple(taus.tolist()), collisions)
+                d = _distance_samples(*pair_from_angles(angles), memory(p, tuple(taus.tolist()), collisions), p)
                 assert np.diff(d[order]).min() >= -1e-12, (i, "D falls as Lambda grows")
                 assert abs(objective(angles) - blp_functional(np.column_stack([times, d]))) <= 1e-12, i
 
@@ -292,18 +309,18 @@ class TestBlpFunctional:
 class TestBlpMeasure:
     def test_markovian_window_is_zero(self):
         settings = OptimizerSettings(starts=4, seed=2, max_evals=300)
-        res = blp_measure(0.4, P, settings)
+        res = blp_measure(replace(P, delta_t=0.4), settings)
         assert res.q_n <= 1e-6
 
     def test_long_window_shows_backflow(self):
         settings = OptimizerSettings(starts=6, seed=2, max_evals=2000)
-        res = blp_measure(1.6, P, settings)
+        res = blp_measure(replace(P, delta_t=1.6), settings)
         assert res.q_n > 1e-4
         assert res.q_n > 0.9  # full revival of the exchange
 
     def test_internal_bookkeeping(self):
         settings = OptimizerSettings(starts=3, seed=9, max_evals=300)
-        res = blp_measure(1.2, P, settings)
+        res = blp_measure(replace(P, delta_t=1.2), settings)
         assert abs(res.q_n - blp_functional(res.lambda_trace)) <= 1e-12
         assert np.allclose(np.diff(res.lambda_trace[:, 0]), 1.2 / 200)
         assert abs(res.lambda_trace[0, 1] - 1.0) <= 1e-10  # the optimal pair is orthogonal
@@ -316,32 +333,33 @@ class TestBlpMeasure:
         cutoff = math.pi / (2.0 * math.hypot(detuned.e2 - detuned.h, 2.0 * detuned.k))
         settings = OptimizerSettings(starts=2, seed=5, max_evals=100)
         for p, delta_t in [(P, 0.4), (detuned, 0.9 * cutoff)]:
-            assert blp_measure(delta_t, p, settings, grid_points=50, collisions=collisions).q_n == 0.0
+            assert blp_measure(replace(p, delta_t=delta_t), settings, grid_points=50, collisions=collisions).q_n == 0.0
 
     def test_zero_coupling_zero_measure(self):
         p = ModelParams(k=0.0)
         settings = OptimizerSettings(starts=3, seed=4, max_evals=200)
-        assert blp_measure(1.6, p, settings).q_n <= 1e-12
+        assert blp_measure(replace(p, delta_t=1.6), settings).q_n <= 1e-12
 
     def test_grid_refinement_stability(self):
         settings = OptimizerSettings(starts=4, seed=12, max_evals=1500)
-        q200 = blp_measure(1.0, P, settings, grid_points=200).q_n
-        q400 = blp_measure(1.0, P, settings, grid_points=400).q_n
+        q200 = blp_measure(replace(P, delta_t=1.0), settings, grid_points=200).q_n
+        q400 = blp_measure(replace(P, delta_t=1.0), settings, grid_points=400).q_n
         assert abs(q400 - q200) < 1e-3
 
     def test_beats_small_dense_sample(self):
         # quick live version of the dense-pair lower-bound oracle
         bound = dense_backflow_lower_bound(1.6, P, n_pairs=2000, grid_points=200, seed=5)
         settings = OptimizerSettings(starts=6, seed=3, max_evals=2000)
-        assert blp_measure(1.6, P, settings).q_n >= bound - 1e-4
+        assert blp_measure(replace(P, delta_t=1.6), settings).q_n >= bound - 1e-4
 
     def test_domain_errors(self):
+        for delta_t in (0.0, 1e17):  # ModelParams checks delta_t: its sign and its phase bound
+            with pytest.raises(ValueError, match="delta_t"):
+                blp_measure(replace(P, delta_t=delta_t))
         with pytest.raises(ValueError):
-            blp_measure(0.0, P)
+            blp_measure(replace(P, delta_t=0.4), grid_points=1)
         with pytest.raises(ValueError):
-            blp_measure(0.4, P, grid_points=1)
-        with pytest.raises(ValueError):
-            blp_measure(0.4, P, collisions=0)
+            blp_measure(replace(P, delta_t=0.4), collisions=0)
 
     def test_many_run_ends_take_little_memory(self):
         """20,000 collisions on a 2-point grid give 40,000 run ends; a 16x16
@@ -350,7 +368,7 @@ class TestBlpMeasure:
         settings = OptimizerSettings(starts=1, seed=1, max_evals=5)
         tracemalloc.start()
         try:
-            res = blp_measure(1.6, P, settings, grid_points=2, collisions=20_000)
+            res = blp_measure(replace(P, delta_t=1.6), settings, grid_points=2, collisions=20_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -375,7 +393,7 @@ class TestBlpMeasure:
         for starts in (1, 9):
             tracemalloc.start()
             try:
-                blp_measure(1.6, P, OptimizerSettings(starts=starts, seed=1, max_evals=5),
+                blp_measure(replace(P, delta_t=1.6), OptimizerSettings(starts=starts, seed=1, max_evals=5),
                             grid_points=2, collisions=5_000)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -384,11 +402,12 @@ class TestBlpMeasure:
 
     def test_multi_collision_extension(self):
         settings = OptimizerSettings(starts=4, seed=3, max_evals=600)
-        single = blp_measure(1.0, P, settings)
-        double = blp_measure(1.0, P, settings, collisions=2)
+        single = blp_measure(replace(P, delta_t=1.0), settings)
+        double = blp_measure(replace(P, delta_t=1.0), settings, collisions=2)
         assert len(double.lambda_trace) == 2 * 200 + 1
         # a longer scan can only add backflow windows
         assert double.q_n >= single.q_n - 1e-3
         # fresh spins at short windows stay Markovian across renewals
-        markovian = blp_measure(0.4, P, OptimizerSettings(starts=3, seed=8, max_evals=300), collisions=3)
+        markovian = blp_measure(replace(P, delta_t=0.4), OptimizerSettings(starts=3, seed=8, max_evals=300),
+                                collisions=3)
         assert markovian.q_n <= 1e-6

@@ -77,7 +77,7 @@ OBJECTIVES = {  # name: (dimension, objective, evaluation cap of the seed sweep)
         0.6, 3, ModelParams(k=0.8, delta_t=0.7), "G")), 2000),
     # a binding cap, as in the benchmark's blp commands; 10 grid points keep it cheap
     "BLP": (10, lambda: _objective(nonmarkov, lambda: nonmarkov.blp_measure(
-        1.0, ModelParams(delta_t=1.0), grid_points=10)), 100),
+        ModelParams(delta_t=1.0), grid_points=10)), 100),
 }
 
 
@@ -114,7 +114,7 @@ class TestNelderMead:
     def test_flat_blp_start_breaks_ties_as_scipy(self):
         """At delta_t = 1.0 the zero start's simplex holds equal values, which
         np.argsort orders differently from a stable sort."""
-        fun = _objective(nonmarkov, lambda: nonmarkov.blp_measure(1.0, ModelParams(delta_t=1.0), grid_points=20))
+        fun = _objective(nonmarkov, lambda: nonmarkov.blp_measure(ModelParams(delta_t=1.0), grid_points=20))
         x0 = np.zeros(10)
         first = np.array([fun(x0), *(fun(0.00025 * e) for e in np.eye(10))])
         assert not np.array_equal(np.argsort(first), np.argsort(first, kind="stable"))

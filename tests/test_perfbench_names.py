@@ -1,9 +1,10 @@
-"""Every package name the benchmark wraps or imports still exists.
+"""Every package name the benchmark wraps or imports still exists, and the
+CLI still parses every command the benchmark runs.
 
 perfbench/tracing.py replaces module attributes of qbattery by name before
 it runs the CLI, and the other perfbench files import package names, so
 deleting or renaming one of them crashes the benchmark.  This checks the
-names in a second, without running the benchmark.
+names, and the commands' flags, in a second, without running the benchmark.
 """
 
 import ast
@@ -14,11 +15,14 @@ from pathlib import Path
 
 import pytest
 
+from qbattery import cli
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _perfbench(name: str):
+    """perfbench/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -26,7 +30,7 @@ def _tracing():
 
 
 def _wrapped_names():
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     names = [(module, attr) for module, attr, _ in tracing.PLAIN]
     names += [(module, attr) for module, attr, _, _ in tracing.WITH_INFO]
     names += [(module, "multistart_maximize") for module, _ in tracing.SEARCHES]
@@ -69,3 +73,14 @@ def test_named_cache_reports_statistics():
     for module, name in pairs:
         cache = getattr(importlib.import_module(module), name, None)
         assert cache is None or callable(getattr(cache, "cache_info", None)), (module, name)
+
+
+@pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
+def test_workload_commands_parse(tmp_path, tiny):
+    """Every argv of both workloads, tiny and full, parses with the CLI's
+    parser, which takes flags only as spelled in full."""
+    workloads = _perfbench("workloads")
+    commands = [argv for name in workloads.WORKLOADS
+                for argv in workloads.iteration(name, 1, 0, str(tmp_path / name), tiny).commands]
+    parsed = [cli.build_parser().parse_args(argv).command for argv in commands]
+    assert sorted(set(parsed)) == ["blp", "fit", "sweep", "trajectory"]
