@@ -188,8 +188,7 @@ def resolve_config(args) -> dict:
 
 
 def _cell_format(value) -> str:
-    if isinstance(value, bool):  # before int: bool is an int
-        return "%s"
+    """The %-format of a cell; write_csv turns booleans into text first."""
     if isinstance(value, (float, np.floating)):
         return "%.17g"
     if isinstance(value, (int, np.integer)):
@@ -197,27 +196,37 @@ def _cell_format(value) -> str:
     return "%s"
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Write header and rows as CSV with CRLF line ends, as csv.writer does.
+def _text(value) -> str:
+    """One cell as write_csv writes it."""
+    return ("true" if value else "false") if isinstance(value, bool) else _cell_format(value) % value
 
-    Each row goes through one %-format built from the first row's cell
-    types: %.17g for floats, %d for ints, plain text for strings, true/false
-    for booleans.  So every column must keep one type and no cell may need
-    CSV quoting; the commands write only numbers, booleans and quantity
+
+def _cells(values) -> list:
+    """A column's cells as plain Python values, booleans as true/false."""
+    cells = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    return list(map(_text, cells)) if isinstance(cells[0], bool) else cells
+
+
+def write_csv(path: str, header: list[str], blocks) -> None:
+    """Write header and blocks as CSV with CRLF line ends, as csv.writer does.
+
+    A block is (prefix, columns): constant leading cells and equal-length
+    columns (arrays or sequences), whose i-th row is prefix + the i-th cell
+    of each column.  The prefix is formatted once per block, and the rows go
+    out DAMP_CHUNK to one write, through one %-format built from the first of
+    them: %.17g for floats, %d for ints, plain text for strings, true/false
+    for booleans.  So every column must keep one type and no cell may
+    need CSV quoting; the commands write only numbers, booleans and quantity
     names.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fmt = bools = None
-        for row in rows:
-            if fmt is None:
-                fmt = ",".join(map(_cell_format, row)) + "\r\n"
-                bools = [i for i, v in enumerate(row) if isinstance(v, bool)]
-            if bools:
-                row = list(row)
-                for i in bools:
-                    row[i] = "true" if row[i] else "false"
-            fh.write(fmt % tuple(row))
+        for prefix, columns in blocks:
+            lead = "".join(_text(v) + "," for v in prefix).replace("%", "%%")
+            for c in range(0, len(columns[0]), DAMP_CHUNK):
+                cols = [_cells(col[c : c + DAMP_CHUNK]) for col in columns]
+                fmt = lead + ",".join(_cell_format(col[0]) for col in cols) + "\r\n"
+                fh.write("".join(map(fmt.__mod__, zip(*cols))))
 
 
 def write_manifest(path: str, command: str, started: float, outputs: list[str], **fields) -> None:
@@ -262,9 +271,9 @@ def cmd_sweep(args, cfg: dict) -> dict:
         rep = record.report
         searched |= rep is not None
         search = (base_settings.starts, rep.converged) if rep else (0, True)
-        rows.append((quantity, e, n, p.k, p.delta_t, record.value, *search))
+        rows.append((e, n, p.k, p.delta_t, record.value, *search))
     header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "converged"]
-    write_csv(args.output, header, rows)
+    write_csv(args.output, header, [((quantity,), list(zip(*rows)))])
     return {"seed": cfg["optimizer"]["seed"]} if searched else {}
 
 
@@ -301,15 +310,6 @@ def _cutoff(p: ModelParams) -> dict:
     return {"W": w, "tau_star": math.pi / (2.0 * w) if p.k > 0.0 else None}
 
 
-def _rows(columns):
-    """(key, *row) for each (key, *arrays) of columns and each row of its
-    equal-length arrays, made from plain Python numbers DAMP_CHUNK rows at a
-    time, so write_csv formats no numpy scalar."""
-    for key, *cols in columns:
-        for c in range(0, len(cols[0]), DAMP_CHUNK):
-            yield from ((key, *row) for row in zip(*(col[c : c + DAMP_CHUNK].tolist() for col in cols)))
-
-
 def cmd_trajectory(args, cfg: dict) -> dict:
     tcfg = cfg["trajectory"]
     quantity = tcfg["quantity"]
@@ -318,11 +318,11 @@ def cmd_trajectory(args, cfg: dict) -> dict:
     points = _delta_t_models(cfg, "trajectory", tcfg["collisions"] * tcfg["substeps"])
     state = _trajectory_initial_state(quantity, tcfg["entanglement"])
     rho0 = projector(state)
-    columns = []  # every delta_t's values before the output is opened
+    blocks = []  # every delta_t's values before the output is opened
     for p in points:
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
-        columns.append((p.delta_t, traj.times, traj.collision_index, trajectory_work(traj, MODES[quantity])))
-    write_csv(args.output, ["delta_t", "t", "collision_index", "value"], _rows(columns))
+        blocks.append(((p.delta_t,), (traj.times, traj.collision_index, trajectory_work(traj, MODES[quantity]))))
+    write_csv(args.output, ["delta_t", "t", "collision_index", "value"], blocks)
     return {"initial_state": state.real.tolist(), **_cutoff(points[0])}  # both states are real
 
 
@@ -337,9 +337,9 @@ def cmd_blp(args, cfg: dict) -> dict:
         for idx, p in enumerate(points)
     ]
     rows = [(p.delta_t, r.q_n, grid_points, base_settings.starts, r.report.converged) for p, r in zip(points, results)]
-    write_csv(args.output, ["delta_t", "Q_N", "grid_points", "starts", "converged"], rows)
+    write_csv(args.output, ["delta_t", "Q_N", "grid_points", "starts", "converged"], [((), list(zip(*rows)))])
     if args.trace_output is not None:
-        trace = _rows((p.delta_t, *r.lambda_trace.T) for p, r in zip(points, results))
+        trace = [((p.delta_t,), tuple(r.lambda_trace.T)) for p, r in zip(points, results)]
         write_csv(args.trace_output, ["delta_t", "t", "D"], trace)
     return {"seed": cfg["optimizer"]["seed"], **_cutoff(points[0])}
 
@@ -403,9 +403,10 @@ COMMANDS = {
     "trajectory": (cmd_trajectory, "fine-grained work trajectory per delta_t", ("trajectory",)),
     "blp": (cmd_blp, "non-Markovianity per delta_t", ("optimizer", "blp")),
 }
-# The [model] keys that a command's own section replaces, which its manifest
-# leaves out of [model]: delta_ts gives every delta_t, and blp's k its coupling.
-REPLACED = {"trajectory": ("delta_t",), "blp": ("delta_t", "k")}
+# The [model] key that each setting of a command's own sections replaces, and
+# which its manifest leaves out of [model] unless the setting is an empty list:
+# delta_ts gives every delta_t, blp's k its coupling and sweep's couplings every k.
+REPLACED = {"delta_ts": "delta_t", "k": "k", "couplings": "k"}
 
 
 @cache  # one tree per process: argparse takes about 1 ms to build it
@@ -497,8 +498,10 @@ def main(argv=None) -> int:
         created = [path for path in (*outputs, manifest) if not os.path.lexists(path)]
         fields = args.func(args, cfg)
         if cfg is not None:  # a simulation records the settings that shaped its data
-            model = {key: v for key, v in cfg["model"].items() if key not in REPLACED.get(args.command, ())}
             sections = {s: cfg[s] for s in COMMANDS[args.command][2] if s != "optimizer" or "seed" in fields}
+            replaced = {REPLACED[key] for section in sections.values() for key, v in section.items()
+                        if key in REPLACED and str(v).replace(",", " ").strip()}
+            model = {key: v for key, v in cfg["model"].items() if key not in replaced}
             fields["config"] = {"model": model, **sections}
         write_manifest(manifest, args.command, started, outputs, **fields)
         return 0

@@ -172,3 +172,17 @@ def test_blp_measure_takes_lambda_once(monkeypatch, collisions):
                                    grid_points=20, collisions=collisions)
     assert len(memories) == 1 and len(result.lambda_trace) == 20 * collisions + 1
     assert abs(result.lambda_trace[-1, 0] - collisions * 1.6) <= 1e-12
+
+
+@pytest.mark.parametrize("off_x, shapes", [(0.0, []), (0.01, [(4, 4), (31, 4, 4)])], ids=["X", "not-X"])
+def test_trajectory_yield_of_an_x_state_diagonalises_nothing(monkeypatch, off_x, shapes):
+    """The global trajectory yield of an X state reads its spectrum off two
+    2x2 blocks; any other state takes the battery spectrum and one batched
+    eigvalsh per chunk."""
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho0[0, 3] = rho0[3, 0] = 0.15
+    rho0[0, 1] = rho0[1, 0] = off_x
+    traj = collision.fine_trajectory(rho0, 3, 10, ModelParams(delta_t=1.2))
+    eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+    assert len(ergotropy.trajectory_work(traj)) == 31
+    assert [args[0].shape for args in eigvalsh] == shapes

@@ -63,9 +63,26 @@ class TestParseNumberList:
                 parse_number_list(text)
 
 
+def block_rows(blocks):
+    """The rows write_csv writes for blocks, as tuples of plain cells."""
+    return [
+        (*prefix, *row)
+        for prefix, columns in blocks
+        for row in zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
+    ]
+
+
 class TestWriteCsv:
+    def assert_matches_the_csv_module(self, tmp_path, header, blocks):
+        write_csv(tmp_path / "new.csv", header, blocks)
+        rows = block_rows(blocks)
+        csv_module_write(tmp_path / "old.csv", header, rows)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\r\n") == len(rows) + 1
+
     def test_matches_the_csv_module(self, tmp_path):
-        """One %-format per file writes the bytes csv.writer wrote, CRLF
+        """One %-format per block writes the bytes csv.writer wrote, CRLF
         line ends included."""
         header = ["name", "x", "y", "i", "j", "flag", "other"]
         rows = [
@@ -73,11 +90,24 @@ class TestWriteCsv:
             ("L", 1.0, np.float64(np.nan), 0, np.int64(2**40), False, True),
             ("G", 1e300, np.float64(np.inf), -12, np.int64(0), True, True),
         ]
-        write_csv(tmp_path / "new.csv", header, rows)
-        csv_module_write(tmp_path / "old.csv", header, rows)
-        new = (tmp_path / "new.csv").read_bytes()
-        assert new == (tmp_path / "old.csv").read_bytes()
-        assert new.count(b"\r\n") == 4
+        self.assert_matches_the_csv_module(tmp_path, header, [((), list(zip(*rows)))])
+
+    def test_blocks_match_the_csv_module(self, tmp_path, monkeypatch):
+        """Constant leading cells of every type, array and sequence columns
+        with nan and inf, an empty block, and a block longer than DAMP_CHUNK,
+        which goes out DAMP_CHUNK rows at a time."""
+        monkeypatch.setattr(cli, "DAMP_CHUNK", 3)
+        header = ["q", "dt", "n", "on", "big", "t", "i", "value", "flag", "name"]
+        t = np.linspace(0.0, 1.0, 11)
+        values = np.array([0.1, -2.5e-17, np.nan, np.inf, -np.inf, 1e300, 5e-324, -0.0, 2.0 / 3.0, 1.0, 0.0])
+        blocks = [
+            (("G_p", 0.4, 3, True, np.int64(2**40)), (t, np.arange(11), values, t > 0.5, ["a"] * 11)),
+            (("L", np.float64(1.2), np.int64(-7), False, np.float64(np.nan)), (t[:2], [0, 1], [np.inf, 0.5],
+                                                                               [True, False], ["b", "c"])),
+            (("x%d", 1.6, 0, True, 0.0), (t[:0], [], [], [], [])),
+            (("G", 1e-300, 1, False, -np.inf), (t[:1], np.arange(1), values[:1], t[:1] > 0.5, ("d",))),
+        ]
+        self.assert_matches_the_csv_module(tmp_path, header, blocks)
 
 
 class TestSweepCommand:
@@ -729,6 +759,18 @@ class TestManifests:
         assert sorted(manifest["config"]) == sections
         assert manifest["config"]["model"] == {k: v for k, v in DEFAULTS["model"].items() if k not in replaced}
         assert manifest.get("seed") == (3 if "optimizer" in sections else None)
+
+    @pytest.mark.parametrize("couplings, recorded", [("0.5", False), ("0.5,1.5", False), ("", True), (" , ", True)])
+    def test_sweep_couplings_replace_the_model_coupling(self, tmp_path, couplings, recorded):
+        """A sweep over --couplings writes rows with those k, so its manifest
+        leaves [model] k out; an empty list sweeps [model] k, which it keeps."""
+        out = tmp_path / "x.csv"
+        assert run("sweep", "--seed", 3, "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0",
+                   "--couplings", couplings, "--output", out) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert ("k" in manifest["config"]["model"]) is recorded
+        assert manifest["config"]["sweep"]["couplings"] == couplings
+        assert {float(row["k"]) for row in read_csv(out)} == ({1.0} if recorded else set(parse_number_list(couplings)))
 
     @pytest.mark.parametrize("argv, w, tau_star", [
         (("trajectory", "--collisions", 1, "--substeps", 2), 6.0, math.pi / 12.0),

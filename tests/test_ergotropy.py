@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +209,52 @@ class TestTrajectoryWork:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             trajectory_work(fine_trajectory(projector([0, 0, 0, 1]), 1, 2, P), "both")
+
+
+X_SHAPE = np.eye(4, dtype=bool) | np.fliplr(np.eye(4, dtype=bool))  # the diagonal and the anti-diagonal
+
+
+def random_x_state(gen) -> np.ndarray:
+    """A random density matrix zero off the X: a random state's blocks on
+    {|00>, |11>} and {|01>, |10>}, which are positive, with the same trace."""
+    return np.where(X_SHAPE, random_density_matrix(gen, 4), 0.0)
+
+
+class TestXStateWork:
+    """The global trajectory yield of an X state reads its spectrum off two
+    2x2 blocks; it must agree with the checked 4x4 eigvalsh."""
+
+    @staticmethod
+    def cases():
+        gen = rng(263)
+        resonant = ModelParams(delta_t=math.pi / 4.0)  # W = 2, so lambda(delta_t) is about 4e-33
+        for e in (0.0, 1.0, 0.37):
+            for state in (locally_passive_state(e), fixed_entanglement_state(e, np.zeros(6))):
+                yield projector(state), resonant, 4, 9
+                yield projector(state), replace(resonant, k=0.0), 2, 5
+        for _ in range(24):
+            p = replace(random_params(gen), h=gen.uniform(-1.0, 2.0))
+            yield random_x_state(gen), p, int(gen.integers(0, 6)), int(gen.integers(1, 9))
+        yield random_x_state(gen), replace(resonant, beta=0.3), 40, 3  # Lambda underflows to 0
+
+    def test_equals_checked_yield_at_every_sample(self):
+        for rho0, p, n, substeps in self.cases():
+            traj = fine_trajectory(rho0, n, substeps, p)
+            h12 = battery_hamiltonian(p)
+            want = np.array([global_ergotropy(s, h12) for s in traj.states])
+            assert np.abs(trajectory_work(traj) - want).max() <= 1e-12
+
+    def test_damping_keeps_the_x_shape(self):
+        for rho0, p, n, substeps in self.cases():
+            states = fine_trajectory(rho0, n, substeps, p).states
+            assert not np.any(states[:, ~X_SHAPE])
+
+    def test_local_stays_below_global(self):
+        for rho0, p, n, substeps in self.cases():
+            traj = fine_trajectory(rho0, n, substeps, p)
+            local, total = trajectory_work(traj, "local"), trajectory_work(traj)
+            assert local.min() >= 0.0
+            assert np.all(local <= total + 1e-12)
 
 
 class TestMaxWorkFixedEntanglement:

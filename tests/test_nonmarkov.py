@@ -335,6 +335,23 @@ class TestBlpMeasure:
         for p, delta_t in [(P, 0.4), (detuned, 0.9 * cutoff)]:
             assert blp_measure(replace(p, delta_t=delta_t), settings, grid_points=50, collisions=collisions).q_n == 0.0
 
+    def test_pole_pair_bounds_the_measure(self):
+        """Start 0 of every search is the zero vector, the pair |00>, |01>,
+        whose D equals Lambda.  So Q_N is at least B, the sum of Lambda's
+        positive increments on the grid, and is positive exactly when B is:
+        with no rising run no pair has any backflow.  max_evals=1 evaluates
+        each start once."""
+        gen = rng(277)
+        for _ in range(40):
+            p = ModelParams(h=gen.uniform(-1.0, 2.0), beta=gen.uniform(0.1, 10.0), k=gen.uniform(0.3, 2.0),
+                            delta_t=gen.uniform(0.1, 4.0))
+            collisions, grid_points = int(gen.integers(1, 4)), 40
+            lam = memory(p, window(p.delta_t, grid_points), collisions)
+            b = np.maximum(np.diff(lam), 0.0).sum()
+            q_n = blp_measure(p, OptimizerSettings(starts=3, seed=1, max_evals=1), grid_points, collisions).q_n
+            assert q_n >= b - 1e-12, (p, collisions)  # D and Lambda's sum round apart
+            assert (q_n > 0.0) == (b > 0.0), (p, collisions)
+
     def test_zero_coupling_zero_measure(self):
         p = ModelParams(k=0.0)
         settings = OptimizerSettings(starts=3, seed=4, max_evals=200)
