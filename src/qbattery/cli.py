@@ -16,8 +16,10 @@ no entropy default.  Outputs are CSV/JSON with full double precision, and
 each run writes a manifest recording [model] without the keys the
 command's own sections replace (REPLACED), those sections and, when a
 search ran, the seed, so identical settings reproduce byte-identical data
-files.  Grid points run one after another, each with
-its own seed derived from the base seed and the point's index.
+files.  A sweep makes one call per entanglement for all its (n, k)
+points (`ergotropy.max_work_at_lambdas`), and a G point's search takes its
+own seed, derived from the base seed and the point's index in the
+(E, n, k) grid.
 
 Exit codes: 0 success, 2 usage or configuration error (or out of memory,
 or a failed read or write), 3 numerical contract violation.  A failed run
@@ -42,8 +44,8 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .collision import DAMP_CHUNK, fine_trajectory
-from .ergotropy import MODES, QUANTITIES, max_work_fixed_entanglement, trajectory_work
+from .collision import DAMP_CHUNK, after_collisions, fine_trajectory
+from .ergotropy import MODES, QUANTITIES, max_work_at_lambdas, trajectory_work
 from .ergotropy import global_ergotropy, local_ergotropy  # noqa: F401  unused; perfbench wraps them by this module's name
 from .fitting import fit_curve
 from .linalg import ContractViolation
@@ -95,8 +97,8 @@ DEFAULTS = {
 
 # Ranges are counted before they are expanded, so a slip such as 0:1e12
 # stops at once instead of filling memory.  A million items take about 0.5 s
-# and 30 MB to expand, and are minutes of work even for the cheapest points
-# (a G_p sweep point, about 0.2 ms on a 2-core VM).
+# and 30 MB to expand.  The cheapest points, of a G_p or L sweep, take about
+# 5 us each on a 2-core VM, and a G point at 24 starts about 5 ms.
 MAX_LIST_ITEMS = 1_000_000
 
 
@@ -254,27 +256,26 @@ def cmd_sweep(args, cfg: dict) -> dict:
     quantity = cfg["sweep"]["quantity"]
     e_list = parse_number_list(cfg["sweep"]["entanglements"])
     n_list = parse_number_list(cfg["sweep"]["collisions"], integer=True)
-    k_list = parse_number_list(cfg["sweep"]["couplings"]) or [params.k]
-    if not e_list:
-        raise UsageError("empty entanglement list")
-    if not n_list:
-        raise UsageError("empty collision list")
+    couplings = [replace(params, k=k) for k in parse_number_list(cfg["sweep"]["couplings"])] or [params]
+    for name, values in (("entanglement", e_list), ("collision", n_list)):
+        if not values:
+            raise UsageError(f"empty {name} list")
     if min(n_list) < 0:
         raise UsageError(f"collisions must be >= 0, got {min(n_list)}")
     schmidt_gap(e_list)  # every E in [0, 1] before any search
     base_settings = OptimizerSettings(**cfg["optimizer"])
-    couplings = [replace(params, k=k) for k in k_list]
-    grid = ((e, n, p) for e in e_list for n in n_list for p in couplings)
-    rows, searched = [], False
-    for idx, (e, n, p) in enumerate(grid):
-        record = max_work_fixed_entanglement(e, n, p, quantity, settings=base_settings.for_grid_index(idx))
-        rep = record.report
-        searched |= rep is not None
-        search = (base_settings.starts, rep.converged) if rep else (0, True)
-        rows.append((e, n, p.k, p.delta_t, record.value, *search))
-    header = ["quantity", "E", "n", "k", "delta_t", "value", "starts", "converged"]
-    write_csv(args.output, header, [((quantity,), list(zip(*rows)))])
-    return {"seed": cfg["optimizer"]["seed"]} if searched else {}
+    lam = np.stack([after_collisions(p, n_list) for p in couplings], axis=1).ravel()  # in (n, k) order
+    size = len(lam)
+    n_k = [n for n in n_list for _ in couplings], [p.k for p in couplings] * len(n_list)  # n may pass int64
+    starts = [base_settings.starts if quantity == "G" else 0] * size  # G alone searches
+    blocks = []
+    for i, e in enumerate(e_list):  # one call per E; a G point's seed is that of its (E, n, k) index
+        seeds = map(base_settings.for_grid_index, range(i * size, (i + 1) * size))
+        values, reports = max_work_at_lambdas(e, lam, params, quantity, seeds)
+        converged = [r.converged for r in reports] if reports else [True] * size
+        blocks.append(((quantity, e), (*n_k, [params.delta_t] * size, values, starts, converged)))
+    write_csv(args.output, ["quantity", "E", "n", "k", "delta_t", "value", "starts", "converged"], blocks)
+    return {"seed": cfg["optimizer"]["seed"]} if quantity == "G" else {}
 
 
 def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:

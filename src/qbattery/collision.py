@@ -110,10 +110,21 @@ def damp(x, lam, p: ModelParams) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def damp_chunked(f, x, lam, p: ModelParams) -> np.ndarray:
-    """f(damp(x, lam, p)) for a 1-D lam, DAMP_CHUNK values of lam at a time,
-    with no (len(lam), 4, 4) stack held; f maps k operators to k values."""
-    return np.concatenate([f(damp(x, lam[c : c + DAMP_CHUNK], p)) for c in range(0, len(lam), DAMP_CHUNK)])
+def damp_chunked(f, lam) -> np.ndarray:
+    """f over the 1-D lam, DAMP_CHUNK values at a time, concatenated: f maps k
+    values of Lambda to k values, damping at them, so no (len(lam), 4, 4)
+    stack is held."""
+    return np.concatenate([f(lam[c : c + DAMP_CHUNK]) for c in range(0, len(lam), DAMP_CHUNK)])
+
+
+def after_collisions(p: ModelParams, counts) -> np.ndarray:
+    """Lambda after each of the collision counts, which may pass int64 and
+    reach the float range.  Each is a 0-d power, as a count alone gives it:
+    an array power can round the last bit differently."""
+    if min(counts) < 0:
+        raise ValueError(f"collision count must be >= 0, got {min(counts)}")
+    lam = _qubit2(p, p.delta_t)[0]
+    return np.array([lam ** float(n) for n in counts])
 
 
 def memory(p: ModelParams, taus, collisions: int) -> np.ndarray:

@@ -51,6 +51,9 @@ channel is linear and its phases change no yield, so rho_n(b2) is the same
 form over the M_i damped by the phase-free channel with
 Lambda = lambda(delta_t)**n (`collision.damp`), and its energy Tr(rho_n H)
 is the same form over theirs.  G_p takes its state from the same damping.
+The coupling and delta_t enter only through Lambda
+(`collision.after_collisions`), so one call per E (`max_work_at_lambdas`)
+damps the state, or the M_i, at the Lambda of every (n, k) of a sweep.
 
 The yields are even in b2: sz (x) sz, a z rotation of both qubits, maps u
 to u and w to -w, so the state at b2 to the one at -b2.  So b2 = 0 and
@@ -77,18 +80,24 @@ is never negative.  Squaring can only add roots, and an extra one does no
 harm, since it is read as a value of L.  When (1 - Lambda)*gap = 0 there is
 no quadratic, and none is needed: at Lambda = 1, L = 2*e1*gap + e2*gap*(u + 1)
 is largest at u = 1, and at gap = 0 (or Lambda = 0) L is constant.  The
-candidates are evaluated through the same (3, 17) form and local yield as
-every other evaluation, so the closed form only says where to look.
+roots of a*u**2 + b*u + c are taken as q/a and c/q, with
+q = -(b + sign(b)*sqrt(b**2 - 4*a*c))/2, which loses no digits to
+cancellation.  With a > 0, q = 0 only at b = 0 and a zero discriminant:
+p0 = p1 (beta = 0) and Lambda = 0, where c = 0 too and the double root is
+u = 0 = q/a.  The candidates are evaluated through the same (3, 17) form
+and local yield as every other evaluation, so the closed form only says
+where to look.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .collision import Trajectory, _qubit2, _require_state, damp, damp_chunked
+from .collision import Trajectory, _require_state, after_collisions, damp, damp_chunked
 from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import ModelParams, battery_hamiltonian
@@ -163,16 +172,10 @@ def local_ergotropy(rho12, p: ModelParams) -> float:
     return float(_yield_of(p, "local")(_require_state(rho12, "rho12")))
 
 
-def ergotropy_after_collisions(
-    rho0, n: int, p: ModelParams, mode: str = "global"
-) -> float:
+def ergotropy_after_collisions(rho0, n: int, p: ModelParams, mode: str = "global") -> float:
     """Evolve n full collisions, then take the global or local work yield.
     n may exceed int64 and reach the float range."""
-    work = _yield_of(p, mode)
-    state = _require_state(rho0, "rho0")
-    if n < 0:
-        raise ValueError(f"collision count must be >= 0, got {n}")
-    return float(work(damp(state, _qubit2(p, p.delta_t)[0] ** float(n), p)))  # Lambda after n collisions
+    return float(damped_work(_require_state(rho0, "rho0"), after_collisions(p, [n]), p, mode)[0])
 
 
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # zero in an X state
@@ -198,19 +201,24 @@ def _x_work(p: ModelParams):
     return work
 
 
-def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
-    """Global or local work yield at every sample of a trajectory, unchecked:
-    a Trajectory holds a checked initial state.
+def damped_work(rho0: np.ndarray, lam: np.ndarray, p: ModelParams, mode: str = "global") -> np.ndarray:
+    """Global or local work yield of the checked state rho0 damped at each
+    Lambda of the 1-D lam, DAMP_CHUNK values at a time.
 
     The damping keeps an X state an X state: its weight a multiplies entry by
     entry, and b is diagonal in qubit 2 and flips it, which maps the X onto
-    itself.  So when rho0 is zero off the X, as both of the trajectory
-    command's initial states are, the global yield reads each sample's
-    spectrum off two 2x2 blocks (`_x_work`) instead of a 4x4 eigvalsh; the
-    two agree within 1e-12."""
-    p = traj.params
-    x_state = mode == "global" and not np.any(traj.rho0[_OFF_X])
-    return damp_chunked(_x_work(p) if x_state else _yield_of(p, mode), traj.rho0, traj.lam, p)
+    itself.  So when rho0 is zero off the X, as the locally passive state and
+    the Schmidt state are, the global yield reads each spectrum off two 2x2
+    blocks (`_x_work`) instead of a 4x4 eigvalsh; the two agree within
+    1e-12."""
+    work = _x_work(p) if mode == "global" and not np.any(rho0[_OFF_X]) else _yield_of(p, mode)
+    return damp_chunked(lambda chunk: work(damp(rho0, chunk, p)), lam)
+
+
+def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
+    """Global or local work yield at every sample of a trajectory, unchecked:
+    a Trajectory holds a checked initial state."""
+    return damped_work(traj.rho0, traj.lam, traj.params, mode)
 
 
 @dataclass(frozen=True)
@@ -221,60 +229,71 @@ class WorkRecord:
     report: OptimizerReport | None = None
 
 
-def max_work_fixed_entanglement(
-    entanglement: float,
-    n: int,
-    p: ModelParams,
-    quantity: str,
-    settings: OptimizerSettings | None = None,
-) -> WorkRecord:
-    """Extremal work after n collisions at fixed initial entanglement.
+def max_work_at_lambdas(entanglement: float, lam: np.ndarray, p: ModelParams, quantity: str, settings=None):
+    """Extremal work at fixed initial entanglement after the damping at each
+    Lambda of the 1-D lam (`collision.after_collisions`), as (values,
+    reports): the reports of G's searches, None for G_p and L.  p gives the
+    battery and the bath; its k and delta_t enter only through lam.  The
+    Lambda are taken DAMP_CHUNK at a time, so no per-point stack is held
+    whole.
 
     quantity "G_p": direct yield of the locally passive initial state (no
     optimization; its free phase cannot change the yield, see the module
-    docstring).  "G"/"L": global or local yield maximized over the
-    fixed-entanglement family, over qubit 2's angle b2 alone, as
-    x = b2 - pi/2: the yields separate, and qubit 1's angles are best at
-    b1 = 0 (module docstring).  The damped M_i and their energies are taken
-    once, as the rows of one (3, 17) linear form, so an evaluation is a few
-    elementwise operations and, for G, one real 4x4 eigvalsh.  G is found
-    by seeded multi-start search, and its record carries the search's
-    report.  L takes no search: it is the largest evaluation at
-    u = cos(b2) = -1, 1 and the roots in [-1, 1] of the stationary
-    quadratic (module docstring), in one call of at most four rows.  Its
-    record carries no report, and settings are ignored, as for G_p.
+    docstring), through `damped_work`.  "G"/"L": global or local yield
+    maximized over the fixed-entanglement family, over qubit 2's angle b2
+    alone, as x = b2 - pi/2: the yields separate, and qubit 1's angles are
+    best at b1 = 0 (module docstring).  The damped M_i and their energies are
+    taken once per Lambda, as the rows of one (3, 17) linear form, so an
+    evaluation is a few elementwise operations and, for G, one real 4x4
+    eigvalsh.  G is one seeded multi-start search per Lambda, on its own
+    row of the (len(lam), 3, 17) forms, with the next of settings (an
+    OptimizerSettings or None per Lambda, read in order; None gives the
+    default settings to each).  L takes no search: it is the largest
+    evaluation at u = cos(b2) = -1, 1 and the roots in [-1, 1] of the
+    stationary quadratic (module docstring), four rows per Lambda, and
+    settings are ignored, as for G_p.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
-    if n < 0:
-        raise ValueError(f"collision count must be >= 0, got {n}")
-    mode = MODES[quantity]
     if quantity == "G_p":
-        rho0 = projector(locally_passive_state(entanglement))
-        return WorkRecord(ergotropy_after_collisions(rho0, n, p, mode))
-    r1, r2 = (math.sqrt(lam) for lam in schmidt_lambdas_from_entanglement(entanglement))
+        return damped_work(projector(locally_passive_state(entanglement)), lam, p), None
+    r1, r2 = (math.sqrt(weight) for weight in schmidt_lambdas_from_entanglement(entanglement))
     u, w = np.array([r1, 0.0, 0.0, r2]), np.array([0.0, r1, -r2, 0.0])
     uu, ww, uw = np.outer(u, u), np.outer(w, w), np.outer(u, w)
     terms = 0.5 * np.array([uu + ww, uw + uw.T, ww - uu])  # M0, M2 and -M1: the chart x = b2 - pi/2
-    lam = _qubit2(p, p.delta_t)[0] ** float(n)  # Lambda after n collisions
-    damped = damp(terms, lam, p).reshape(3, 16)
     energies = np.diag(battery_hamiltonian(p)).real
-    form = np.concatenate([damped, damped.reshape(3, 4, 4).diagonal(axis1=1, axis2=2) @ energies[:, None]], axis=1)
     local, levels = _yield_of(p, "local"), np.sort(energies)
+    gap, seeds, reports = schmidt_gap(entanglement), iter(settings or [None] * len(lam)), []
 
-    def objective(angles):  # (..., 1) angles x, one value per point; elementwise, so a row is its point alone
-        x = np.asarray(angles, dtype=float)
-        f = form[0] + np.cos(x) * form[1] + np.sin(x) * form[2]
+    def work(form, x):  # (..., 1) angles x, one value per point; elementwise, so a row is its point alone
+        f = form[..., 0, :] + np.cos(x) * form[..., 1, :] + np.sin(x) * form[..., 2, :]
         r = f[..., :16].reshape(x.shape[:-1] + (4, 4))
-        if mode == "local":
-            return local(r)
-        return f[..., 16] - np.linalg.eigvalsh(r)[..., ::-1] @ levels
+        return local(r) if quantity == "L" else f[..., 16] - np.linalg.eigvalsh(r)[..., ::-1] @ levels
 
-    if mode == "local":  # no search: the largest value at u = cos(b2) = +-1 and the stationary u (module docstring)
-        gap = schmidt_gap(entanglement)
-        a = (1.0 - lam) * gap
-        roots = np.roots([a, -2.0 * (1.0 - lam) * (p.p0 - p.p1), -lam * gap]).real if a else []
-        cos_b2 = np.clip(np.r_[-1.0, 1.0, roots], -1.0, 1.0)
-        return WorkRecord(float(objective(-np.arcsin(cos_b2)[:, None]).max()))  # x = b2 - pi/2 = -arcsin(cos b2)
-    _, value, report = multistart_maximize(objective, 1, settings)
-    return WorkRecord(value, report)
+    def best(chunk):
+        damped = damp(terms, chunk[:, None], p)
+        forms = np.concatenate([damped.reshape(-1, 3, 16), damped.diagonal(axis1=2, axis2=3) @ energies[:, None]], axis=2)
+        if quantity == "G":
+            found = [multistart_maximize(partial(work, form), 1, s) for form, s in zip(forms, seeds)]
+            reports.extend(report for _, _, report in found)
+            return np.array([value for _, value, _ in found])
+        # no search: the largest value at u = cos(b2) = +-1 and the stationary u (module docstring), the
+        # roots q/a and c/q of a*u**2 + b*u + c; q = 0 only at the double root 0 = q/a
+        a, b, c = (1.0 - chunk) * gap, -2.0 * (1.0 - chunk) * (p.p0 - p.p1), -chunk * gap
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        root = np.divide(q, a, out=np.ones_like(q), where=a != 0.0)  # a = 0: no quadratic, and none is needed
+        other = np.divide(c, q, out=root.copy(), where=(a != 0.0) & (q != 0.0))
+        cos_b2 = np.clip(np.stack([-np.ones_like(q), np.ones_like(q), root, other], axis=1), -1.0, 1.0)
+        return work(forms[:, None], -np.arcsin(cos_b2)[..., None]).max(axis=1)  # x = b2 - pi/2 = -arcsin(cos b2)
+
+    return damp_chunked(best, lam), reports if quantity == "G" else None
+
+
+def max_work_fixed_entanglement(
+    entanglement: float, n: int, p: ModelParams, quantity: str, settings: OptimizerSettings | None = None
+) -> WorkRecord:
+    """Extremal work after n collisions at fixed initial entanglement: the
+    one-point call of `max_work_at_lambdas`.  G's record carries its
+    search's report, and G_p's and L's none."""
+    values, reports = max_work_at_lambdas(entanglement, after_collisions(p, [n]), p, quantity, [settings])
+    return WorkRecord(float(values[0]), reports[0] if reports else None)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import apply_channel, damp_chunked, damping, memory
+from .collision import apply_channel, damp, damp_chunked, damping, memory
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 
@@ -105,7 +105,7 @@ def _distance_samples(s1: np.ndarray, s2: np.ndarray, lam: np.ndarray, p: ModelP
     Every map here is linear in the input, so only the difference of the two
     battery states is damped.
     """
-    return damp_chunked(_trace_distances, _difference(s1, s2), lam, p)
+    return damp_chunked(lambda chunk: _trace_distances(damp(_difference(s1, s2), chunk, p)), lam)
 
 
 def _rises(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:

@@ -7,15 +7,17 @@ BLP trace distance comes from that damping: the package holds no collision
 loop and no n-collision map.  An objective evaluation of the G search
 diagonalises only the evolved state; the battery spectrum and the damped
 linear form the evaluations read are taken once per search, with one
-damping.  L takes no search: one damping and one evaluation of at most four
-rows, whose marginal ergotropies are read off the states in closed form.
-Counts, not timings, so the guard does not depend on the host's speed.
+damping.  L takes no search: one damping and one evaluation of four rows a
+point, whose marginal ergotropies are read off the states in closed form.
+A sweep enters the work kernel once per entanglement, for all its (n, k)
+points.  Counts, not timings, so the guard does not depend on the host's
+speed.
 """
 
 import numpy as np
 import pytest
 
-from qbattery import collision, ergotropy, nonmarkov
+from qbattery import cli, collision, ergotropy, nonmarkov
 from qbattery.model import ModelParams
 from qbattery.optimize import OptimizerSettings
 from test_nonmarkov import search_objective
@@ -131,21 +133,36 @@ def test_objective_evaluation_applies_the_search_damping(monkeypatch, quantity):
 def test_local_record_takes_no_search(monkeypatch, n):
     """L is read off its closed-form stationary points (the ergotropy module
     docstring): a record runs no search, takes one damping, diagonalises
-    nothing and calls the objective once, on at most four rows."""
+    nothing and evaluates the local yield once, on four candidate rows per
+    point, of which two to four are distinct."""
     searches = counted(monkeypatch, ergotropy, "multistart_maximize")
     damps = counted(monkeypatch, ergotropy, "damp")
     eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
-    rows = []
+    stacks = []
     yield_of = ergotropy._yield_of
 
-    def counted_yield(p, mode):  # for L, the objective calls the local yield once per call
+    def counted_yield(p, mode):  # for L, the kernel calls the local yield once per chunk of points
         work = yield_of(p, mode)
-        return lambda r: rows.append(len(r)) or work(r)
+        return lambda r: stacks.append(r) or work(r)
 
     monkeypatch.setattr(ergotropy, "_yield_of", counted_yield)
     ergotropy.max_work_fixed_entanglement(0.6, n, ModelParams(k=0.8), "L")
-    assert (len(searches), len(damps), len(eigvalsh), len(rows)) == (0, 1, 0, 1)
-    assert 2 <= rows[0] <= 4
+    assert (len(searches), len(damps), len(eigvalsh), len(stacks)) == (0, 1, 0, 1)
+    (points, rows, _, _), = [r.shape for r in stacks]
+    distinct = len(np.unique(stacks[0].reshape(rows, 16), axis=0))
+    assert points == 1 and rows == 4 and 2 <= distinct <= 4
+
+
+def test_sweep_enters_the_kernel_once_per_entanglement(monkeypatch, tmp_path):
+    """A sweep makes one kernel call per E for all its (n, k) points: 101 calls
+    for a 101 x 31 G_p grid, not 3,131, and no eigvalsh, since the locally
+    passive state is an X state."""
+    calls = counted(monkeypatch, cli, "max_work_at_lambdas")
+    eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+    code = cli.main(["sweep", "--seed", "1", "--quantity", "G_p", "--entanglements", "0:1:0.01",
+                     "--collisions", "0:30", "--output", str(tmp_path / "s.csv")])
+    assert code == 0 and len(calls) == 101 and len(eigvalsh) == 0
+    assert [len(args[1]) for args in calls] == [31] * 101
 
 
 @pytest.mark.parametrize("collisions, runs", [(1, 1), (3, 3)])

@@ -1,11 +1,13 @@
 import csv
 import errno
+import itertools
 import json
 import math
 import os
 import shlex
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,9 @@ import pytest
 import qbattery.cli as cli
 import qbattery.collision as collision
 from qbattery.cli import DEFAULTS, build_parser, main, parse_number_list, resolve_config, write_csv
-from qbattery.ergotropy import ergotropy_after_collisions
+from qbattery.ergotropy import ergotropy_after_collisions, max_work_fixed_entanglement
 from qbattery.model import ModelParams
+from qbattery.optimize import OptimizerSettings
 from qbattery.states import fixed_entanglement_state, projector, schmidt_gap
 
 from _oracles import csv_module_write
@@ -197,14 +200,36 @@ class TestSweepCommand:
         assert all(float(r["delta_t"]) == 0.3 for r in rows)
 
     def test_cold_bath_from_config(self, tmp_path):
-        # 2 * beta overflows to inf; the populations read 0 and 1
+        # 2 * beta overflows to inf; the populations read 0 and 1.  The value
+        # is 0.19950212188104794 in 50-digit arithmetic at the same Lambda; the
+        # X-state yield rounds it to the digits below
         cfg = tmp_path / "cold.ini"
         cfg.write_text("[model]\nbeta = 1e308\n")
         out = tmp_path / "cold.csv"
         code = run("sweep", "--config", cfg, "--seed", 1, "--output", out,
                    "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "3")
         assert code == 0
-        assert [r["value"] for r in read_csv(out)] == ["0.19950212188104821"]
+        assert [r["value"] for r in read_csv(out)] == ["0.19950212188104732"]
+
+    def test_g_rows_keep_the_grid_seed_order(self, tmp_path):
+        """A sweep makes one call per E for all its (n, k) points, and point
+        (i_E, i_n, i_k) of an N x K grid per E still searches with the seed
+        of its grid index (i_E*N + i_n)*K + i_k: each row equals the one-point
+        record bit for bit, converged included."""
+        es, ns, ks = [0.2, 0.5, 0.9], [0, 3, 30], [0.5, 2.0]
+        out = tmp_path / "g.csv"
+        assert run("sweep", "--seed", 4, "--quantity", "G", "--entanglements", "0.2,0.5,0.9",
+                   "--collisions", "0,3,30", "--couplings", "0.5,2", "--starts", 3, "--max-evals", 60,
+                   "--output", out) == 0
+        settings = OptimizerSettings(starts=3, seed=4, max_evals=60)
+        want = []
+        for (i_e, e), (i_n, n), (i_k, k) in itertools.product(*map(enumerate, (es, ns, ks))):
+            seeded = settings.for_grid_index((i_e * len(ns) + i_n) * len(ks) + i_k)
+            record = max_work_fixed_entanglement(e, n, replace(ModelParams(), k=k), "G", seeded)
+            want.append((e, n, k, "%.17g" % record.value, str(record.report.converged).lower()))
+        got = [(float(r["E"]), int(r["n"]), float(r["k"]), r["value"], r["converged"]) for r in read_csv(out)]
+        assert got == want
+        assert {row[-1] for row in got} == {"true", "false"}
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -212,6 +237,25 @@ class TestSweepCommand:
         code = run("sweep", "--config", cfg, "--seed", 1,
                    "--output", tmp_path / "x.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("quantity", ["G_p", "L"])
+    def test_memory_is_bounded(self, tmp_path, monkeypatch, quantity):
+        """A sweep damps DAMP_CHUNK points at a time: one E over 20,001
+        collision counts peaks at about 2.2 MB of Python allocations, mostly
+        the parsed counts and the rows, where damping every point at once
+        peaks at 13 MB for G_p and 42 MB for L."""
+        for module in (collision, cli):
+            monkeypatch.setattr(module, "DAMP_CHUNK", 256)
+        out = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            code = run("sweep", "--seed", 1, "--quantity", quantity, "--entanglements", 0.6,
+                       "--collisions", "0:20000", "--output", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(read_csv(out)) == 20_001
+        assert peak < 3e6, peak
 
 
 class TestTrajectoryCommand:
@@ -916,14 +960,14 @@ class TestRejectedRuns:
 
     @pytest.mark.parametrize("argv, kernel", [
         (("sweep", "--couplings", "0.5,-1", "--collisions", "0", "--entanglements", "0.5"),
-         "max_work_fixed_entanglement"),
+         "max_work_at_lambdas"),
         (("trajectory", "--delta-ts", "0.2,0", "--collisions", 1, "--substeps", 2), "fine_trajectory"),
         (("blp", "--delta-ts", "1.6,0", "--starts", 1, "--max-evals", 20, "--grid-points", 10),
          "blp_measure"),
         (("sweep", "--quantity", "G", "--entanglements", "0.5,1.5", "--collisions", "0"),
-         "max_work_fixed_entanglement"),
+         "max_work_at_lambdas"),
         (("sweep", "--quantity", "G_p", "--entanglements", "0.5", "--collisions", "0:1e12"),
-         "max_work_fixed_entanglement"),
+         "max_work_at_lambdas"),
         (("trajectory", "--delta-ts", "0.2,1e307", "--collisions", 1, "--substeps", 200), "fine_trajectory"),
         (("trajectory", "--delta-ts", "0.2", "--collisions", 10**400, "--substeps", 2), "fine_trajectory"),
         (("blp", "--delta-ts", "1.6,1e308", "--collisions", 2, "--starts", 1, "--max-evals", 20,
@@ -951,10 +995,15 @@ class TestRejectedRuns:
 
     @pytest.mark.filterwarnings("error")  # as above: a warning would print on stderr
     def test_collision_count_past_the_float_range(self, tmp_path, capsys):
-        """Past int64, and up to the float range, G_p reads its steady work."""
+        """Past int64, and up to the float range, G_p reads its steady work,
+        and each count is written as the integer it is: 1 and 2**63 have no
+        common fixed-width integer type, and numpy would make them floats."""
         config = tmp_path / "big.ini"
         config.write_text("[model]\ndelta_t = 1.0\n")
         out = tmp_path / "s.csv"
+        code = run("sweep", "--seed", 1, "--config", config, "--quantity", "G_p", "--entanglements", "0.5",
+                   "--collisions", "1,9223372036854775808", "--output", out)
+        assert (code, [r["n"] for r in read_csv(out)]) == (0, ["1", "9223372036854775808"])
         code = run("sweep", "--seed", 1, "--config", config, "--quantity", "G_p", "--entanglements", "0.5",
                    "--collisions", "100000000000000000000,1e300,1.7e308", "--output", out)
         assert (code, capsys.readouterr().err) == (0, "")

@@ -15,6 +15,7 @@ from qbattery.ergotropy import (
     ergotropy_after_collisions,
     global_ergotropy,
     local_ergotropy,
+    max_work_at_lambdas,
     max_work_fixed_entanglement,
     trajectory_work,
 )
@@ -448,6 +449,37 @@ class TestSearchedAngles:
             assert abs(value - max(scan[j], -refined.fun)) <= 1e-9, (p, e, n)
             assert value >= searched - 1e-12, (p, e, n)
         assert inverted >= 30
+
+    @pytest.mark.filterwarnings("error")  # a 0/0 or a division by zero would warn
+    def test_batched_local_at_the_quadratics_edges(self):
+        """L over many Lambda in one call, where the stationary quadratic
+        degenerates: beta = 0 with Lambda underflowing to 0 (n = 10**20), where
+        its roots' q is 0; Lambda = 1 (k = 0), where a = 0; E = 1, where the
+        gap is 0; and random models with h in [-1, 2].  Each value is finite
+        and within 1e-12 of the oracle's largest local yield over b2: a
+        2,001-point scan of [0, pi], refined by scipy's bounded search around
+        its best point."""
+        gen = rng(331)
+        grid = np.linspace(0.0, np.pi, 2001)
+        ns = [0, 1, 2, 5, 17, 40, 10**20]
+        cases = [(ModelParams(beta=0.0), 0.4), (ModelParams(beta=0.0, h=-0.7, k=0.3), 0.8),
+                 (ModelParams(k=0.0), 0.6), (ModelParams(), 1.0), (ModelParams(beta=0.0), 1.0)]
+        for _ in range(10):
+            e2 = gen.uniform(0.1, 2.0)
+            p = ModelParams(e1=e2 + gen.uniform(0.05, 2.0), e2=e2, h=gen.uniform(-1.0, 2.0), k=gen.uniform(0.0, 2.0),
+                            beta=gen.uniform(0.0, 10.0), delta_t=gen.uniform(0.1, 4.0))
+            cases.append((p, gen.uniform(0.0, 1.0)))
+        for p, e in cases:
+            values, reports = max_work_at_lambdas(e, collision.after_collisions(p, ns), p, "L")
+            assert reports is None and np.isfinite(values).all(), (p, e)
+            for n, value in zip(ns, values):
+                oracle = local_work_over_b2(e, n, p)
+                scan = oracle(grid)
+                j = int(np.argmax(scan))
+                bounds = (grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)])
+                refined = minimize_scalar(lambda b2: -oracle([b2])[0], bounds=bounds, method="bounded",
+                                          options={"xatol": 1e-12})
+                assert abs(value - max(scan[j], -refined.fun)) <= 1e-12, (p, e, n)
 
     def test_steady_state_is_the_product_closed_form(self):
         """After n = 10**20 collisions with lambda(delta_t) < 0.99, qubit 2 is
