@@ -32,7 +32,6 @@ import argparse
 import configparser
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -44,7 +43,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .collision import DAMP_CHUNK, after_collisions, fine_trajectory
+from .collision import DAMP_CHUNK, after_collisions, cutoff, fine_trajectory
 from .ergotropy import MODES, QUANTITIES, max_work_at_lambdas, trajectory_work
 from .ergotropy import global_ergotropy, local_ergotropy  # noqa: F401  unused; perfbench wraps them by this module's name
 from .fitting import fit_curve
@@ -260,8 +259,6 @@ def cmd_sweep(args, cfg: dict) -> dict:
     for name, values in (("entanglement", e_list), ("collision", n_list)):
         if not values:
             raise UsageError(f"empty {name} list")
-    if min(n_list) < 0:
-        raise UsageError(f"collisions must be >= 0, got {min(n_list)}")
     schmidt_gap(e_list)  # every E in [0, 1] before any search
     base_settings = OptimizerSettings(**cfg["optimizer"])
     lam = np.stack([after_collisions(p, n_list) for p in couplings], axis=1).ravel()  # in (n, k) order
@@ -290,10 +287,11 @@ def _trajectory_initial_state(quantity: str, entanglement: float) -> np.ndarray:
 def _delta_t_models(cfg: dict, section: str, steps: int, **overrides) -> list[ModelParams]:
     """One checked model per delta_t of [section] delta_ts, [model] with the
     command's overrides, before any work.  The list must not be empty, and
-    no sample time may pass the largest float: trajectory forms its sample
-    times from (collisions x substeps) x delta_t, and blp's last sample time
-    is collisions x delta_t, so steps x delta_t is taken in decimal, which no
-    step count overflows."""
+    no sample time may pass the largest float: both commands form theirs as
+    j x delta_t / per for j up to steps = collisions x per
+    (`collision.sample_times`), per being trajectory's substeps and blp's
+    grid points, so steps x delta_t is taken in decimal, which no step count
+    overflows."""
     dt_list = parse_number_list(cfg[section]["delta_ts"])
     if not dt_list:
         raise UsageError("empty delta_t list")
@@ -301,14 +299,6 @@ def _delta_t_models(cfg: dict, section: str, steps: int, **overrides) -> list[Mo
     if Decimal(steps) * Decimal(max(dt_list)) > Decimal(sys.float_info.max):
         raise UsageError(f"sample times overflow: {steps} x delta_t {max(dt_list)!r}")
     return models
-
-
-def _cutoff(p: ModelParams) -> dict:
-    """The exchange frequency W = hypot(e2 - h, 2k) and the cut-off
-    tau* = pi/(2W), where lambda first turns up; None at k = 0, where
-    lambda = 1 (the collision module docstring)."""
-    w = math.hypot(p.e2 - p.h, 2.0 * p.k)
-    return {"W": w, "tau_star": math.pi / (2.0 * w) if p.k > 0.0 else None}
 
 
 def cmd_trajectory(args, cfg: dict) -> dict:
@@ -324,13 +314,13 @@ def cmd_trajectory(args, cfg: dict) -> dict:
         traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
         blocks.append(((p.delta_t,), (traj.times, traj.collision_index, trajectory_work(traj, MODES[quantity]))))
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], blocks)
-    return {"initial_state": state.real.tolist(), **_cutoff(points[0])}  # both states are real
+    return {"initial_state": state.real.tolist(), **cutoff(points[0])}  # both states are real
 
 
 def cmd_blp(args, cfg: dict) -> dict:
     bcfg = cfg["blp"]
     grid_points = bcfg["grid_points"]
-    points = _delta_t_models(cfg, "blp", bcfg["collisions"], k=bcfg["k"])
+    points = _delta_t_models(cfg, "blp", bcfg["collisions"] * grid_points, k=bcfg["k"])
     base_settings = OptimizerSettings(**cfg["optimizer"])
     results = [
         blp_measure(p, settings=base_settings.for_grid_index(idx), grid_points=grid_points,
@@ -342,7 +332,7 @@ def cmd_blp(args, cfg: dict) -> dict:
     if args.trace_output is not None:
         trace = [((p.delta_t,), tuple(r.lambda_trace.T)) for p, r in zip(points, results)]
         write_csv(args.trace_output, ["delta_t", "t", "D"], trace)
-    return {"seed": cfg["optimizer"]["seed"], **_cutoff(points[0])}
+    return {"seed": cfg["optimizer"]["seed"], **cutoff(points[0])}
 
 
 def _load_fit_data(path: str, n_filter, quantity_filter) -> list[tuple[float, float]]:

@@ -12,15 +12,18 @@ g(tau) = exp(-j*(e2 + h)*tau)*(cos(W*tau) - j*((e2 - h)/W)*sin(W*tau)),
 is written once, as elementwise weights on a 4x4 operator
 (`channel_weights`).  Fresh spins carry no memory, so inside collision
 m + 1 the battery has passed through the damping with
-Lambda = lambda(delta_t)**m * lambda(tau) (`memory`), then z rotations,
-which no work yield and no trace distance sees: those are taken from the
-phase-free damping (`damp`), with no loop over collisions.  Each sample
+Lambda = lambda(delta_t)**m * lambda(tau) (`after_collisions`, the one
+function that takes that power, so a trajectory's collision boundary reads
+the Lambda a sweep reads), then z rotations, which no work yield and no
+trace distance sees: those are taken from the phase-free damping (`damp`),
+with no loop over collisions.  Each sample
 inside a collision is taken from the collision's initial boundary state,
 which keeps the intra-collision spin-battery correlations exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,9 +35,17 @@ from .model import ModelParams
 DAMP_CHUNK = 4096  # samples damped, or written, at a time
 
 
+def cutoff(p: ModelParams) -> dict:
+    """The exchange frequency W = hypot(e2 - h, 2k) and the cut-off
+    tau* = pi/(2W), where lambda first turns up; None at k = 0, where
+    lambda = 1.  Keyed as the manifests of blp and trajectory record them."""
+    w = float(np.hypot(p.e2 - p.h, 2.0 * p.k))
+    return {"W": w, "tau_star": math.pi / (2.0 * w) if p.k > 0.0 else None}
+
+
 def _exchange(p: ModelParams, t):
     """cos(W*t) and sin(W*t)/W, written t*sinc(W*t/pi) so that W = 0 gives t."""
-    w = np.hypot(p.e2 - p.h, 2.0 * p.k)
+    w = cutoff(p)["W"]
     return np.cos(w * t), t * np.sinc(w * t / np.pi)
 
 
@@ -117,25 +128,24 @@ def damp_chunked(f, lam) -> np.ndarray:
     return np.concatenate([f(lam[c : c + DAMP_CHUNK]) for c in range(0, len(lam), DAMP_CHUNK)])
 
 
-def after_collisions(p: ModelParams, counts) -> np.ndarray:
-    """Lambda after each of the collision counts, which may pass int64 and
-    reach the float range.  Each is a 0-d power, as a count alone gives it:
-    an array power can round the last bit differently."""
+def sample_times(p: ModelParams, n: int, per: int) -> np.ndarray:
+    """The n*per + 1 times j*delta_t/per of n collisions sampled per times
+    each, at which after_collisions(p, range(n + 1), per) gives Lambda."""
+    return np.arange(n * per + 1) * p.delta_t / per
+
+
+def after_collisions(p: ModelParams, counts, per: int = 1) -> np.ndarray:
+    """Lambda at the first per `sample_times` of the collision that follows
+    each of the collision counts, as len(counts)*per values: lambda(delta_t)**n
+    at the collision's start, that power times lambda(tau) at tau into it.
+    Counts may pass int64 and reach the float range.  Each power is a 0-d
+    power, as a count alone gives it: an array power can round the last bit
+    differently.  lambda(0) is 1, so per = 1 gives the powers alone."""
     if min(counts) < 0:
         raise ValueError(f"collision count must be >= 0, got {min(counts)}")
     lam = _qubit2(p, p.delta_t)[0]
-    return np.array([lam ** float(n) for n in counts])
-
-
-def memory(p: ModelParams, taus, collisions: int) -> np.ndarray:
-    """Lambda at tau = 0 and at every tau of each collision, as
-    collisions*len(taus) + 1 values.  Each collision starts from the state at
-    the last tau of the one before, so inside collision m + 1
-    Lambda = lambda(taus[-1])**m * lambda(tau)."""
-    lam = _qubit2(p, np.array(taus, dtype=float))[0]
-    # cumprod keeps Lambda at a collision's last sample equal to the next power
-    powers = np.cumprod(np.concatenate([[1.0], np.full(collisions, lam[-1])]))[:collisions]
-    return np.concatenate([[1.0], np.outer(powers, lam).ravel()])
+    inside = _qubit2(p, sample_times(p, 1, per)[:per])[0]
+    return np.outer(np.fromiter((lam ** float(n) for n in counts), float), inside).ravel()
 
 
 def _require_state(rho, what: str = "input") -> np.ndarray:
@@ -156,9 +166,10 @@ def collide_once(rho, p: ModelParams) -> np.ndarray:
 @dataclass(frozen=True)
 class Trajectory:
     """Samples along a collision sequence.  At ``times[i]`` Lambda is
-    ``lam[i]`` (`memory`) and the active spin is ``collision_index[i]``,
-    counted from 1, with 0 for the initial sample; the sample at n*delta_t
-    belongs to collision n."""
+    ``lam[i]`` (`after_collisions`) and the active spin is
+    ``collision_index[i]``, counted from 1, with 0 for the initial sample;
+    the sample at n*delta_t belongs to collision n and reads Lambda after n
+    collisions, as a sweep does."""
 
     times: np.ndarray
     collision_index: np.ndarray
@@ -190,12 +201,11 @@ def fine_trajectory(rho0, n: int, substeps: int, p: ModelParams) -> Trajectory:
         raise ValueError(f"collision count must be >= 0, got {n}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    taus = [(s * p.delta_t) / substeps for s in range(1, substeps + 1)]
     steps = np.arange(n * substeps + 1)
     return Trajectory(
-        times=steps * p.delta_t / substeps,
+        times=sample_times(p, n, substeps),
         collision_index=(steps + substeps - 1) // substeps,
         params=p,
-        lam=memory(p, taus, n),
+        lam=after_collisions(p, range(n + 1), substeps)[: n * substeps + 1],
         rho0=m,
     )

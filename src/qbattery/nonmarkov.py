@@ -22,7 +22,8 @@ f non-decreasing (Breuer, Laine & Piilo, PRL 103, 210401 (2009), make the
 same step for amplitude damping).  D therefore rises only where Lambda
 rises, and its positive increments over a maximal rising run of Lambda
 telescope to D(last sample) - D(first sample).  Lambda is taken once per
-delta_t, at every sample (`collision.memory`), and only its values at the
+delta_t, at every sample (`collision.after_collisions`), so each collision
+end reads the Lambda a sweep reads, and only its values at the
 two ends of each run are kept, as the weights of the phase-free
 GAD_Lambda (`collision.damping`): qubit 2's populations keep the fraction
 Lambda of their offset from the bath's, its coherences the fraction
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import apply_channel, damp, damp_chunked, damping, memory
+from .collision import after_collisions, apply_channel, damp, damp_chunked, damping, sample_times
 from .model import ModelParams
 from .optimize import OptimizerReport, OptimizerSettings, multistart_maximize
 
@@ -100,7 +101,7 @@ def _trace_distances(ops: np.ndarray) -> np.ndarray:
 
 def _distance_samples(s1: np.ndarray, s2: np.ndarray, lam: np.ndarray, p: ModelParams) -> np.ndarray:
     """Trace distance D of the evolving pair at every sample of lam, Lambda
-    as `collision.memory` gives it.
+    as `collision.after_collisions` gives it.
 
     Every map here is linear in the input, so only the difference of the two
     battery states is damped.
@@ -141,8 +142,8 @@ def blp_measure(
     if collisions < 1:
         raise ValueError(f"collisions must be >= 1, got {collisions}")
 
-    times = np.arange(collisions * grid_points + 1) * (p.delta_t / grid_points)
-    lam = memory(p, times[1 : grid_points + 1].tolist(), collisions)
+    times = sample_times(p, collisions, grid_points)
+    lam = after_collisions(p, range(collisions + 1), grid_points)[: collisions * grid_points + 1]
     # Lambda at the first and the last sample of each maximal rising run; Lambda(0) = 1 starts none
     weights = damping(p, lam[np.flatnonzero(np.diff(np.concatenate([[False], np.diff(lam) > 0.0, [False]])))])
     runs = len(weights[0]) // 2

@@ -242,6 +242,18 @@ def dense_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
     return np.array(states)
 
 
+def lambda_at_taus(p: ModelParams, taus, collisions: int) -> np.ndarray:
+    """Lambda at tau = 0 and at every tau of each collision, as
+    collisions*len(taus) + 1 values, for tau grids that are no collision's
+    sample times.  Each collision starts from the state at the last tau of
+    the one before, so inside collision m + 1
+    Lambda = lambda(taus[-1])**m * lambda(tau), the power taken as a running
+    product."""
+    lam = _qubit2(p, np.array(taus, dtype=float))[0]
+    powers = np.cumprod(np.concatenate([[1.0], np.full(collisions, lam[-1])]))[:collisions]
+    return np.concatenate([[1.0], np.outer(powers, lam).ravel()])
+
+
 def run_collisions(rho0, n: int, taus, p: ModelParams) -> np.ndarray:
     """The phased reference for the package's phase-free samples: rho0, then
     the battery state at every tau of collisions 1..n, z rotations included.

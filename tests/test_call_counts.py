@@ -39,12 +39,12 @@ def counted(monkeypatch, owner, name) -> list:
 
 def test_channel_build_takes_no_decomposition_or_power(monkeypatch):
     p = ModelParams(k=0.7, delta_t=0.9)
-    taus = tuple((s * p.delta_t) / 30 for s in range(1, 31))
+    taus = tuple(collision.sample_times(p, 1, 30)[1:])
     eigh = counted(monkeypatch, np.linalg, "eigh")
     einsum = counted(monkeypatch, np, "einsum")
     powers = counted(monkeypatch, np.linalg, "matrix_power")
     assert applied_maps(p, taus).shape == (30, 16, 16)
-    assert collision.damp(np.eye(4), collision.memory(p, taus, 30), p).shape == (901, 4, 4)
+    assert collision.damp(np.eye(4), collision.after_collisions(p, range(31), 30)[:901], p).shape == (901, 4, 4)
     assert (len(eigh), len(einsum), len(powers)) == (0, 0, 0)
 
 
@@ -184,7 +184,7 @@ def test_blp_evaluation_reads_the_rising_run_ends(monkeypatch, collisions, runs)
 def test_blp_measure_takes_lambda_once(monkeypatch, collisions):
     """The search's run ends and the reported trace read one Lambda array,
     taken from the model's own delta_t."""
-    memories = counted(monkeypatch, nonmarkov, "memory")
+    memories = counted(monkeypatch, nonmarkov, "after_collisions")
     result = nonmarkov.blp_measure(ModelParams(delta_t=1.6), OptimizerSettings(starts=1, seed=0, max_evals=20),
                                    grid_points=20, collisions=collisions)
     assert len(memories) == 1 and len(result.lambda_trace) == 20 * collisions + 1

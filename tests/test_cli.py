@@ -15,6 +15,7 @@ import pytest
 
 import qbattery.cli as cli
 import qbattery.collision as collision
+import qbattery.nonmarkov as nonmarkov
 from qbattery.cli import DEFAULTS, build_parser, main, parse_number_list, resolve_config, write_csv
 from qbattery.ergotropy import ergotropy_after_collisions, max_work_fixed_entanglement
 from qbattery.model import ModelParams
@@ -312,6 +313,36 @@ class TestTrajectoryCommand:
             got = [float(r["value"]) for r in rows if float(r["delta_t"]) == dt]
             assert len(got) == len(want) == 5
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (dt, got, want)
+
+    @pytest.mark.parametrize("substeps", [3, 7])
+    def test_boundaries_are_sweep_rows(self, tmp_path, monkeypatch, substeps):
+        """At every collision boundary a G_p trajectory writes the text of the
+        sweep row at the same (E, n), and blp_measure's Lambda at each
+        collision end is the sweep's bit for bit: all three take
+        lambda(delta_t)**n from collision.after_collisions.  A running
+        product of lambda misses those bits over 60 collisions, and so does
+        lambda at (S x delta_t)/S, which for delta_t 0.2 and S = 3 is no
+        delta_t."""
+        dts, n = (0.2, 0.7, 1.6), 60
+        out = tmp_path / "t.csv"
+        assert run("trajectory", "--seed", 1, "--output", out, "--entanglement", 0.3, "--delta-ts",
+                   ",".join(map(str, dts)), "--collisions", n, "--substeps", substeps) == 0
+        rows = read_csv(out)
+        for dt in dts:
+            config = tmp_path / "dt.ini"
+            config.write_text(f"[model]\ndelta_t = {dt}\n")
+            swept = tmp_path / "sweep.csv"
+            assert run("sweep", "--seed", 1, "--config", config, "--quantity", "G_p", "--entanglements", 0.3,
+                       "--collisions", f"0:{n}", "--output", swept) == 0
+            want = [row["value"] for row in read_csv(swept)]
+            assert [row["value"] for row in rows if float(row["delta_t"]) == dt][::substeps] == want, dt
+        lams = []
+        distances = nonmarkov._distance_samples
+        monkeypatch.setattr(nonmarkov, "_distance_samples", lambda *args: lams.append(args[2]) or distances(*args))
+        for dt in dts:
+            p = ModelParams(delta_t=dt)
+            nonmarkov.blp_measure(p, OptimizerSettings(starts=1, seed=0, max_evals=5), substeps, collisions=n)
+            assert lams.pop()[::substeps].tobytes() == collision.after_collisions(p, range(n + 1)).tobytes(), dt
 
     @pytest.mark.parametrize("quantity, mode, followed, maximum", [
         ("G", "global", 3.5703, 3.9456), ("L", "local", 3.4270, 3.6822),
@@ -955,7 +986,7 @@ class TestRejectedRuns:
                    f"--collisions={collisions}", "--entanglements", "0.5", "--starts", 1, "--max-evals", 20)
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1
-        assert f"collisions must be >= 0, got {collisions}" in err
+        assert f"collision count must be >= 0, got {collisions}" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, kernel", [

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import qbattery.collision as collision
 import qbattery.nonmarkov as nonmarkov
-from qbattery.cli import _cutoff
-from qbattery.collision import fine_trajectory, memory
+from qbattery.collision import after_collisions, cutoff, fine_trajectory, sample_times
 from qbattery.ergotropy import global_ergotropy, local_ergotropy, trajectory_work
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
@@ -18,15 +17,16 @@ from qbattery.optimize import OptimizerSettings
 from qbattery.states import fixed_entanglement_state, locally_passive_state, projector
 from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
 
-from _oracles import blp_functional, dense_backflow_lower_bound, dense_collisions, run_collisions
+from _oracles import blp_functional, dense_backflow_lower_bound, dense_collisions, lambda_at_taus, run_collisions
 from test_transfer import PROPERTY, params_st, seed_st, varied
 
 P = ModelParams()
 
 
-def window(delta_t: float, grid_points: int) -> list[float]:
-    """The grid_points taus in (0, delta_t] at which blp_measure samples D."""
-    return (np.arange(1, grid_points + 1) * (delta_t / grid_points)).tolist()
+def grid_lambda(p: ModelParams, grid_points: int, collisions: int = 1, delta_t: float | None = None) -> np.ndarray:
+    """Lambda at the samples of blp_measure's trace, for p or p at delta_t."""
+    p = p if delta_t is None else replace(p, delta_t=delta_t)
+    return after_collisions(p, range(collisions + 1), grid_points)[: collisions * grid_points + 1]
 
 
 def search_objective(delta_t: float, p: ModelParams, grid_points: int, collisions: int):
@@ -68,20 +68,20 @@ class TestDistinguishabilityTrace:
     def test_identical_states_stay_at_zero(self):
         gen = rng(307)
         s = random_pure_state(gen, 4)
-        assert _distance_samples(s, s, memory(P, window(0.4, 50), 1), P).max() <= 1e-12
+        assert _distance_samples(s, s, grid_lambda(P, 50, delta_t=0.4), P).max() <= 1e-12
 
     def test_zero_coupling_keeps_distance_constant(self):
         p = ModelParams(k=0.0)
         gen = rng(311)
         s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
-        assert np.ptp(_distance_samples(s1, s2, memory(p, window(0.9, 60), 1), p)) <= 1e-12
+        assert np.ptp(_distance_samples(s1, s2, grid_lambda(p, 60, delta_t=0.9), p)) <= 1e-12
 
     def test_default_window_is_contractive(self):
         # below the exchange half-swap time every pair loses distinguishability
         gen = rng(313)
         for _ in range(5):
             s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
-            d = _distance_samples(s1, s2, memory(P, window(P.delta_t, 80), 1), P)
+            d = _distance_samples(s1, s2, grid_lambda(P, 80), P)
             assert np.all(np.diff(d) <= 1e-12)
 
     def test_trace_matches_dense_oracle(self):
@@ -94,13 +94,13 @@ class TestDistinguishabilityTrace:
             n = 1 + case % 3
             dense = dense_collisions(np.outer(s1, s1.conj()) - np.outer(s2, s2.conj()), n, taus, p)
             want = 0.5 * np.abs(np.linalg.eigvalsh(dense)).sum(axis=-1)
-            assert np.abs(_distance_samples(s1, s2, memory(p, taus, n), p) - want).max() <= 1e-12
+            assert np.abs(_distance_samples(s1, s2, lambda_at_taus(p, taus, n), p) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("chunk", [1, 7, collision.DAMP_CHUNK])
     def test_trace_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
         s1, s2 = pair_from_angles(np.random.default_rng(8).uniform(-3.0, 3.0, size=10))
         p = replace(P, beta=0.7)
-        lam = memory(p, window(1.6, 40), 3)
+        lam = grid_lambda(p, 40, 3, delta_t=1.6)
         whole = _distance_samples(s1, s2, lam, p)
         monkeypatch.setattr(collision, "DAMP_CHUNK", chunk)
         assert _distance_samples(s1, s2, lam, p).tobytes() == whole.tobytes()
@@ -112,7 +112,7 @@ class TestDistinguishabilityTrace:
         s1, s2 = pair_from_angles(np.full(10, 0.3))
         tracemalloc.start()
         try:
-            d = _distance_samples(s1, s2, memory(P, window(1.6, 2), 20_000), P)
+            d = _distance_samples(s1, s2, grid_lambda(P, 2, 20_000, delta_t=1.6), P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -144,12 +144,12 @@ class TestCutoffTime:
         h = e2 - detuning
         cutoff = math.pi / (2.0 * math.hypot(detuning, 2.0 * k))
         p = ModelParams(e1=e2 + 1.0, e2=e2, h=h, k=k, beta=beta_h / h, delta_t=1.3 * cutoff)
-        taus = np.array(window(p.delta_t, 130))
+        taus = sample_times(p, 1, 130)[1:]
         before = taus <= 0.98 * cutoff  # increments of D that end by 0.98 tau*
         after = taus - taus[0] >= cutoff  # increments that begin at tau* or later
         gen = rng(seed)
         pairs = [self.POLE, self.EQUATOR] + [pair_from_angles(gen.uniform(0, 2 * np.pi, 10)) for _ in range(8)]
-        steps = [np.diff(_distance_samples(s1, s2, memory(p, tuple(taus), 1), p)) for s1, s2 in pairs]
+        steps = [np.diff(_distance_samples(s1, s2, grid_lambda(p, 130), p)) for s1, s2 in pairs]
         assert max(s[before].max() for s in steps) <= 1e-12
         assert np.maximum(steps[1][after], 0.0).sum() > 0.01
 
@@ -165,16 +165,16 @@ class TestCutoffTime:
         assert rises.size and abs(traj.times[rises[0]] - cutoff) <= p.delta_t / 1000  # within one grid step
 
     def test_recorded_cutoff_is_the_first_rise_of_lambda(self):
-        """The tau* that blp and trajectory manifests record (`cli._cutoff`):
-        on a grid of step tau*/400, Lambda (`collision.memory`) falls at every
+        """The tau* that blp and trajectory manifests record (`collision.cutoff`):
+        on a grid of step tau*/400, Lambda (`collision.after_collisions`) falls at every
         step up to tau* and first rises in a step that starts within one step
         of it, on random models with k > 0."""
         gen = rng(349)
         for _ in range(200):
             p = replace(random_params(gen), k=gen.uniform(0.05, 3.0))
-            tau_star = _cutoff(p)["tau_star"]
+            tau_star = cutoff(p)["tau_star"]
             step = tau_star / 400 * gen.uniform(0.9, 1.1)  # tau* on a sample, or between two
-            lam = memory(p, (np.arange(1, 1201) * step).tolist(), 1)
+            lam = grid_lambda(p, 1200, delta_t=1200 * step)
             first = np.flatnonzero(np.diff(lam) > 0.0)[0]  # the step from first*step to (first + 1)*step
             assert abs(first * step - tau_star) < step, (p, first * step, tau_star)
 
@@ -280,7 +280,7 @@ class TestRisingRuns:
             objective = search_objective(delta_t, p, grid, collisions)
             for _ in range(2):
                 angles = gen.uniform(0, 2 * np.pi, 10)
-                d = _distance_samples(*pair_from_angles(angles), memory(p, tuple(taus.tolist()), collisions), p)
+                d = _distance_samples(*pair_from_angles(angles), grid_lambda(p, grid, collisions, delta_t), p)
                 assert np.diff(d[order]).min() >= -1e-12, (i, "D falls as Lambda grows")
                 assert abs(objective(angles) - blp_functional(np.column_stack([times, d]))) <= 1e-12, i
 
@@ -346,7 +346,7 @@ class TestBlpMeasure:
             p = ModelParams(h=gen.uniform(-1.0, 2.0), beta=gen.uniform(0.1, 10.0), k=gen.uniform(0.3, 2.0),
                             delta_t=gen.uniform(0.1, 4.0))
             collisions, grid_points = int(gen.integers(1, 4)), 40
-            lam = memory(p, window(p.delta_t, grid_points), collisions)
+            lam = grid_lambda(p, grid_points, collisions)
             b = np.maximum(np.diff(lam), 0.0).sum()
             q_n = blp_measure(p, OptimizerSettings(starts=3, seed=1, max_evals=1), grid_points, collisions).q_n
             assert q_n >= b - 1e-12, (p, collisions)  # D and Lambda's sum round apart

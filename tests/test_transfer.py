@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.collision import collision_propagator, damp, fine_trajectory, memory
+from qbattery.collision import after_collisions, collision_propagator, damp, fine_trajectory
 from qbattery.ergotropy import _yield_of, ergotropy_after_collisions, global_ergotropy, local_ergotropy, trajectory_work
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.states import locally_passive_state, projector
@@ -113,7 +113,7 @@ class TestDenseOracle:
             assert np.abs(collision_propagator(p, taus[0]) - dense_u).max() <= 1e-13
             rho = random_density_matrix(gen, 4)
             top = max(counts) if case % 10 == 0 else 101
-            dense, lam = dense_collisions(rho, top, (p.delta_t,), p), memory(p, (p.delta_t,), top)
+            dense, lam = dense_collisions(rho, top, (p.delta_t,), p), after_collisions(p, range(top + 1))
             kept = [n for n in counts if n <= top]
             assert_phase_blind(damp(rho, lam[kept], p), dense[kept], p)
 
@@ -151,7 +151,7 @@ class TestCollisionPower:
             rho = random_density_matrix(gen, 4)
             s1, s2 = random_pure_state(gen, 4), random_pure_state(gen, 4)
             diff = np.outer(s1, s1.conj()) - np.outer(s2, s2.conj())
-            lam = memory(p, (p.delta_t,), max(self.COUNTS))[list(self.COUNTS)]
+            lam = after_collisions(p, self.COUNTS)
             for start in (rho, diff):
                 dense = dense_collisions(start, max(self.COUNTS), (p.delta_t,), p)
                 assert_phase_blind(damp(start, lam, p), dense[list(self.COUNTS)], p)
@@ -177,7 +177,7 @@ class TestCollisionPower:
         rho = random_density_matrix(rng(733), 4)
         for n in (1, 2, 3):
             dense = np.linalg.matrix_power(propagator_stack(swap, (swap.delta_t,))[0], n) @ rho.reshape(16)
-            got = damp(rho, memory(swap, (swap.delta_t,), n)[-1], swap)
+            got = damp(rho, after_collisions(swap, [n])[0], swap)
             assert_phase_blind(got, dense.reshape(4, 4), swap, 1e-13)
         p, rho = ModelParams(k=0.0, h=0.3), random_density_matrix(rng(727), 4)
         for mode in ("global", "local"):
