@@ -138,12 +138,14 @@ def after_collisions(p: ModelParams, counts, per: int = 1) -> np.ndarray:
     """Lambda at the first per `sample_times` of the collision that follows
     each of the collision counts, as len(counts)*per values: lambda(delta_t)**n
     at the collision's start, that power times lambda(tau) at tau into it.
-    Counts may pass int64 and reach the float range.  Each power is a 0-d
-    power, as a count alone gives it: an array power can round the last bit
-    differently.  lambda(0) is 1, so per = 1 gives the powers alone."""
+    Counts may pass int64 and reach the float range.  Each power is the C
+    library's pow of two Python floats, one count at a time: it lies within
+    0.52 ulp of the exact power, where numpy's 0-d power need not, and a
+    count alone gives the same bits, where an array power can round the last
+    bit differently.  lambda(0) is 1, so per = 1 gives the powers alone."""
     if min(counts) < 0:
         raise ValueError(f"collision count must be >= 0, got {min(counts)}")
-    lam = _qubit2(p, p.delta_t)[0]
+    lam = float(_qubit2(p, p.delta_t)[0])
     inside = _qubit2(p, sample_times(p, 1, per)[:per])[0]
     return np.outer(np.fromiter((lam ** float(n) for n in counts), float), inside).ravel()
 
@@ -169,19 +171,14 @@ class Trajectory:
     ``lam[i]`` (`after_collisions`) and the active spin is
     ``collision_index[i]``, counted from 1, with 0 for the initial sample;
     the sample at n*delta_t belongs to collision n and reads Lambda after n
-    collisions, as a sweep does."""
+    collisions, as a sweep does.  ``damp(rho0, lam, params)`` gives the
+    states, up to z rotations, which no yield or trace distance sees."""
 
     times: np.ndarray
     collision_index: np.ndarray
     params: ModelParams
     lam: np.ndarray
     rho0: np.ndarray  # checked
-
-    @property
-    def states(self) -> np.ndarray:
-        """The (samples, 4, 4) states, damped on each access: the physical
-        ones up to z rotations, which no yield or trace distance sees."""
-        return damp(self.rho0, self.lam, self.params)
 
 
 def evolve(rho0, n: int, p: ModelParams) -> Trajectory:

@@ -37,10 +37,13 @@ imports scipy.
 The 95% confidence half-widths come from the linearized covariance at the
 optimum, scaled by the residual variance and the two-sided 95% normal
 quantile, or with ``bootstrap`` from the percentiles of residual-resampling
-draws (seed BOOTSTRAP_SEED), each refitted as a fit of its own: the draw's
-scan minimum is its start, so a draw may leave the fitted basin.  Draws whose
-rate was not bracketed are counted in the message, and the fit reads not
-converged.
+draws (seed BOOTSTRAP_SEED), each refitted as a fit of its own.  The
+residuals are rescaled by sqrt(n/(n - p)) for n points and p parameters, so
+that their spread matches the residual variance estimate SSE/(n - p)
+(Davison & Hinkley, Bootstrap Methods and their Application, 1997, section
+6.2).  A draw's scan minimum is its start, so a draw may leave the fitted
+basin.  Draws whose rate was not bracketed are counted in the message, and
+the fit reads not converged.
 """
 
 from __future__ import annotations
@@ -301,7 +304,8 @@ def fit_curve(model, data, bootstrap: int = 0) -> FitResult:
 
     if bootstrap > 0:  # every draw refitted by the same solve as the data
         gen = np.random.default_rng(BOOTSTRAP_SEED)
-        y_star = base + gen.choice(y - base, size=(bootstrap, len(e)), replace=True)
+        residuals = (y - base) * np.sqrt(len(e) / dof)  # mean square SSE/dof, the variance estimate
+        y_star = base + gen.choice(residuals, size=(bootstrap, len(e)), replace=True)
         refits, _, notes = solve(y_star)
         lo, hi = np.percentile(refits, [2.5, 97.5], axis=0)
         half = 0.5 * (hi - lo)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default tolerances: structural checks (hermiticity) are tighter than
+# The tolerances: structural checks (hermiticity) are tighter than
 # physical-state checks (trace one, positivity).
 STRUCT_TOL = 1e-10
 STATE_TOL = 1e-8
@@ -28,11 +28,11 @@ def is_hermitian(a) -> bool:
     return bool(np.abs(m - m.conj().T).max() <= STRUCT_TOL)
 
 
-def is_density_matrix(a, tol: float = STATE_TOL) -> bool:
-    """Hermitian, unit trace and positive semidefinite, all within tol."""
+def is_density_matrix(a) -> bool:
+    """Hermitian, unit trace and positive semidefinite, all within STATE_TOL."""
     m = _as_square(a)
-    if np.abs(m - m.conj().T).max() > tol:
+    if np.abs(m - m.conj().T).max() > STATE_TOL:
         return False
-    if abs(m.trace() - 1.0) > tol:
+    if abs(m.trace() - 1.0) > STATE_TOL:
         return False
-    return bool(np.linalg.eigvalsh(m).min() >= -tol)
+    return bool(np.linalg.eigvalsh(m).min() >= -STATE_TOL)

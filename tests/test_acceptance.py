@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qbattery.cli import main as cli_main
-from qbattery.collision import collide_once, fine_trajectory
+from qbattery.collision import collide_once, damp, fine_trajectory
 from qbattery.ergotropy import (
     ergotropy_after_collisions,
     local_ergotropy,
@@ -104,7 +104,7 @@ def test_criterion_03_intra_collision_dip_and_rise():
         traj = fine_trajectory(rho0, collisions, 200, p)
         from qbattery.ergotropy import global_ergotropy
 
-        return traj, np.array([global_ergotropy(s, h12) for s in traj.states])
+        return traj, np.array([global_ergotropy(s, h12) for s in damp(traj.rho0, traj.lam, traj.params)])
 
     traj, w = work_curve(1.6, 1)
     interior = w[1:-1]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import qbattery.collision as collision
-from qbattery.collision import fine_trajectory
+from qbattery.collision import damp, fine_trajectory
 import qbattery.ergotropy as ergotropy
 from qbattery.ergotropy import (
     ergotropy_after_collisions,
@@ -195,8 +195,9 @@ class TestTrajectoryWork:
                 random_density_matrix(gen, 4), int(gen.integers(0, 6)), int(gen.integers(1, 9)), p
             )
             h12 = battery_hamiltonian(p)
-            want_global = [global_ergotropy(s, h12) for s in traj.states]
-            want_local = [local_ergotropy(s, p) for s in traj.states]
+            states = damp(traj.rho0, traj.lam, traj.params)
+            want_global = [global_ergotropy(s, h12) for s in states]
+            want_local = [local_ergotropy(s, p) for s in states]
             assert trajectory_work(traj).tolist() == want_global
             assert trajectory_work(traj, "local").tolist() == want_local
 
@@ -242,12 +243,13 @@ class TestXStateWork:
         for rho0, p, n, substeps in self.cases():
             traj = fine_trajectory(rho0, n, substeps, p)
             h12 = battery_hamiltonian(p)
-            want = np.array([global_ergotropy(s, h12) for s in traj.states])
+            want = np.array([global_ergotropy(s, h12) for s in damp(traj.rho0, traj.lam, traj.params)])
             assert np.abs(trajectory_work(traj) - want).max() <= 1e-12
 
     def test_damping_keeps_the_x_shape(self):
         for rho0, p, n, substeps in self.cases():
-            states = fine_trajectory(rho0, n, substeps, p).states
+            traj = fine_trajectory(rho0, n, substeps, p)
+            states = damp(traj.rho0, traj.lam, traj.params)
             assert not np.any(states[:, ~X_SHAPE])
 
     def test_local_stays_below_global(self):

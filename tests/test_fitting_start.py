@@ -141,8 +141,9 @@ def test_non_finite_row_is_named():
 
 @pytest.mark.parametrize("model", ["M2", "M3", "M4"])
 def test_bootstrap_refits_each_draw_as_a_fit(model):
-    # each draw's parameters are those of a lone fit of the draw
-    draws = 40
+    # each draw's parameters are those of a lone fit of the draw, whose
+    # residuals are rescaled by sqrt(n/(n - p))
+    draws, scale = 40, np.sqrt(len(E_GRID) / (len(E_GRID) - 3))
     for seed in range(6):
         _, data = jittered(model, seed, noise=1e-2)
         boot = fit_curve(model, data, bootstrap=draws)
@@ -150,11 +151,26 @@ def test_bootstrap_refits_each_draw_as_a_fit(model):
         gen = np.random.default_rng(fitting.BOOTSTRAP_SEED)
         refits = []
         for _ in range(draws):
-            y_star = base + gen.choice(data[:, 1] - base, size=len(E_GRID), replace=True)
+            y_star = base + gen.choice((data[:, 1] - base) * scale, size=len(E_GRID), replace=True)
             refits.append(vec(fit_curve(model, np.column_stack([E_GRID, y_star]))))
         lo, hi = np.percentile(refits, [2.5, 97.5], axis=0)
         half = np.array([boot.confidence95[n] for n in MODELS[model].param_names])
         assert np.allclose(0.5 * (hi - lo), half, rtol=1e-9, atol=0.0), (model, seed)
+
+
+def test_bootstrap_residuals_are_rescaled():
+    # M1's c = -beta/3 is linear in the data, so each draw's c is the fit's
+    # plus a linear map of its resampled residuals: rescaling them by
+    # sqrt(n/(n - p)) widens c's interval by exactly that factor over draws
+    # of the raw residuals from the same generator.
+    _, data = jittered("M1", 0)
+    boot = fit_curve("M1", data, bootstrap=50)
+    base = MODELS["M1"].predict(E_GRID, vec(boot))
+    gen = np.random.default_rng(fitting.BOOTSTRAP_SEED)
+    raw = base + gen.choice(data[:, 1] - base, size=(50, len(E_GRID)), replace=True)
+    c = [fit_curve("M1", np.column_stack([E_GRID, y])).params["c"] for y in raw]
+    lo, hi = np.percentile(c, [2.5, 97.5])
+    assert boot.confidence95["c"] == pytest.approx(0.5 * (hi - lo) * np.sqrt(21 / 19), rel=1e-9, abs=0.0)
 
 
 def test_rate_past_the_scan_is_reported():
@@ -167,12 +183,12 @@ def test_rate_past_the_scan_is_reported():
 
 
 def test_bootstrap_draws_past_the_scan_are_reported():
-    # Fitted a = 7.85; 21 of the draws' least-squares rates lie past RATE_GRID.
+    # Fitted a = 7.85; 18 of the draws' least-squares rates lie past RATE_GRID.
     _, data = jittered("M4", 17, noise=1e-2)
     assert fit_curve("M4", data).converged
     boot = fit_curve("M4", data, bootstrap=50)
     assert not boot.converged
-    assert boot.message == "21 of 50 bootstrap draws: rate stopped at 8, the edge of the scan [-8, 8]"
+    assert boot.message == "18 of 50 bootstrap draws: rate stopped at 8, the edge of the scan [-8, 8]"
 
 
 def test_bootstrap_draws_leave_the_fitted_basin():
