@@ -15,7 +15,6 @@ from .ergotropy import (
     global_ergotropy,
     local_ergotropy,
     max_work_fixed_entanglement,
-    trajectory_work,
 )
 from .fitting import MODELS, FitResult, fit_curve
 from .linalg import ContractViolation, is_density_matrix, is_hermitian

@@ -39,12 +39,13 @@ from contextlib import suppress
 from dataclasses import asdict, replace
 from decimal import Decimal
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
 from .collision import DAMP_CHUNK, after_collisions, cutoff, fine_trajectory
-from .ergotropy import MODES, QUANTITIES, max_work_at_lambdas, trajectory_work
+from .ergotropy import MODES, QUANTITIES, damped_work, max_work_at_lambdas
 from .ergotropy import global_ergotropy, local_ergotropy  # noqa: F401  unused; perfbench wraps them by this module's name
 from .fitting import fit_curve
 from .linalg import ContractViolation
@@ -214,11 +215,11 @@ def write_csv(path: str, header: list[str], blocks) -> None:
     A block is (prefix, columns): constant leading cells and equal-length
     columns (arrays or sequences), whose i-th row is prefix + the i-th cell
     of each column.  The prefix is formatted once per block, and the rows go
-    out DAMP_CHUNK to one write, through one %-format built from the first of
-    them: %.17g for floats, %d for ints, plain text for strings, true/false
-    for booleans.  So every column must keep one type and no cell may
-    need CSV quoting; the commands write only numbers, booleans and quantity
-    names.
+    out DAMP_CHUNK to one write and one %-operation, on the row format built
+    from the first of them repeated for each row: %.17g for floats, %d for
+    ints, plain text for strings, true/false for booleans.  So every column
+    must keep one type and no cell may need CSV quoting; the commands write
+    only numbers, booleans and quantity names.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -227,7 +228,7 @@ def write_csv(path: str, header: list[str], blocks) -> None:
             for c in range(0, len(columns[0]), DAMP_CHUNK):
                 cols = [_cells(col[c : c + DAMP_CHUNK]) for col in columns]
                 fmt = lead + ",".join(_cell_format(col[0]) for col in cols) + "\r\n"
-                fh.write("".join(map(fmt.__mod__, zip(*cols))))
+                fh.write((fmt * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))
 
 
 def write_manifest(path: str, command: str, started: float, outputs: list[str], **fields) -> None:
@@ -309,10 +310,12 @@ def cmd_trajectory(args, cfg: dict) -> dict:
     points = _delta_t_models(cfg, "trajectory", tcfg["collisions"] * tcfg["substeps"])
     state = _trajectory_initial_state(quantity, tcfg["entanglement"])
     rho0 = projector(state)
-    blocks = []  # every delta_t's values before the output is opened
-    for p in points:
-        traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
-        blocks.append(((p.delta_t,), (traj.times, traj.collision_index, trajectory_work(traj, MODES[quantity]))))
+    trajs = [fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p) for p in points]
+    # one yield call for every delta_t's samples, before the output is opened: the yield reads the
+    # bath and the battery, which no delta_t changes, and a sample's value does not depend on its call
+    lam = np.concatenate([traj.lam for traj in trajs])
+    values = np.split(damped_work(trajs[0].rho0, lam, points[0], MODES[quantity]), len(trajs))
+    blocks = [((p.delta_t,), (traj.times, traj.collision_index, v)) for p, traj, v in zip(points, trajs, values)]
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], blocks)
     return {"initial_state": state.real.tolist(), **cutoff(points[0])}  # both states are real
 
@@ -400,11 +403,15 @@ COMMANDS = {
 REPLACED = {"delta_ts": "delta_t", "k": "k", "couplings": "k"}
 
 
-@cache  # one tree per process: argparse takes about 1 ms to build it
-def build_parser() -> argparse.ArgumentParser:
+@cache  # one tree per process and command: argparse takes about 1 ms to build the whole tree
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given one, of that command alone,
+    which parses its command lines as the whole tree does."""
     parser = _Parser(prog="qbattery", description="Deterministic two-qubit battery simulator with collision noise.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, summary, sections) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--config", help="INI configuration file")
@@ -416,7 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--" + key.replace("_", "-"), dest=f"{section}.{key}", type=type(default),
                                choices=QUANTITIES if key == "quantity" else None,
                                help=f"[{section}] {key}, default {default!r}")
-    sub.choices["blp"].add_argument("--trace-output", help="delta_t,t,D CSV of the best pairs' trace distance")
+    if "blp" in sub.choices:
+        sub.choices["blp"].add_argument("--trace-output", help="delta_t,t,D CSV of the best pairs' trace distance")
+    if command not in (None, "fit"):
+        return parser
 
     p_fit = sub.add_parser("fit", help="fit a sweep CSV to a model family")
     p_fit.add_argument("--model", required=True)
@@ -478,7 +488,8 @@ def main(argv=None) -> int:
     """Resolve the configuration, plan and check every file the run writes,
     run the command, then record the run in its manifest.  A failed run
     removes the regular files it created."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in (*COMMANDS, "fit") else None).parse_args(argv)
     started = time.time()
     created: list[str] = []
     try:

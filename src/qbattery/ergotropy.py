@@ -55,6 +55,22 @@ The coupling and delta_t enter only through Lambda
 (`collision.after_collisions`), so one call per E (`max_work_at_lambdas`)
 damps the state, or the M_i, at the Lambda of every (n, k) of a sweep.
 
+The locally passive state and the Schmidt state are X states: zero off the
+diagonal and the anti-diagonal, that is, block diagonal on
+{|00>, |11>} (+) {|01>, |10>}.  The damping keeps that shape, since its
+weight a multiplies entry by entry and b flips qubit 2 on both indices.  It
+mixes qubit 2's populations within each value of qubit 1 and multiplies
+rho03 and rho12 by sqrt(Lambda), so `damped_work` damps those 6 entries
+alone.  A block [[a, c], [conj(c), d]] has the eigenvalues
+m +- hypot((a - d)/2, |c|) with m = (a + d)/2, and the battery Hamiltonian
+is diagonal, so the global yield needs no eigvalsh.  The marginal
+coherences c1 = rho20 + rho31 and c2 = rho10 + rho32 of an X state are 0,
+so the local yield reads the populations alone.  Every step is entry by
+entry, the sums in fixed orders, so a value is the same whatever other
+Lambda share its call: a one-count sweep, row n of a longer sweep, a
+trajectory's collision boundary and `ergotropy_after_collisions` write one
+text.
+
 The yields are even in b2: sz (x) sz, a z rotation of both qubits, maps u
 to u and w to -w, so the state at b2 to the one at -b2.  So b2 = 0 and
 b2 = pi are stationary points of every yield, and a search started on one
@@ -97,7 +113,7 @@ from functools import partial
 
 import numpy as np
 
-from .collision import Trajectory, _require_state, after_collisions, damp, damp_chunked
+from .collision import _require_state, after_collisions, damp, damp_chunked, damping
 from .collision import collision_propagator  # noqa: F401  unused; perfbench wraps it by this module's name
 from .linalg import ContractViolation, is_density_matrix, is_hermitian
 from .model import ModelParams, battery_hamiltonian
@@ -129,26 +145,25 @@ def _work(r: np.ndarray, h: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.trace(r @ h, axis1=-2, axis2=-1).real - rho_desc @ levels
 
 
+def _local(p: ModelParams, d: np.ndarray, c1, c2) -> np.ndarray:
+    """The local yield, the sum of the two marginal ergotropies in closed form
+    (module docstring), from the (..., 4) populations d and the marginal
+    coherences c1 and c2."""
+    z1 = d[..., 0] + d[..., 1] - d[..., 2] - d[..., 3]
+    z2 = d[..., 0] - d[..., 1] + d[..., 2] - d[..., 3]
+    return p.e1 * (z1 + np.hypot(z1, 2.0 * np.abs(c1))) + p.e2 * (z2 + np.hypot(z2, 2.0 * np.abs(c2)))
+
+
 def _yield_of(p: ModelParams, mode: str):
     """The unchecked global or local work yield of a (..., 4, 4) state stack, as
-    a function of the stack; the battery spectrum is taken once, here.  The
-    local yield is the sum of the two marginal ergotropies in closed form
-    (module docstring)."""
-    if mode not in ("global", "local"):
-        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
+    a function of the stack; the battery spectrum is taken once, here."""
     if mode == "global":
         h12 = battery_hamiltonian(p)
         levels = np.linalg.eigvalsh(h12)
         return lambda r: _work(r, h12, levels)
-    e1, e2 = p.e1, p.e2
 
     def local(r):
-        d = np.einsum("...ii->...i", r).real
-        z1 = d[..., 0] + d[..., 1] - d[..., 2] - d[..., 3]
-        z2 = d[..., 0] - d[..., 1] + d[..., 2] - d[..., 3]
-        r1 = np.hypot(z1, 2.0 * np.abs(r[..., 2, 0] + r[..., 3, 1]))
-        r2 = np.hypot(z2, 2.0 * np.abs(r[..., 1, 0] + r[..., 3, 2]))
-        return e1 * (z1 + r1) + e2 * (z2 + r2)
+        return _local(p, np.einsum("...ii->...i", r).real, r[..., 2, 0] + r[..., 3, 1], r[..., 1, 0] + r[..., 3, 2])
 
     return local
 
@@ -181,44 +196,45 @@ def ergotropy_after_collisions(rho0, n: int, p: ModelParams, mode: str = "global
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # zero in an X state
 
 
-def _x_work(p: ModelParams):
-    """The unchecked global yield of a (..., 4, 4) stack of X states, as a
-    function of the stack.  An X state is block diagonal on
-    {|00>, |11>} (+) {|01>, |10>}, so its spectrum is m +- hypot((a - d)/2, |c|)
-    for each block [[a, c], [conj(c), d]] with m = (a + d)/2, and the battery
-    Hamiltonian is diagonal, so Tr(rho H) = diag(rho) . energies."""
-    energies = np.diag(battery_hamiltonian(p)).real
-    levels = np.sort(energies)
-
-    def work(r):
-        d = np.einsum("...ii->...i", r).real
-        top, bottom = d[..., [0, 1]], d[..., [3, 2]]  # the blocks' diagonals, {|00>, |11>} first
-        m = 0.5 * (top + bottom)
-        s = np.hypot(0.5 * (top - bottom), np.abs(r[..., [0, 1], [3, 2]]))
-        spectrum = np.sort(np.concatenate([m - s, m + s], axis=-1), axis=-1)
-        return d @ energies - spectrum[..., ::-1] @ levels
-
-    return work
-
-
 def damped_work(rho0: np.ndarray, lam: np.ndarray, p: ModelParams, mode: str = "global") -> np.ndarray:
     """Global or local work yield of the checked state rho0 damped at each
     Lambda of the 1-D lam, DAMP_CHUNK values at a time.
 
-    The damping keeps an X state an X state: its weight a multiplies entry by
-    entry, and b is diagonal in qubit 2 and flips it, which maps the X onto
-    itself.  So when rho0 is zero off the X, as the locally passive state and
-    the Schmidt state are, the global yield reads each spectrum off two 2x2
-    blocks (`_x_work`) instead of a 4x4 eigvalsh; the two agree within
-    1e-12."""
-    work = _x_work(p) if mode == "global" and not np.any(rho0[_OFF_X]) else _yield_of(p, mode)
-    return damp_chunked(lambda chunk: work(damp(rho0, chunk, p)), lam)
+    The damping keeps an X state an X state (module docstring).  So when
+    rho0 is zero off the X, as the locally passive state and the Schmidt
+    state are, only its 4 populations and its coherences rho03 and rho12 are
+    damped, with the weights of `collision.damping`.  The global yield reads
+    the spectrum off the two 2x2 blocks and the energy off the populations,
+    within 1e-12 of the 4x4 eigvalsh, and the local yield reads the
+    populations alone.  Every operation there is entry by entry, so a value
+    does not depend on the other Lambda of its call.  Any other state is
+    damped whole, a (chunk, 4, 4) stack at a time."""
+    if mode not in ("global", "local"):
+        raise ValueError(f"mode must be 'global' or 'local', got {mode!r}")
+    dense = _yield_of(p, mode) if np.any(rho0[_OFF_X]) else None
+    pops = rho0.diagonal().real.reshape(2, 2)  # over (q1, q2)
+    coherences = np.abs(rho0[[0, 1], [3, 2]])
+    e = np.diag(battery_hamiltonian(p)).real  # the energies of |00>, |01>, |10>, |11>
+    v = np.sort(e)  # the battery's levels, ascending
 
+    def work(chunk):
+        if dense is not None:
+            return dense(damp(rho0, chunk, p))
+        a, b = (w[:, 0, :, 0, :] for w in damping(p, chunk))  # over (Lambda, q2, q2')
+        keep, take = (w.diagonal(axis1=1, axis2=2).T for w in (a, b))  # over (q2, Lambda)
+        d = (keep * pops[..., None] + take * pops[:, ::-1, None]).reshape(4, -1)  # rows |00>, |01>, |10>, |11>
+        if mode == "local":
+            return _local(p, d.T, 0.0, 0.0)  # an X state's marginals have no coherence
+        # each block's eigenvalues m +- s, {|00>, |11>} first, and the four in descending order
+        m, s = 0.5 * (d[:2] + d[3:1:-1]), np.hypot(0.5 * (d[:2] - d[3:1:-1]), a[:, 0, 1] * coherences[:, None])
+        (hi1, hi2), (lo1, lo2) = m + s, m - s
+        mid = np.minimum(hi1, hi2), np.maximum(lo1, lo2)
+        r = np.maximum(hi1, hi2), np.maximum(*mid), np.minimum(*mid), np.minimum(lo1, lo2)
+        # summed entry by entry in fixed orders: a matrix-vector product can sum one row otherwise than many
+        return (d[0] * e[0] + d[2] * e[2]) + (d[1] * e[1] + d[3] * e[3]) - (
+            ((r[0] * v[0] + r[1] * v[1]) + r[2] * v[2]) + r[3] * v[3])
 
-def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
-    """Global or local work yield at every sample of a trajectory, unchecked:
-    a Trajectory holds a checked initial state."""
-    return damped_work(traj.rho0, traj.lam, traj.params, mode)
+    return damp_chunked(work, lam)
 
 
 @dataclass(frozen=True)

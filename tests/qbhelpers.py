@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from qbattery.collision import Trajectory
+from qbattery.ergotropy import damped_work
 from qbattery.fitting import MODELS
 from qbattery.model import ModelParams
 
@@ -52,3 +54,9 @@ def global_start(model: str, e, y) -> np.ndarray:
     """The global least-squares parameters of a fit family: its solve, the
     best over the whole rate scan."""
     return MODELS[model].solver(np.asarray(e))(np.asarray(y)[None])[0][0]
+
+
+def trajectory_work(traj: Trajectory, mode: str = "global") -> np.ndarray:
+    """The global or local work yield at every sample of a trajectory, as the
+    trajectory command takes it: its checked initial state damped at its Lambda."""
+    return damped_work(traj.rho0, traj.lam, traj.params, mode)

@@ -56,7 +56,8 @@ def test_yields_and_distances_hold_no_collision_loop_or_power(module):
 
 @pytest.mark.parametrize("n", [0, 30, 10**300])
 def test_yield_after_collisions_is_one_damping(monkeypatch, n):
-    damps = counted(monkeypatch, ergotropy, "damp")
+    # an X state: its populations and coherences take the damping's weights once
+    damps = counted(monkeypatch, ergotropy, "damping")
     assert not hasattr(collision, "run_collisions")
     powers = counted(monkeypatch, np.linalg, "matrix_power")
     ergotropy.ergotropy_after_collisions(np.eye(4) / 4, n, ModelParams(k=0.8))
@@ -201,5 +202,5 @@ def test_trajectory_yield_of_an_x_state_diagonalises_nothing(monkeypatch, off_x,
     rho0[0, 1] = rho0[1, 0] = off_x
     traj = collision.fine_trajectory(rho0, 3, 10, ModelParams(delta_t=1.2))
     eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
-    assert len(ergotropy.trajectory_work(traj)) == 31
+    assert len(ergotropy.damped_work(traj.rho0, traj.lam, traj.params)) == 31
     assert [args[0].shape for args in eigvalsh] == shapes

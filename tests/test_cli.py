@@ -20,9 +20,10 @@ from qbattery.cli import DEFAULTS, build_parser, main, parse_number_list, resolv
 from qbattery.ergotropy import ergotropy_after_collisions, max_work_fixed_entanglement
 from qbattery.model import ModelParams
 from qbattery.optimize import OptimizerSettings
-from qbattery.states import fixed_entanglement_state, projector, schmidt_gap
+from qbattery.states import fixed_entanglement_state, locally_passive_state, projector, schmidt_gap
 
 from _oracles import csv_module_write
+from qbhelpers import random_params
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
@@ -343,6 +344,40 @@ class TestTrajectoryCommand:
             p = ModelParams(delta_t=dt)
             nonmarkov.blp_measure(p, OptimizerSettings(starts=1, seed=0, max_evals=5), substeps, collisions=n)
             assert lams.pop()[::substeps].tobytes() == collision.after_collisions(p, range(n + 1)).tobytes(), dt
+
+    def test_a_value_does_not_depend_on_its_batch(self, tmp_path):
+        """On random models, G_p after n collisions is one text whether it
+        comes from a one-count sweep, from row n of a 0:N sweep, from a
+        trajectory's collision boundary or from ergotropy_after_collisions;
+        and a trajectory over three delta_t writes the rows of three
+        one-delta_t runs.  A matrix-vector product can sum one row in
+        another order than many rows, so none is taken there."""
+        gen, n_max, substeps = np.random.default_rng(367), 6, 4
+        config, out = tmp_path / "model.ini", tmp_path / "out.csv"
+        for _ in range(4):
+            p, e = random_params(gen), round(float(gen.uniform(0.0, 1.0)), 3)
+            dts = [float(dt) for dt in gen.uniform(0.05, 3.0, 3)]
+            config.write_text("[model]\n" + "".join(f"{key} = {value!r}\n" for key, value in vars(p).items()))
+            common = ("--seed", 1, "--config", config, "--output", out)
+
+            def values(*argv):
+                assert run(*argv, *common) == 0
+                return [row["value"] for row in read_csv(out)]
+
+            rho0 = projector(locally_passive_state(e))
+            direct = ["%.17g" % ergotropy_after_collisions(rho0, n, p) for n in range(n_max + 1)]
+            sweep = ("sweep", "--quantity", "G_p", "--entanglements", e, "--collisions")
+            assert values(*sweep, f"0:{n_max}") == direct
+            assert [values(*sweep, n)[0] for n in range(n_max + 1)] == direct
+            trajectory = ("trajectory", "--quantity", "G_p", "--entanglement", e, "--collisions", n_max,
+                          "--substeps", substeps, "--delta-ts")
+            assert values(*trajectory, repr(p.delta_t))[::substeps] == direct
+
+            def rows(*argv):  # the data rows' bytes
+                values(*argv)
+                return out.read_bytes().split(b"\r\n", 1)[1]
+
+            assert rows(*trajectory, ",".join(map(repr, dts))) == b"".join(rows(*trajectory, repr(dt)) for dt in dts)
 
     @pytest.mark.parametrize("quantity, mode, followed, maximum", [
         ("G", "global", 3.5703, 3.9456), ("L", "local", 3.4270, 3.6822),

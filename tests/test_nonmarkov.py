@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import qbattery.collision as collision
 import qbattery.nonmarkov as nonmarkov
 from qbattery.collision import after_collisions, cutoff, fine_trajectory, sample_times
-from qbattery.ergotropy import global_ergotropy, local_ergotropy, trajectory_work
+from qbattery.ergotropy import global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.nonmarkov import _distance_samples, blp_measure, pair_from_angles
 from qbattery.optimize import OptimizerSettings
 from qbattery.states import fixed_entanglement_state, locally_passive_state, projector
-from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
+from qbhelpers import random_density_matrix, random_params, random_pure_state, rng, trajectory_work
 
 from _oracles import blp_functional, dense_backflow_lower_bound, dense_collisions, lambda_at_taus, run_collisions
 from test_transfer import PROPERTY, params_st, seed_st, varied

@@ -27,8 +27,9 @@ SRC = ROOT / "src"
 # call runs, kept because a library caller can reach it.
 ALLOWED = {
     # The global yield of a state that is not an X state.  Every command and
-    # benchmark call starts from an X state, which `_x_work` takes, but
-    # `ergotropy_after_collisions` and `trajectory_work` accept any state.
+    # benchmark call starts from an X state, whose populations and
+    # coherences `damped_work` damps alone, but `ergotropy_after_collisions`
+    # and `damped_work` accept any state.
     ("ergotropy.py", "_yield_of.<locals>.<lambda>"),
 }
 

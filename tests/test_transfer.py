@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery.collision import after_collisions, collision_propagator, damp, fine_trajectory
-from qbattery.ergotropy import _yield_of, ergotropy_after_collisions, global_ergotropy, local_ergotropy, trajectory_work
+from qbattery.ergotropy import _yield_of, ergotropy_after_collisions, global_ergotropy, local_ergotropy
 from qbattery.model import ModelParams, battery_hamiltonian
 from qbattery.states import locally_passive_state, projector
-from qbhelpers import random_density_matrix, random_params, random_pure_state, rng
+from qbhelpers import random_density_matrix, random_params, random_pure_state, rng, trajectory_work
 
 from _oracles import (
     closed_form_stack,
