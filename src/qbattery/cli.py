@@ -310,12 +310,17 @@ def cmd_trajectory(args, cfg: dict) -> dict:
     points = _delta_t_models(cfg, "trajectory", tcfg["collisions"] * tcfg["substeps"])
     state = _trajectory_initial_state(quantity, tcfg["entanglement"])
     rho0 = projector(state)
-    trajs = [fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p) for p in points]
+    lam = np.empty((len(points), tcfg["collisions"] * tcfg["substeps"] + 1))  # a row per delta_t
+    blocks = []
+    for p, row in zip(points, lam):
+        traj = fine_trajectory(rho0, tcfg["collisions"], tcfg["substeps"], p)
+        row[:], rho0 = traj.lam, traj.rho0  # the checked state
+        blocks.append((p.delta_t, traj.times, traj.collision_index))
+    del traj  # so no Lambda is held twice
     # one yield call for every delta_t's samples, before the output is opened: the yield reads the
     # bath and the battery, which no delta_t changes, and a sample's value does not depend on its call
-    lam = np.concatenate([traj.lam for traj in trajs])
-    values = np.split(damped_work(trajs[0].rho0, lam, points[0], MODES[quantity]), len(trajs))
-    blocks = [((p.delta_t,), (traj.times, traj.collision_index, v)) for p, traj, v in zip(points, trajs, values)]
+    values = damped_work(rho0, lam.ravel(), points[0], MODES[quantity]).reshape(lam.shape)
+    blocks = [((dt,), (times, index, v)) for (dt, times, index), v in zip(blocks, values)]
     write_csv(args.output, ["delta_t", "t", "collision_index", "value"], blocks)
     return {"initial_state": state.real.tolist(), **cutoff(points[0])}  # both states are real
 
